@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .core import Multigraph, SimpleGraph, connected_components, induced_subgraph
+from .core import (
+    Multigraph,
+    SimpleGraph,
+    _check_clique,
+    connected_components,
+    induced_subgraph,
+)
 from .errors import InvalidRepresentation, NotAnAtom, NotCactus
 from .pattern import is_cactus
 from .representation import HRepresentation, Node, verify_representation
@@ -88,12 +94,6 @@ class HellyCliqueResult:
         return self.clique is None
 
 
-def _assert_clique(g: SimpleGraph, verts) -> None:
-    adj = g.adjacency
-    for u, v in combinations(verts, 2):
-        assert v in adj[u], f"reported set is not a clique: {u},{v}"
-
-
 def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
     """Enumerate maximal cliques, stopping once more than cap are seen.
 
@@ -148,7 +148,7 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
     for c in enum.cliques:  # sorted, so first of max size is lex-least
         if len(c) > len(best):
             best = c
-    _assert_clique(g, best)
+    _check_clique(g, best)
     return HellyCliqueResult(best, len(enum.cliques), bound)
 
 
@@ -488,7 +488,8 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
     result = tuple(sorted(best + full))
     graph_pos = {v: model.positions(v) for v in verts}
     for u, v in combinations(result, 2):
-        assert graph_pos[u] & graph_pos[v], "candidate is not a clique"
+        if not graph_pos[u] & graph_pos[v]:
+            raise AssertionError("candidate is not a clique")
     return result
 
 
@@ -511,5 +512,5 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
         c = carc_max_clique(model)
         if len(c) > len(best) or (len(c) == len(best) and c < best):
             best = c
-    _assert_clique(g, best)
+    _check_clique(g, best)
     return best

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import OracleLimitExceeded
@@ -148,6 +149,18 @@ def two_subdivision(g: SimpleGraph) -> LabeledTwoSubdivision:
         result=SimpleGraph.from_edges(n + 2 * m, edges),
         edge_order=order,
     )
+
+
+def _check_clique(g: SimpleGraph, verts) -> None:
+    """Raise AssertionError unless verts are pairwise adjacent in g.
+
+    A failure here is a solver bug, not bad input, so it is never caught by
+    the CLI; written as a raise so that it also runs under ``python -O``.
+    """
+    adj = g.adjacency
+    for u, v in combinations(verts, 2):
+        if v not in adj[u]:
+            raise AssertionError(f"reported set is not a clique: {u},{v}")
 
 
 def max_clique_bruteforce(g: SimpleGraph, limit: int = 20) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ def _int(tok: str, path: str, no: int, what: str) -> int:
 
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
     n = m = None
-    edges = []
+    edges = set()
     header_line = 0
     for no, line in _lines(text):
         parts = line.split()
@@ -62,7 +62,7 @@ def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
         key = (min(u, v) - 1, max(u, v) - 1)
         if key in edges:
             raise ParseError(path, no, f"duplicate edge {u} {v}")
-        edges.append(key)
+        edges.add(key)
     if n is None:
         raise ParseError(path, 1, "missing p line")
     if len(edges) != m:

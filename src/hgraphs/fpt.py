@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ColorLists, SimpleGraph
+from .core import ColorLists, SimpleGraph, _check_clique
 from .errors import InvalidDecomposition, ListColorOutOfRange
 
 
@@ -327,42 +327,95 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
             cur = add("introduce", tuple(bag), (cur,), v)
         return cur
 
-    def build(i: int, parent: int) -> int:
-        kids = [build(j, i) for j in nbrs[i] if j != parent]
-        if not kids:
-            return chain(add("leaf", ()), (), bags[i])
-        kid_bags = [bags[j] for j in nbrs[i] if j != parent]
-        lifted = [chain(k, kb, bags[i]) for k, kb in zip(kids, kid_bags)]
-        cur = lifted[0]
-        for nxt in lifted[1:]:
-            cur = add("join", bags[i], (cur, nxt))
-        return cur
+    # Post-order over the bag tree from bag 0 with an explicit stack, so a
+    # long path of bags cannot exhaust the interpreter's recursion limit.
+    # Each subtree is finished before its next sibling's starts, and a bag's
+    # chains and joins follow all of its subtrees.
+    top = [-1] * len(bags)  # node index standing for each finished subtree
+    seen = [False] * len(bags)
+    seen[0] = True
+    stack = [(0, -1, False)]
+    while stack:
+        i, parent, kids_done = stack.pop()
+        kids = [j for j in nbrs[i] if j != parent]
+        if not kids_done:
+            stack.append((i, parent, True))
+            for j in reversed(kids):
+                if seen[j]:
+                    raise InvalidDecomposition("bag tree has a cycle")
+                seen[j] = True
+                stack.append((j, i, False))
+        elif not kids:
+            top[i] = chain(add("leaf", ()), (), bags[i])
+        else:
+            lifted = [chain(top[j], bags[j], bags[i]) for j in kids]
+            cur = lifted[0]
+            for nxt in lifted[1:]:
+                cur = add("join", bags[i], (cur, nxt))
+            top[i] = cur
 
-    top = build(0, -1)
-    root = chain(top, bags[0], ())
+    root = chain(top[0], bags[0], ())
     return NiceTreeDecomposition(tuple(nodes), root)
 
 
-def _max_clique_in_bag(g: SimpleGraph, bag: frozenset[int]) -> tuple[int, ...]:
-    """Largest clique inside one bag by ordered extension with size pruning.
+def _color_class_tops(cands: int, non_nbr: list[int]) -> list[int]:
+    """Highest bit of each class of a greedy coloring of the bitset cands.
 
-    Ascending exploration with strict-improvement updates keeps the
-    lexicographically smallest clique of maximum size within the bag.
+    Vertices are colored highest bit first, each into the first class that
+    holds none of its neighbors; ``non_nbr[v]`` masks out v and its
+    neighbors.  ``tops[c]`` is the first vertex that needs c + 1 colors, so
+    the tops fall strictly, and the candidates at bit v or above need at most
+    ``#{c : tops[c] >= v}`` colors: a bound on any clique among them.
     """
-    adj = g.adjacency
-    best: tuple[int, ...] = ()
+    tops = []
+    while cands:
+        free = cands
+        tops.append(free.bit_length() - 1)
+        while free:
+            v = free.bit_length() - 1
+            cands ^= 1 << v
+            free &= non_nbr[v]
+    return tops
 
-    def extend(clique: tuple[int, ...], cands: list[int]) -> None:
-        nonlocal best
-        if len(clique) > len(best):
-            best = clique
-        for i, v in enumerate(cands):
-            if len(clique) + len(cands) - i <= len(best):
-                break
-            extend(clique + (v,), [w for w in cands[i + 1 :] if w in adj[v]])
 
-    extend((), sorted(bag))
-    return best
+def _max_clique_in_bag(
+    g: SimpleGraph, bag: frozenset[int], floor: int
+) -> tuple[int, ...]:
+    """Lexicographically smallest maximum clique inside one bag.
+
+    Returns () unless that clique has more than floor vertices.  Branch and
+    bound on int bitsets, bit i standing for the bag's i-th smallest vertex.
+    Cliques grow by ascending vertices, so they are met in lexicographic
+    order, and only a strictly larger clique replaces the best.  A branch is
+    cut only when a greedy-coloring bound (Tomita & Seki, MCQ, 2003) shows
+    it cannot beat the best, so the first maximum clique met is kept.
+    """
+    verts = sorted(bag)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    nbr = [sum(bit[u] for u in g.adjacency[v] & bag) for v in verts]
+    non_nbr = [~(nb | bit[v]) for v, nb in zip(verts, nbr)]
+    best, best_size = 0, floor
+    everything = (1 << len(verts)) - 1
+    # frames: (clique bits, clique size, untried candidates, color tops)
+    stack = [(0, 0, everything, _color_class_tops(everything, non_nbr))]
+    while stack:
+        clique, size, cands, tops = stack[-1]
+        need = best_size - size  # a branch must add more than this
+        low = cands & -cands
+        i = low.bit_length() - 1
+        if not cands or need >= len(tops) or i > tops[need]:
+            stack.pop()
+            continue
+        cands ^= low
+        stack[-1] = (clique, size, cands, tops)
+        clique |= low
+        size += 1
+        if size > best_size:
+            best, best_size = clique, size
+        sub = cands & nbr[i]
+        if size + sub.bit_count() > best_size:
+            stack.append((clique, size, sub, _color_class_tops(sub, non_nbr)))
+    return tuple(v for v in verts if best & bit[v])
 
 
 def k_clique(
@@ -372,23 +425,24 @@ def k_clique(
 
     Complete because every clique of the graph appears inside some bag of any
     valid decomposition (pairwise intersecting subtrees of a tree share a
-    node), so the best over bags is a maximum clique.
+    node), so the best over bags is a maximum clique.  Each bag looks only
+    for a clique larger than the best so far, so the answer is the
+    lexicographically smallest maximum clique of the earliest bag holding one.
     """
     validate_decomposition(g, d)
     best: tuple[int, ...] = ()
     for bag in d.bags:
-        if len(bag) <= len(best):
-            continue
-        c = _max_clique_in_bag(g, bag)
-        if len(c) > len(best):
-            best = c
+        if len(bag) > len(best):
+            best = _max_clique_in_bag(g, bag, len(best)) or best
+    _check_clique(g, best)
     return best if len(best) >= k else None
 
 
 def max_clique_decomposed(g: SimpleGraph, d: TreeDecomposition) -> tuple[int, ...]:
     """Maximum clique via the same bag scan as k_clique."""
     result = k_clique(g, 0, d)
-    assert result is not None
+    if result is None:
+        raise AssertionError("bag scan found no clique of size at least 0")
     return result
 
 
@@ -517,29 +571,27 @@ def list_k_coloring(
     if () not in tables[nice.root]:
         return None
 
+    # Witness: pre-order from the root, left child before right, each node
+    # read at the state its parent chose.
     coloring: dict[int, int] = {}
-
-    def walk(idx: int, state: tuple[int, ...]) -> None:
+    walk = [(nice.root, ())]
+    while walk:
+        idx, state = walk.pop()
         nd = nice.nodes[idx]
-        if nd.kind == "leaf":
-            return
-        if nd.kind == "join":
-            ls, rs = tables[idx][state]
-            walk(nd.children[0], ls)
-            walk(nd.children[1], rs)
-            return
-        (child,) = nd.children
-        (cstate,) = tables[idx][state]
+        preds = tables[idx][state]
+        for child, cstate in reversed(tuple(zip(nd.children, preds))):
+            walk.append((child, cstate))
         if nd.kind == "forget":
-            cbag = nice.nodes[child].bag
-            coloring[nd.vertex] = cstate[cbag.index(nd.vertex)]
-        walk(child, cstate)
-
-    walk(nice.root, ())
+            (child,) = nd.children
+            (cstate,) = preds
+            coloring[nd.vertex] = cstate[nice.nodes[child].bag.index(nd.vertex)]
     # every vertex is forgotten exactly once on the way to the empty root bag
-    assert len(coloring) == g.n
+    if len(coloring) != g.n:
+        raise AssertionError(f"witness colors {len(coloring)} of {g.n} vertices")
     for u, v in g.edges:
-        assert coloring[u] != coloring[v]
+        if coloring[u] == coloring[v]:
+            raise AssertionError(f"witness gives {u} and {v} the same color")
     for v, c in coloring.items():
-        assert c in lists[v]
+        if c not in lists[v]:
+            raise AssertionError(f"witness color {c} of {v} is not on its list")
     return coloring

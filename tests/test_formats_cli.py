@@ -72,6 +72,9 @@ def test_gr_parser_reports_line_numbers():
     with pytest.raises(ParseError) as err:
         formats.parse_gr("p tw 3 2\n1 2\n", "bad.gr")
     assert "declared 2 edges" in err.value.message
+    with pytest.raises(ParseError) as err:
+        formats.parse_gr("p tw 3 3\n1 2\n2 3\nc note\n2 1\n", "bad.gr")
+    assert err.value.line == 5 and err.value.message == "duplicate edge 2 1"
 
 
 def test_hgr_parser_keeps_parallel_edges_and_order():
@@ -210,6 +213,13 @@ def test_cli_color_sat_prints_coloring(capsys):
     coloring = {int(a): int(b) for a, b in (l.split() for l in lines)}
     assert sorted(coloring) == [1, 2, 3]
     assert len(set(coloring.values())) == 3
+
+
+def test_cli_color_long_path(tmp_path, capsys):
+    graph = tmp_path / "path.gr"
+    graph.write_text(formats.emit_gr(path_graph(600)))
+    assert main(["color", "--graph", str(graph), "--k", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 601
 
 
 def test_cli_td_writes_valid_file(tmp_path, capsys):

@@ -7,10 +7,12 @@ from conftest import simple_graphs
 from helpers import assert_clique, coloring_is_proper, maximal_cliques_reference
 from hgraphs.core import (
     SimpleGraph,
+    complement,
     complete_graph,
     cycle_graph,
     empty_graph,
     full_lists,
+    induced_subgraph,
     list_coloring_bruteforce,
     max_clique_bruteforce,
     path_graph,
@@ -32,7 +34,9 @@ from hgraphs.fpt import (
     tree_decomposition,
     validate_decomposition,
 )
-from hgraphs.randgen import gnp, random_lists
+from hgraphs.pattern import double_triangle, find_tripartition, wheel
+from hgraphs.randgen import gnm, gnp, random_lists
+from hgraphs.representation import generate_hard_instance
 
 
 def _covered_pairs(bags):
@@ -217,6 +221,41 @@ def test_k_clique_matches_oracle():
                 assert_clique(g, witness)
 
 
+def _bag_scan_reference(g, d):
+    """Brute-force maximum clique of the earliest bag holding a maximum clique."""
+    omega = len(max_clique_bruteforce(g))
+    for bag in d.bags:
+        verts = sorted(bag)
+        local = max_clique_bruteforce(induced_subgraph(g, verts))
+        if len(local) == omega:
+            return tuple(verts[i] for i in local)
+    raise AssertionError("no bag holds a maximum clique")
+
+
+def test_bag_scan_matches_reference_tuple():
+    rng = random.Random(36)
+    for _ in range(300):
+        g = gnp(rng.randint(0, 14), rng.random(), rng)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        d = decomposition_from_order(g, order)
+        assert max_clique_decomposed(g, d) == _bag_scan_reference(g, d)
+
+
+@pytest.mark.parametrize("pattern", [wheel(4), double_triangle()])
+def test_bag_scan_meets_poljak_identity_on_hard_targets(pattern):
+    # omega(co-S2(G)) = alpha(G) + |E(G)| (Poljak 1974), targets of 60-80 vertices
+    rng = random.Random(37)
+    part = find_tripartition(pattern)
+    for n in (12, 14, 16):
+        g = gnm(n, 2 * n, rng)
+        target, _ = generate_hard_instance(g, pattern, part)
+        d = tree_decomposition(target, target.n - 1).decomposition
+        clique = max_clique_decomposed(target, d)
+        assert_clique(target, clique)
+        assert len(clique) == len(max_clique_bruteforce(complement(g))) + g.m
+
+
 def test_bag_scan_sees_every_maximal_clique():
     rng = random.Random(33)
     for _ in range(80):
@@ -238,6 +277,23 @@ def test_k_clique_bounded_promise_flag():
     assert outcome.witness is not None and len(outcome.witness) >= 3
     outcome = k_clique_bounded(path_graph(5), 2, target_width=3)
     assert outcome.has_clique and outcome.witness is not None
+
+
+def test_nice_form_and_coloring_on_long_path():
+    n = 5000
+    g = path_graph(n)
+    d = decomposition_from_order(g, range(n))
+    nice = make_nice(d)
+    assert nice.width == 1 and len(nice.nodes) == 2 * n + 1
+    coloring = list_k_coloring(g, full_lists(n, 2), 2, d)
+    assert coloring is not None
+    assert all(coloring[v] != coloring[v + 1] for v in range(n - 1))
+
+
+def test_make_nice_rejects_cyclic_bag_tree():
+    bags = (frozenset({0}), frozenset({0, 1}), frozenset({1}))
+    with pytest.raises(InvalidDecomposition):
+        make_nice(TreeDecomposition(bags, ((0, 1), (1, 2), (2, 0))))
 
 
 def test_list_coloring_triangle():
