@@ -231,16 +231,32 @@ def cmd_complement(args) -> int:
 GLOBAL_DEFAULTS = {"seed": 0, "cap": 1000, "oracle_limit": 20, "approx_factor": 5}
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer of at least low, else exit 2 with a message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a subcommand-level absence from clobbering a value given
     # before the subcommand; unset flags get GLOBAL_DEFAULTS after parsing
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="seed for heuristic tie-breaks")
-    p.add_argument("--cap", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--cap", type=_int_at_least(1), default=argparse.SUPPRESS,
                    help="maximal-clique emission cap")
-    p.add_argument("--oracle-limit", type=int, default=argparse.SUPPRESS,
-                   help="brute-force size limit")
-    p.add_argument("--approx-factor", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--oracle-limit", type=_int_at_least(0),
+                   default=argparse.SUPPRESS, help="brute-force size limit")
+    p.add_argument("--approx-factor", type=_int_at_least(1),
+                   default=argparse.SUPPRESS,
                    help="accepted width factor over the target")
 
 
@@ -295,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("td", help="width-targeted tree decomposition")
     p.add_argument("--graph", required=True)
-    p.add_argument("--target", type=int)
+    p.add_argument("--target", type=_int_at_least(0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_td)
 
@@ -314,8 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# build_parser -> its parser; one entry at most, see main
+_PARSER: dict = {}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # The parser is built once per process.  Its subcommands hold the cmd_*
+    # functions bound when it was built, so it is rebuilt whenever
+    # build_parser itself is rebound (perfbench/tracer.py wraps both).
+    parser = _PARSER.get(build_parser)
+    if parser is None:
+        _PARSER.clear()
+        parser = _PARSER[build_parser] = build_parser()
     args = parser.parse_args(argv)
     for key, value in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):

@@ -16,6 +16,8 @@ from .core import (
     Multigraph,
     SimpleGraph,
     _check_clique,
+    _components,
+    _reach,
     connected_components,
     induced_subgraph,
 )
@@ -107,28 +109,31 @@ def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
         return CliqueEnumeration(True, (), cap)
     adj = g.adjacency
     found: list[tuple[int, ...]] = []
-    overflow = False
 
-    def bk(clique: set[int], cands: set[int], used: set[int]) -> None:
-        nonlocal overflow
-        if overflow:
-            return
-        if not cands and not used:
-            found.append(tuple(sorted(clique)))
-            if len(found) > cap:
-                overflow = True
-            return
+    def frame(clique: set[int], cands: set[int], used: set[int]):
         pivot = max(cands | used, key=lambda u: (len(cands & adj[u]), -u))
-        for v in sorted(cands - adj[pivot]):
-            bk(clique | {v}, cands & adj[v], used & adj[v])
-            if overflow:
-                return
-            cands.discard(v)
-            used.add(v)
+        return clique, cands, used, iter(sorted(cands - adj[pivot]))
 
-    bk(set(), set(range(g.n)), set())
-    if overflow:
-        return CliqueEnumeration(False, tuple(found), cap)
+    # An explicit stack of frames (clique, candidates, used, branch vertices
+    # left), so a clique of any size cannot exhaust the recursion limit.
+    # A branch's own sets are cut out before v moves from the candidates to
+    # the used set, so moving it first changes nothing the branch sees.
+    stack = [frame(set(), set(range(g.n)), set())]
+    while stack:
+        clique, cands, used, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        grown, sub_cands, sub_used = clique | {v}, cands & adj[v], used & adj[v]
+        cands.discard(v)
+        used.add(v)
+        if sub_cands or sub_used:
+            stack.append(frame(grown, sub_cands, sub_used))
+            continue
+        found.append(tuple(sorted(grown)))
+        if len(found) > cap:
+            return CliqueEnumeration(False, tuple(found), cap)
     return CliqueEnumeration(True, tuple(sorted(found)), cap)
 
 
@@ -198,19 +203,6 @@ def _mcs_m(g: SimpleGraph, verts: tuple[int, ...]):
     return order, fill
 
 
-def _component_with(g: SimpleGraph, inside: set[int], start: int) -> set[int]:
-    comp = {start}
-    stack = [start]
-    adj = g.adjacency
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in inside and y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return comp
-
-
 def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
     """Decompose into atoms by repeatedly splitting on clique separators.
 
@@ -232,16 +224,16 @@ def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
             sep = {u for u in fill[v] if pos[u] > pos[v]}
             if any(b not in adj[a] for a, b in combinations(sorted(sep), 2)):
                 continue
-            side = _component_with(g, members - sep, v)
+            side = _reach(adj, v, members - sep)
             if side | sep == members:
                 continue
             # trim to a minimal separator between v's side and one other
             # component: keep only separator vertices seen from both sides
             toward_side = {s for s in sep if adj[s] & side}
             other_seed = min(members - sep - side)
-            other = _component_with(g, members - toward_side, other_seed)
+            other = _reach(adj, other_seed, members - toward_side)
             minimal = {s for s in toward_side if adj[s] & other}
-            side = _component_with(g, members - minimal, v)
+            side = _reach(adj, v, members - minimal)
             decompose(tuple(sorted(side | minimal)))
             decompose(tuple(sorted(members - side)))
             return
@@ -299,24 +291,15 @@ def _classify_shape(nodes: list[Node], adjacency) -> tuple[str, list[Node]] | No
     return None
 
 
-def _cut_nodes(nodes: list[Node], adjacency) -> list[Node]:
+def _first_cut_node(nodes: list[Node], adjacency) -> Node | None:
+    """Smallest node whose removal leaves the subgraph induced on the other
+    nodes disconnected, or None."""
     present = set(nodes)
-    cuts = []
     for x in sorted(nodes):
-        rest = [nd for nd in nodes if nd != x]
-        if not rest:
-            continue
-        seen = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            a = stack.pop()
-            for b in adjacency[a]:
-                if b in present and b != x and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        if len(seen) != len(rest):
-            cuts.append(x)
-    return cuts
+        rest = present - {x}
+        if rest and len(_reach(adjacency, next(iter(rest)), rest)) != len(rest):
+            return x
+    return None
 
 
 def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
@@ -346,35 +329,16 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
                     continue
                 arcs[v] = _positions_to_arc(positions, length, kind)
             return ArcModel(kind, length, arcs)
-        cuts = _cut_nodes(union, adjacency)
-        if not cuts:
+        x = _first_cut_node(union, adjacency)
+        if x is None:
             raise NotAnAtom("union of node sets is neither path, cycle, nor cut")
-        x = cuts[0]
-        present = set(union)
-        comps: list[set[Node]] = []
-        left = present - {x}
-        while left:
-            start = min(left)
-            comp = {start}
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in adjacency[a]:
-                    if b in left and b not in comp:
-                        comp.add(b)
-                        stack.append(b)
-            comps.append(comp)
-            left -= comp
-        carriers = set()
-        for v, nds in sets.items():
-            if x in nds:
-                continue
-            # a connected set avoiding x lies entirely in one component
-            probe = min(nds)
-            carriers.add(next(i for i, c in enumerate(comps) if probe in c))
+        comps = _components(adjacency, set(union) - {x})
+        where = {nd: i for i, comp in enumerate(comps) for nd in comp}
+        # a connected set avoiding x lies entirely in one component
+        carriers = {where[min(nds)] for nds in sets.values() if x not in nds}
         if len(carriers) > 1:
             raise NotAnAtom("holders of the cut node form a clique cutset")
-        keep = comps[carriers.pop() if carriers else 0] | {x}
+        keep = set(comps[carriers.pop() if carriers else 0]) | {x}
         sets = {v: nds & keep for v, nds in sets.items()}
 
 

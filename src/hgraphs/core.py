@@ -218,26 +218,37 @@ def list_coloring_bruteforce(
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    return _components(g.n, g.adjacency)
+    return _components(g.adjacency, range(g.n))
 
 
-def _components(n: int, adjacency) -> list[tuple[int, ...]]:
-    seen = [False] * n
+def _reach(adjacency, start, allowed) -> set:
+    """Vertices reachable from start through vertices of allowed.
+
+    adjacency maps a vertex to its neighbors (a tuple indexed by int
+    vertices, a dict over pattern nodes, or lists of tree neighbors);
+    allowed only needs ``in``.  start is always in the result.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adjacency[stack.pop()]:
+            if y in allowed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _components(adjacency, vertices) -> list[tuple]:
+    """Components of the subgraph induced on vertices, as sorted tuples
+    ordered by smallest member."""
+    allowed = set(vertices)
+    seen: set = set()
     result = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        result.append(tuple(sorted(comp)))
+    for start in sorted(allowed):
+        if start not in seen:
+            comp = _reach(adjacency, start, allowed)
+            seen |= comp
+            result.append(tuple(sorted(comp)))
     return result
 
 

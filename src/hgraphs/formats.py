@@ -33,6 +33,13 @@ def _int(tok: str, path: str, no: int, what: str) -> int:
         raise ParseError(path, no, f"expected integer {what}, got {tok!r}")
 
 
+def _count(tok: str, path: str, no: int, what: str) -> int:
+    value = _int(tok, path, no, what)
+    if value < 0:
+        raise ParseError(path, no, f"{what} must be non-negative, got {value}")
+    return value
+
+
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
     n = m = None
     edges = set()
@@ -44,8 +51,8 @@ def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
                 raise ParseError(path, no, "duplicate p line")
             if len(parts) != 4 or parts[1] != "tw":
                 raise ParseError(path, no, "expected 'p tw <n> <m>'")
-            n = _int(parts[2], path, no, "vertex count")
-            m = _int(parts[3], path, no, "edge count")
+            n = _count(parts[2], path, no, "vertex count")
+            m = _count(parts[3], path, no, "edge count")
             header_line = no
             continue
         if n is None:
@@ -89,8 +96,8 @@ def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
                 raise ParseError(path, no, "duplicate h line")
             if len(parts) != 3:
                 raise ParseError(path, no, "expected 'h <n> <m>'")
-            n = _int(parts[1], path, no, "node count")
-            m = _int(parts[2], path, no, "edge count")
+            n = _count(parts[1], path, no, "node count")
+            m = _count(parts[2], path, no, "edge count")
             header_line = no
             continue
         if n is None:
@@ -131,7 +138,7 @@ def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
                 raise ParseError(path, no, "duplicate s line")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(path, no, "expected 's td <bags> <width+1> <n>'")
-            header = tuple(_int(p, path, no, "header field") for p in parts[2:])
+            header = tuple(_count(p, path, no, "header field") for p in parts[2:])
             header_line = no
             continue
         if header is None:

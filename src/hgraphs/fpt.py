@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ColorLists, SimpleGraph, _check_clique
+from .core import ColorLists, SimpleGraph, _check_clique, _reach
 from .errors import InvalidDecomposition, ListColorOutOfRange
 
 
@@ -71,9 +71,12 @@ def check_decomposition(g: SimpleGraph, d: TreeDecomposition) -> list[str]:
     b = len(d.bags)
     if b == 0:
         return ["decomposition has no bags"]
-    for bag in d.bags:
+    holders: list[set[int]] = [set() for _ in range(g.n)]  # bags holding v
+    for i, bag in enumerate(d.bags):
         for v in bag:
-            if not (0 <= v < g.n):
+            if 0 <= v < g.n:
+                holders[v].add(i)
+            else:
                 problems.append(f"bag vertex {v} outside graph")
     for i, j in d.tree_edges:
         if not (0 <= i < b and 0 <= j < b):
@@ -85,37 +88,18 @@ def check_decomposition(g: SimpleGraph, d: TreeDecomposition) -> list[str]:
     for i, j in d.tree_edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != b:
+    if len(_reach(nbrs, 0, range(b))) != b:
         problems.append("bag tree is disconnected")
         return problems
     # every vertex induces a non-empty connected subtree
-    for v in range(g.n):
-        holding = [i for i in range(b) if v in d.bags[i]]
-        if not holding:
+    for v, hold in enumerate(holders):
+        if not hold:
             problems.append(f"vertex {v} in no bag")
-            continue
-        hold = set(holding)
-        comp = {holding[0]}
-        stack = [holding[0]]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y in hold and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if comp != hold:
+        elif _reach(nbrs, min(hold), hold) != hold:
             problems.append(f"bags of vertex {v} are not connected in the tree")
     # every edge is inside some bag
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in d.bags):
+        if holders[u].isdisjoint(holders[v]):
             problems.append(f"edge ({u},{v}) not covered by any bag")
     return problems
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multigraph, _components
+from .core import Multigraph, _components, _reach
 from .errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
 from .fpt import TreeDecomposition, exact_decomposition, validate_decomposition
 
@@ -144,18 +144,8 @@ def treewidth_exact_small(
 
 
 def _part_connected(h: Multigraph, part: tuple[int, ...]) -> bool:
-    if not part:
-        return False
     members = set(part)
-    seen = {part[0]}
-    stack = [part[0]]
-    while stack:
-        x = stack.pop()
-        for y in h.adjacency[x]:
-            if y in members and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == members
+    return bool(part) and _reach(h.adjacency, part[0], members) == members
 
 
 def _connecting_edges(h: Multigraph, parts) -> tuple | None:
@@ -223,7 +213,7 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
     """
     if h.n > limit:
         raise SearchLimitExceeded(f"n={h.n} exceeds tripartition search limit {limit}")
-    for comp in _components(h.n, h.adjacency):
+    for comp in _components(h.adjacency, range(h.n)):
         if len(comp) < 3:
             continue
         for labeling in _canonical_labelings(len(comp)):

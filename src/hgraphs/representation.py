@@ -10,7 +10,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Multigraph, SimpleGraph, complement, two_subdivision
+from .core import (
+    Multigraph,
+    SimpleGraph,
+    _components,
+    _reach,
+    complement,
+    two_subdivision,
+)
 from .errors import DomainMismatch, InvalidRepresentation
 from .fpt import TreeDecomposition
 from .pattern import (
@@ -139,18 +146,7 @@ class HellyReport:
 
 
 def _set_connected(nodes: frozenset[Node], adjacency) -> bool:
-    if not nodes:
-        return False
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if y in nodes and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(nodes)
+    return bool(nodes) and _reach(adjacency, next(iter(nodes)), nodes) == nodes
 
 
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
@@ -305,21 +301,7 @@ def _is_forest(h: Multigraph) -> bool:
     simple_pairs = {tuple(sorted(e)) for _, e in items}
     if len(simple_pairs) != len(items):
         return False  # a parallel pair is a 2-cycle
-    comps = 0
-    seen = [False] * h.n
-    for s in range(h.n):
-        if seen[s]:
-            continue
-        comps += 1
-        stack = [s]
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            for y in h.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return len(items) == h.n - comps
+    return len(items) == h.n - len(_components(h.adjacency, range(h.n)))
 
 
 def _forest_bag_decomposition(pattern: SubdividedPattern):

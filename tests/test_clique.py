@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -67,6 +69,18 @@ def test_enumeration_matches_reference():
         assert enum.complete
         assert set(enum.cliques) == maximal_cliques_reference(g)
         assert list(enum.cliques) == sorted(enum.cliques)
+
+
+def test_enumeration_of_a_large_clique_does_not_recurse():
+    g = complete_graph(300)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        enum = maximal_cliques_capped(g, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert enum.complete and enum.cliques == (tuple(range(300)),)
 
 
 def test_enumeration_cap_validation():

@@ -18,7 +18,10 @@ from hgraphs.core import (
     petersen_graph,
     two_subdivision,
 )
+from hgraphs.core import _components
 from hgraphs.errors import OracleLimitExceeded
+from hgraphs.pattern import cycle_pattern
+from hgraphs.representation import SubdividedPattern, branch, sub
 
 
 def test_complement_of_complete_is_edgeless():
@@ -164,3 +167,17 @@ def test_list_coloring_bruteforce_limit_and_validation():
 
 def test_octahedron_clique_number():
     assert len(max_clique_bruteforce(complete_multipartite([2, 2, 2]))) == 3
+
+
+def test_components_on_pattern_nodes():
+    # a triangle pattern with one node per edge is a 6-cycle of nodes
+    pattern = SubdividedPattern(cycle_pattern(3), (1, 1, 1))
+    adjacency = pattern.adjacency
+    nodes = set(pattern.nodes())
+    assert _components(adjacency, nodes - {branch(0)}) == [
+        tuple(sorted(nodes - {branch(0)}))
+    ]
+    assert _components(adjacency, nodes - {branch(0), branch(1)}) == [
+        (branch(2), sub(1, 1), sub(2, 1)),
+        (sub(0, 1),),
+    ]

@@ -279,6 +279,29 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys):
     assert "bad.gr:2" in err
 
 
+def test_cli_negative_vertex_count_exit_code(tmp_path, capsys):
+    bad = tmp_path / "neg.gr"
+    bad.write_text("c header below\np tw -1 0\n")
+    assert main(["clique", "--graph", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "neg.gr:2: vertex count must be non-negative, got -1" in err
+
+
+def test_cli_zero_cap_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cap", "0", "helly", "--rep", fixture("p3.rep")])
+    assert exc.value.code == 2
+    assert "argument --cap: must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_negative_target_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "o.td")
+    with pytest.raises(SystemExit) as exc:
+        main(["td", "--graph", fixture("p3.gr"), "--target", "-1", "--out", out])
+    assert exc.value.code == 2
+    assert "argument --target: must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     def run():
         out_graph = str(tmp_path / "t.gr")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,20 +55,44 @@ def test_validator_rejects_bad_decompositions():
     ok = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
     assert check_decomposition(g, ok) == []
     missing_vertex = TreeDecomposition((frozenset({0, 1}),), ())
-    assert check_decomposition(g, missing_vertex)
+    assert check_decomposition(g, missing_vertex) == [
+        "vertex 2 in no bag",
+        "edge (1,2) not covered by any bag",
+    ]
     uncovered_edge = TreeDecomposition(
         (frozenset({0, 1}), frozenset({2})), ((0, 1),)
     )
-    assert check_decomposition(g, uncovered_edge)
+    assert check_decomposition(g, uncovered_edge) == [
+        "edge (1,2) not covered by any bag"
+    ]
     disconnected_vertex = TreeDecomposition(
         (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
         ((0, 1), (1, 2)),
     )
-    assert check_decomposition(g, disconnected_vertex)
+    assert check_decomposition(g, disconnected_vertex) == [
+        "bags of vertex 0 are not connected in the tree"
+    ]
     not_a_tree = TreeDecomposition(
         (frozenset({0, 1}), frozenset({1, 2})), ()
     )
-    assert check_decomposition(g, not_a_tree)
+    assert check_decomposition(g, not_a_tree) == [
+        "0 tree edges for 2 bags",
+        "bag tree is disconnected",
+    ]
+    out_of_range = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2, 5})), ((0, 1),)
+    )
+    assert check_decomposition(g, out_of_range) == ["bag vertex 5 outside graph"]
+    bad_tree_edge = TreeDecomposition(
+        (frozenset({0, 1, 7}), frozenset({1, 2})), ((0, 3),)
+    )
+    assert check_decomposition(g, bad_tree_edge) == [
+        "bag vertex 7 outside graph",
+        "tree edge (0,3) out of range",
+    ]
+    assert check_decomposition(g, TreeDecomposition((), ())) == [
+        "decomposition has no bags"
+    ]
     with pytest.raises(InvalidDecomposition):
         validate_decomposition(g, not_a_tree)
 
@@ -283,6 +308,10 @@ def test_nice_form_and_coloring_on_long_path():
     n = 5000
     g = path_graph(n)
     d = decomposition_from_order(g, range(n))
+    # one pass over the bags, not one per vertex and per edge (seconds here)
+    start = time.perf_counter()
+    assert check_decomposition(g, d) == []
+    assert time.perf_counter() - start < 1.0
     nice = make_nice(d)
     assert nice.width == 1 and len(nice.nodes) == 2 * n + 1
     coloring = list_k_coloring(g, full_lists(n, 2), 2, d)
