@@ -16,12 +16,8 @@ from . import clique as cliquemod
 from . import fpt
 from .core import full_lists, max_clique_bruteforce
 from .errors import (
-    DomainMismatch,
     ExactLimitExceeded,
     HgraphsError,
-    InvalidRepresentation,
-    NotAnAtom,
-    NotCactus,
     OracleLimitExceeded,
     ParseError,
     SearchLimitExceeded,
@@ -354,9 +350,6 @@ def main(argv=None) -> int:
     except (OracleLimitExceeded, SearchLimitExceeded, ExactLimitExceeded) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (DomainMismatch, InvalidRepresentation, NotCactus, NotAnAtom) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except HgraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,7 +18,6 @@ from .core import (
     _check_clique,
     _components,
     _reach,
-    connected_components,
     induced_subgraph,
 )
 from .errors import InvalidRepresentation, NotAnAtom, NotCactus
@@ -157,90 +156,81 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
     return HellyCliqueResult(best, len(enum.cliques), bound)
 
 
-def _mcs_m(g: SimpleGraph, verts: tuple[int, ...]):
-    """Minimal elimination ordering of the induced subgraph on verts.
+def _mcs_m(g: SimpleGraph):
+    """One MCS-M+ run: a minimal elimination ordering and its generators.
 
-    Returns (elimination order, fill adjacency including original edges).
-    Search for weight updates goes through unnumbered vertices of strictly
-    smaller weight, which makes the resulting fill minimal.
+    Vertices are numbered from last to first, each time taking an
+    unnumbered vertex of the largest weight, ties toward the smaller index.
+    Numbering v raises, and joins to v by a fill edge, every unnumbered u
+    that v reaches through unnumbered vertices all lighter than u; this fill
+    is minimal (Berry, Blair, Heggernes & Peyton 2004).
+
+    Returns (generators, later): the vertices whose weight when numbered is
+    no larger than that of the vertex numbered just before, in numbering
+    order, and for each vertex the set of its fill neighbours numbered
+    before it, i.e. eliminated after it (Berry, Pogorelcnik & Simonet 2010).
     """
     adj = g.adjacency
-    members = set(verts)
-    weight = {v: 0 for v in verts}
-    fill: dict[int, set[int]] = {v: set(adj[v] & members) for v in verts}
-    unnumbered = set(verts)
-    order = [0] * len(verts)
-    for slot in range(len(verts) - 1, -1, -1):
+    weight = [0] * g.n
+    later: list[set[int]] = [set() for _ in range(g.n)]
+    unnumbered = set(range(g.n))
+    generators: list[int] = []
+    prev = -1
+    while unnumbered:
         v = max(unnumbered, key=lambda u: (weight[u], -u))
         unnumbered.discard(v)
-        reached: set[int] = set()
-        for u in sorted(unnumbered):
-            # path from v to u through unnumbered vertices of weight < weight[u]
-            limit = weight[u]
-            seen = {v}
-            stack = [v]
-            hit = False
-            while stack and not hit:
-                x = stack.pop()
-                for z in adj[x]:
-                    if z == u and z in members:
-                        hit = True
-                        break
-                    if (
-                        z in unnumbered
-                        and z not in seen
-                        and weight[z] < limit
-                    ):
+        if weight[v] <= prev:
+            generators.append(v)
+        prev = weight[v]
+        # buckets[j] holds vertices whose path from v is no heavier than j;
+        # no unnumbered vertex outweighs v, so buckets past weight[v] stay
+        # empty and bucket weight[v] itself can raise nothing.
+        buckets: list[list[int]] = [[] for _ in range(weight[v] + 1)]
+        raised = [u for u in adj[v] if u in unnumbered]
+        seen = set(raised)
+        for u in raised:
+            buckets[weight[u]].append(u)
+        for j in range(weight[v]):
+            stack = buckets[j]
+            while stack:
+                for z in adj[stack.pop()]:
+                    if z in unnumbered and z not in seen:
                         seen.add(z)
-                        stack.append(z)
-            if hit:
-                reached.add(u)
-        for u in reached:
+                        if weight[z] > j:
+                            raised.append(z)
+                            buckets[weight[z]].append(z)
+                        else:
+                            stack.append(z)
+        for u in raised:
             weight[u] += 1
-            fill[v].add(u)
-            fill[u].add(v)
-        order[slot] = v
-    return order, fill
+            later[u].add(v)
+    return generators, later
 
 
 def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
-    """Decompose into atoms by repeatedly splitting on clique separators.
+    """Decompose into atoms along clique minimal separators.
 
-    A minimal elimination ordering is scanned for a vertex whose later fill
-    neighborhood is a clique of the original graph and separates it.  The
-    separator is trimmed from both sides down to a minimal one (otherwise
-    splits could shed fragments finer than atoms), the graph splits there,
-    and both sides recurse.  Disconnected inputs are decomposed per
-    connected component.
+    One MCS-M+ run gives a minimal triangulation and its generators.  Taken
+    in elimination order, a generator x whose later fill neighbours form a
+    clique of g has them as a clique minimal separator: x's component of
+    what remains without the separator, plus the separator, is an atom, and
+    that component is removed.  What remains at the end is the last atom
+    (Berry, Pogorelcnik & Simonet 2010).  A later component of a
+    disconnected graph starts at a generator with an empty separator.
     """
     adj = g.adjacency
+    generators, later = _mcs_m(g)
+    remaining = set(range(g.n))
     atoms: list[tuple[int, ...]] = []
-
-    def decompose(verts: tuple[int, ...]) -> None:
-        order, fill = _mcs_m(g, verts)
-        pos = {v: i for i, v in enumerate(order)}
-        members = set(verts)
-        for v in order:
-            sep = {u for u in fill[v] if pos[u] > pos[v]}
-            if any(b not in adj[a] for a, b in combinations(sorted(sep), 2)):
-                continue
-            side = _reach(adj, v, members - sep)
-            if side | sep == members:
-                continue
-            # trim to a minimal separator between v's side and one other
-            # component: keep only separator vertices seen from both sides
-            toward_side = {s for s in sep if adj[s] & side}
-            other_seed = min(members - sep - side)
-            other = _reach(adj, other_seed, members - toward_side)
-            minimal = {s for s in toward_side if adj[s] & other}
-            side = _reach(adj, v, members - minimal)
-            decompose(tuple(sorted(side | minimal)))
-            decompose(tuple(sorted(members - side)))
-            return
-        atoms.append(verts)
-
-    for comp in connected_components(g):
-        decompose(comp)
+    for x in reversed(generators):
+        sep = later[x]
+        if any(b not in adj[a] for a, b in combinations(sep, 2)):
+            continue
+        side = _reach(adj, x, remaining - sep)
+        atoms.append(tuple(sorted(side | sep)))
+        remaining -= side
+    if remaining:
+        atoms.append(tuple(sorted(remaining)))
     atoms.sort()
     return AtomDecomposition(
         tuple(Atom(vs, induced_subgraph(g, vs)) for vs in atoms)

@@ -256,9 +256,8 @@ def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
     """Induced subgraph relabeled to 0..k-1 following sorted vertex order."""
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
+    adj = g.adjacency
+    edges = [(index[u], index[v]) for u in verts for v in adj[u] if v in index]
     return SimpleGraph.from_edges(len(verts), edges)
 
 

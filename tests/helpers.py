@@ -53,6 +53,20 @@ def has_clique_cutset(g: SimpleGraph) -> bool:
     return False
 
 
+def atoms_bruteforce(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """The inclusion-maximal vertex sets that induce a connected subgraph
+    without a clique cutset, sorted, found by trying every subset."""
+    candidates = []
+    for k in range(1, g.n + 1):
+        for vs in combinations(range(g.n), k):
+            sub = induced_subgraph(g, vs)
+            if len(connected_components(sub)) == 1 and not has_clique_cutset(sub):
+                candidates.append(set(vs))
+    return sorted(
+        tuple(sorted(vs)) for vs in candidates if not any(vs < ws for ws in candidates)
+    )
+
+
 def assert_clique(g: SimpleGraph, verts) -> None:
     for u, v in combinations(sorted(verts), 2):
         assert g.has_edge(u, v), f"({u},{v}) missing: not a clique"

@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import assert_clique, has_clique_cutset, maximal_cliques_reference
+from helpers import (
+    assert_clique,
+    atoms_bruteforce,
+    has_clique_cutset,
+    maximal_cliques_reference,
+)
 from hgraphs.clique import (
     ArcModel,
     cactus_atom_arc_model,
@@ -22,6 +27,7 @@ from hgraphs.core import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    empty_graph,
     max_clique_bruteforce,
     path_graph,
 )
@@ -120,8 +126,17 @@ def test_atoms_two_triangles():
 
 
 def test_atoms_path():
-    atoms = clique_cutset_decomposition(path_graph(4)).atoms
-    assert [a.vertices for a in atoms] == [(0, 1), (1, 2), (2, 3)]
+    # under a recursion limit 150 frames above the caller, which a
+    # decomposition recursing once per split exceeds on the long path
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    for n in (4, 400):
+        sys.setrecursionlimit(depth + 150)
+        try:
+            atoms = clique_cutset_decomposition(path_graph(n)).atoms
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [a.vertices for a in atoms] == [(i, i + 1) for i in range(n - 1)]
 
 
 def test_atoms_chordless_cycle():
@@ -130,11 +145,17 @@ def test_atoms_chordless_cycle():
 
 
 def test_atom_decomposition_invariants():
+    assert clique_cutset_decomposition(empty_graph(0)).atoms == ()
+    g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    atoms = clique_cutset_decomposition(g).atoms
+    assert [a.vertices for a in atoms] == [(0, 1, 2), (3, 4), (5,)]
     rng = random.Random(22)
     for _ in range(120):
         n = rng.randint(1, 12)
         g = gnp(n, rng.random(), rng)
         dec = clique_cutset_decomposition(g)
+        if n <= 8:
+            assert [a.vertices for a in dec.atoms] == atoms_bruteforce(g)
         assert len(dec.atoms) <= max(n, 1)
         covered_vertices = set()
         covered_edges = set()
