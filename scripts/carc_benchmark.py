@@ -18,7 +18,7 @@ from hgraphs.randgen import random_arc_model
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[8, 12, 16, 20, 30, 40])
+                        default=[8, 12, 16, 20, 30, 40, 80, 160])
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

@@ -364,46 +364,80 @@ def model_intersection_graph(model: ArcModel) -> SimpleGraph:
     return SimpleGraph.from_edges(len(verts), edges)
 
 
-def _bipartite_max_independent(left, right, conflict) -> list:
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bipartite_max_independent(
+    left: int, right: int, rows: Mapping[int, int]
+) -> int:
     """Maximum independent set of a bipartite conflict graph via matching.
 
-    Kuhn augmenting paths give a maximum matching; the standard alternating
-    reachability argument turns its size into a minimum vertex cover, whose
-    complement is returned.
+    left and right are disjoint bitmasks; rows[u] is the mask of right
+    vertices in conflict with left vertex u.  Kuhn augmenting paths, left
+    ascending and each row ascending, give a maximum matching; the standard
+    alternating reachability argument turns it into a minimum vertex cover,
+    whose complement is returned as a mask.  The augmenting path search
+    runs on an explicit stack, so a path of any length fits.
     """
-    match_right: dict = {}
-    match_left: dict = {}
-
-    def try_augment(u, visited) -> bool:
-        for w in conflict[u]:
-            if w in visited:
+    match_right: dict[int, int] = {}
+    taken = 0
+    # right vertices seen by failed searches: all matched, and their owners'
+    # rows lie inside the set, so no augmenting path ever leaves it (an
+    # augmentation avoids it and keeps its owners).  Searches skip it, as
+    # they would only fail through it, and so find the same paths.
+    dead = 0
+    for root in _bits(left):
+        row = rows[root]
+        low = row & -row
+        if not low & taken:
+            # the search's first try is a free vertex, or there is none
+            if low:
+                match_right[low.bit_length() - 1] = root
+                taken |= low
+            continue
+        # us[i] is a left vertex on the search path, todo[i] its untried
+        # row, and ws[i] the right vertex leading from us[i] to us[i + 1]
+        us, todo, ws = [root], [row], []
+        visited = dead
+        while us:
+            untried = todo[-1] & ~visited
+            if not untried:
+                us.pop()
+                todo.pop()
+                if ws:
+                    ws.pop()
                 continue
-            visited.add(w)
-            if w not in match_right or try_augment(match_right[w], visited):
-                match_right[w] = u
-                match_left[u] = w
-                return True
-        return False
-
-    for u in left:
-        try_augment(u, set())
+            low = untried & -untried
+            todo[-1] = untried ^ low
+            visited |= low
+            ws.append(low.bit_length() - 1)
+            owner = match_right.get(ws[-1])
+            if owner is None:
+                match_right.update(zip(ws, us))
+                taken |= low
+                break
+            us.append(owner)
+            todo.append(rows[owner])
+        else:
+            dead = visited
     # alternating reachability from unmatched left vertices
-    frontier = [u for u in left if u not in match_left]
-    reach_left = set(frontier)
-    reach_right = set()
+    reach_left = left & ~sum(1 << u for u in match_right.values())
+    reach_right = 0
+    frontier = list(_bits(reach_left))
     while frontier:
-        u = frontier.pop()
-        for w in conflict[u]:
-            if w not in reach_right:
-                reach_right.add(w)
-                owner = match_right.get(w)
-                if owner is not None and owner not in reach_left:
-                    reach_left.add(owner)
-                    frontier.append(owner)
-    return sorted(
-        [u for u in left if u in reach_left]
-        + [w for w in right if w not in reach_right]
-    )
+        new = rows[frontier.pop()] & ~reach_right
+        reach_right |= new
+        for w in _bits(new):
+            owner = match_right.get(w)
+            if owner is not None and not reach_left >> owner & 1:
+                reach_left |= 1 << owner
+                frontier.append(owner)
+    return reach_left | (right & ~reach_right)
 
 
 def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
@@ -416,33 +450,74 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
     union (arcs through q) for some pair of positions, each side a clique:
     a co-bipartite candidate whose maximum clique is found as a maximum
     independent set of the bipartite disjointness graph between the sides.
-    All endpoint position pairs, including p = q, are tried.
+    All endpoint position pairs, including p = q, are tried in order, and
+    the first strictly largest candidate wins.
+
+    Arcs are bits of Python ints.  The arc set S of a pair holds the arcs
+    through p or q, and its candidate is a maximum clique of S.  A pair's
+    matching is skipped when that candidate cannot beat the best so far:
+    when |S| minus a greedy matching of the disjointness graph is no larger
+    than the best (by Konig the candidate has |S| minus a maximum matching's
+    size), or when S lies inside the S of a pair matched before (an induced
+    subgraph has no larger clique).
     """
     verts = sorted(model.arcs.keys())
+    pos = {v: model.positions(v) for v in verts}
     full = [v for v in verts if model.arcs[v] is None]
     others = [v for v in verts if model.arcs[v] is not None]
     if not others:
         return tuple(full)
-    pos = {v: model.positions(v) for v in others}
     endpoints = sorted({p for v in others for p in model.arcs[v]})
-    best: list[int] = []
+    # through[p]: the arcs covering endpoint p, bit i standing for others[i]
+    through = {
+        p: sum(1 << i for i, v in enumerate(others) if p in pos[v])
+        for p in endpoints
+    }
+    # two arcs meet iff one holds the other's start, so the arcs meeting
+    # arc v are those through some endpoint that v covers
+    everything = (1 << len(others)) - 1
+    disjoint = []
+    for v in others:
+        meets = 0
+        for p in endpoints:
+            if p in pos[v]:
+                meets |= through[p]
+        disjoint.append(everything & ~meets)
+    best, best_size = 0, 0
+    matched: list[int] = []
     for pi, p in enumerate(endpoints):
-        through_p = [v for v in others if p in pos[v]]
+        left = through[p]
+        left_size = left.bit_count()
         for q in endpoints[pi:]:
-            left = through_p
-            right = [v for v in others if q in pos[v] and p not in pos[v]]
-            if len(left) + len(right) <= len(best):
+            right = through[q] & ~left
+            size = left_size + right.bit_count()
+            if size <= best_size:
                 continue
-            conflict = {
-                u: [w for w in right if not (pos[u] & pos[w])] for u in left
-            }
-            candidate = _bipartite_max_independent(left, right, conflict)
-            if len(candidate) > len(best):
-                best = candidate
-    result = tuple(sorted(best + full))
-    graph_pos = {v: model.positions(v) for v in verts}
+            # a greedy matching from the right side, stopped once it proves
+            # the candidate cannot win
+            unmatched, rest, need = left, right, size - best_size
+            while rest and need:
+                low = rest & -rest
+                rest ^= low
+                free = disjoint[low.bit_length() - 1] & unmatched
+                if free:
+                    unmatched ^= free & -free
+                    need -= 1
+            if not need:
+                continue
+            span = left | right
+            if any(not span & ~seen for seen in reversed(matched)):
+                continue
+            # matched keeps only the inclusion-maximal sets
+            matched = [seen for seen in matched if seen & ~span]
+            matched.append(span)
+            rows = {u: disjoint[u] & right for u in _bits(left)}
+            candidate = _bipartite_max_independent(left, right, rows)
+            if candidate.bit_count() > best_size:
+                best, best_size = candidate, candidate.bit_count()
+    result = tuple(sorted([others[i] for i in _bits(best)] + full))
     for u, v in combinations(result, 2):
-        if not graph_pos[u] & graph_pos[v]:
+        if not pos[u] & pos[v]:
             raise AssertionError("candidate is not a clique")
     return result
 

@@ -67,6 +67,91 @@ def atoms_bruteforce(g: SimpleGraph) -> list[tuple[int, ...]]:
     )
 
 
+# The frozenset circular-arc clique that the bitset carc_max_clique replaced,
+# kept verbatim (renamed) so tests can require identical tuples from it.
+def _bipartite_max_independent(left, right, conflict) -> list:
+    """Maximum independent set of a bipartite conflict graph via matching.
+
+    Kuhn augmenting paths give a maximum matching; the standard alternating
+    reachability argument turns its size into a minimum vertex cover, whose
+    complement is returned.
+    """
+    match_right: dict = {}
+    match_left: dict = {}
+
+    def try_augment(u, visited) -> bool:
+        for w in conflict[u]:
+            if w in visited:
+                continue
+            visited.add(w)
+            if w not in match_right or try_augment(match_right[w], visited):
+                match_right[w] = u
+                match_left[u] = w
+                return True
+        return False
+
+    for u in left:
+        try_augment(u, set())
+    # alternating reachability from unmatched left vertices
+    frontier = [u for u in left if u not in match_left]
+    reach_left = set(frontier)
+    reach_right = set()
+    while frontier:
+        u = frontier.pop()
+        for w in conflict[u]:
+            if w not in reach_right:
+                reach_right.add(w)
+                owner = match_right.get(w)
+                if owner is not None and owner not in reach_left:
+                    reach_left.add(owner)
+                    frontier.append(owner)
+    return sorted(
+        [u for u in left if u in reach_left]
+        + [w for w in right if w not in reach_right]
+    )
+
+
+def carc_reference(model) -> tuple[int, ...]:
+    """Maximum clique of a circular-arc (or interval) model.
+
+    Full-circle arcs join every clique.  Any other clique either has a common
+    position, or the arcs missing a position p become pairwise-intersecting
+    intervals once the circle is cut at p, and intervals with pairwise
+    intersections share a point q.  So the clique splits as (arcs through p)
+    union (arcs through q) for some pair of positions, each side a clique:
+    a co-bipartite candidate whose maximum clique is found as a maximum
+    independent set of the bipartite disjointness graph between the sides.
+    All endpoint position pairs, including p = q, are tried.
+    """
+    verts = sorted(model.arcs.keys())
+    full = [v for v in verts if model.arcs[v] is None]
+    others = [v for v in verts if model.arcs[v] is not None]
+    if not others:
+        return tuple(full)
+    pos = {v: model.positions(v) for v in others}
+    endpoints = sorted({p for v in others for p in model.arcs[v]})
+    best: list[int] = []
+    for pi, p in enumerate(endpoints):
+        through_p = [v for v in others if p in pos[v]]
+        for q in endpoints[pi:]:
+            left = through_p
+            right = [v for v in others if q in pos[v] and p not in pos[v]]
+            if len(left) + len(right) <= len(best):
+                continue
+            conflict = {
+                u: [w for w in right if not (pos[u] & pos[w])] for u in left
+            }
+            candidate = _bipartite_max_independent(left, right, conflict)
+            if len(candidate) > len(best):
+                best = candidate
+    result = tuple(sorted(best + full))
+    graph_pos = {v: model.positions(v) for v in verts}
+    for u, v in combinations(result, 2):
+        if not graph_pos[u] & graph_pos[v]:
+            raise AssertionError("candidate is not a clique")
+    return result
+
+
 def assert_clique(g: SimpleGraph, verts) -> None:
     for u, v in combinations(sorted(verts), 2):
         assert g.has_edge(u, v), f"({u},{v}) missing: not a clique"

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from helpers import (
     assert_clique,
+    carc_reference,
     coloring_is_proper,
     has_clique_cutset,
     maximal_cliques_reference,
@@ -146,6 +147,21 @@ def test_ac4_circular_arc_clique_matches_bruteforce():
         graph = model_intersection_graph(model)
         assert len(got) == len(max_clique_bruteforce(graph))
     budget.finish()
+
+
+def test_ac4b_circular_arc_clique_at_scale():
+    budget = _Budget("AC4b circular-arc clique on 80 and 150 arcs", 1)
+    got = {}
+    for size in (80, 150):
+        model = random_arc_model(
+            size, 2 * size, random.Random(size), full_fraction=0.05
+        )
+        got[size] = (model, carc_max_clique(model))
+    budget.finish()
+    for model, clique in got.values():
+        assert_clique(model_intersection_graph(model), clique)
+    model, clique = got[80]
+    assert clique == carc_reference(model)
 
 
 def test_ac5_cactus_pipeline():

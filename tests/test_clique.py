@@ -8,11 +8,14 @@ import pytest
 from helpers import (
     assert_clique,
     atoms_bruteforce,
+    carc_reference,
     has_clique_cutset,
     maximal_cliques_reference,
 )
+import hgraphs.clique as clique_module
 from hgraphs.clique import (
     ArcModel,
+    _bipartite_max_independent,
     cactus_atom_arc_model,
     carc_max_clique,
     clique_cactus,
@@ -266,6 +269,78 @@ def test_carc_matches_bruteforce():
         got = carc_max_clique(model)
         want = max_clique_bruteforce(model_intersection_graph(model))
         assert len(got) == len(want)
+
+
+def test_carc_matches_reference_tuples():
+    # the same tuple as the frozenset reference, tie-breaks included
+    rng = random.Random(27)
+    for trial in range(500):
+        kind = "path" if trial % 4 == 0 else "cycle"
+        model = random_arc_model(
+            rng.randint(1, 60),
+            rng.randint(1, 60),
+            rng,
+            kind=kind,
+            full_fraction=0.1 if kind == "cycle" else 0.0,
+        )
+        assert carc_max_clique(model) == carc_reference(model), model
+
+
+def test_carc_matches_reference_inside_clique_cactus(monkeypatch):
+    seen = []
+
+    def checked(model):
+        got = carc_max_clique(model)
+        assert got == carc_reference(model), model
+        seen.append(model)
+        return got
+
+    monkeypatch.setattr(clique_module, "carc_max_clique", checked)
+    rng = random.Random(28)
+    for _ in range(8):
+        h = random_cactus(rng.randint(2, 8), rng)
+        pat = random_subdivision(h, rng, 3)
+        g, rep = random_representation(pat, rng.randint(20, 40), rng, 6)
+        clique_cactus(g, rep)
+    assert len(seen) > 8
+
+
+def test_carc_interval_models_beyond_bruteforce():
+    # intervals are Helly: omega is the most intervals covering one position
+    rng = random.Random(29)
+    for n in (100, 200, 400):
+        model = random_arc_model(n, rng.randint(n // 2, 2 * n), rng, kind="path")
+        cover = [0] * model.length
+        for s, t in model.arcs.values():
+            for x in range(s, t + 1):
+                cover[x] += 1
+        got = carc_max_clique(model)
+        assert len(got) == max(cover)
+        assert_clique(model_intersection_graph(model), got)
+
+
+def test_bipartite_matching_follows_a_long_augmenting_path():
+    # left u_i has row {w_i, w_i+1} and is processed from u_2999 down, so
+    # all of them match straight; a last left vertex with row {w_0} then
+    # needs the augmenting path through every u_i, far past the limit
+    chain = 3000
+    u = [chain - 1 - i for i in range(chain)]
+    extra = chain
+    w = [chain + 1 + i for i in range(chain + 1)]
+    rows = {u[i]: 1 << w[i] | 1 << w[i + 1] for i in range(chain)}
+    rows[extra] = 1 << w[0]
+    left = (1 << (chain + 1)) - 1
+    right = sum(1 << x for x in w)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        independent = _bipartite_max_independent(left, right, rows)
+    finally:
+        sys.setrecursionlimit(limit)
+    # a perfect matching leaves no left vertex reachable, so every right
+    # vertex is kept
+    assert independent == right
 
 
 def test_clique_cactus_on_interval_representations():
