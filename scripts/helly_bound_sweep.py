@@ -30,7 +30,8 @@ def main() -> None:
         g, _ = random_representation(pattern, n, rng, 6)
         bound = h.n + h.m * g.n
         enum = maximal_cliques_capped(g, bound)
-        assert enum.complete, "bound violated: representation was not Helly?"
+        if not enum.complete:
+            raise AssertionError("bound violated: representation was not Helly?")
         count = len(enum.cliques)
         ratio = count / bound
         if ratio > worst_ratio:

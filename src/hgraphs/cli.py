@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / answer yes; 1 answer no or UNSAT; 2 malformed or
-inconsistent input; 3 a cap or search limit was exceeded.
+inconsistent input, or a file that cannot be read or written; 3 a cap or
+search limit was exceeded.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ def choose_strategy(mode: str, instance) -> StrategyChoice:
     return StrategyChoice("treewidth", "no usable representation or pattern")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot write file: {exc}")
+
+
 def _print_vertices(label: str, verts) -> None:
     print(f"{label}: " + " ".join(str(v + 1) for v in verts))
 
@@ -111,6 +120,12 @@ def cmd_color(args) -> int:
     k = args.k
     lists = dict(full_lists(g.n, k))
     if instance.lists:
+        for v in sorted(instance.lists):
+            worst = max(instance.lists[v])
+            if worst > k:
+                raise ParseError(
+                    args.lists, 1, f"vertex {v + 1} lists color {worst} outside 1..{k}"
+                )
         lists.update(instance.lists)
     attempt = fpt.tree_decomposition(
         g, max(g.n - 1, 0), approx_factor=args.approx_factor
@@ -132,11 +147,9 @@ def cmd_gen_hard(args) -> int:
         print("pattern admits no tripartition with doubled connections")
         return EXIT_NO
     target, rep = generate_hard_instance(instance.graph, instance.pattern, part)
-    with open(args.out_graph, "w", encoding="utf-8") as fh:
-        fh.write(emit_gr(target))
+    _write(args.out_graph, emit_gr(target))
     ref = os.path.relpath(args.pattern, os.path.dirname(args.out_rep) or ".")
-    with open(args.out_rep, "w", encoding="utf-8") as fh:
-        fh.write(emit_rep(rep, ref))
+    _write(args.out_rep, emit_rep(rep, ref))
     print(f"target: {target.n} vertices, {target.m} edges -> {args.out_graph}")
     print(f"representation -> {args.out_rep}")
     return EXIT_OK
@@ -195,8 +208,7 @@ def cmd_td(args) -> int:
         )
         return EXIT_NO
     d = attempt.decomposition
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit_td(d, g.n))
+    _write(args.out, emit_td(d, g.n))
     note = " (over accepted factor)" if attempt.over_target else ""
     print(f"width: {d.width}{note} -> {args.out}")
     return EXIT_OK
@@ -205,8 +217,7 @@ def cmd_td(args) -> int:
 def cmd_subdivide(args) -> int:
     instance = load_instance(args.graph)
     labeled = two_subdivision(instance.graph)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit_gr(labeled.result))
+    _write(args.out, emit_gr(labeled.result))
     for k, (u, v) in enumerate(labeled.edge_order):
         print(
             f"edge {u + 1}-{v + 1} -> path {u + 1} "
@@ -218,8 +229,7 @@ def cmd_subdivide(args) -> int:
 def cmd_complement(args) -> int:
     instance = load_instance(args.graph)
     result = complement_graph(instance.graph)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit_gr(result))
+    _write(args.out, emit_gr(result))
     print(f"complement: {result.n} vertices, {result.m} edges -> {args.out}")
     return EXIT_OK
 
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("color", help="list coloring via tree-decomposition DP")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", help="color lists file; unlisted vertices get 1..k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.set_defaults(func=cmd_color)
 
     p = subs.add_parser(

@@ -17,8 +17,9 @@ from .core import (
     SimpleGraph,
     _check_clique,
     _components,
+    _connected,
+    _meeting_pairs,
     _reach,
-    induced_subgraph,
 )
 from .errors import InvalidRepresentation, NotAnAtom, NotCactus
 from .pattern import is_cactus
@@ -41,14 +42,13 @@ class CliqueEnumeration:
 
 @dataclass(frozen=True)
 class Atom:
-    """An induced subgraph without a clique cutset.
+    """An induced subgraph without a clique cutset, as its vertices.
 
-    ``vertices`` keeps the original labels; ``graph`` is the induced subgraph
-    relabeled to 0..k-1 in sorted vertex order.
+    ``vertices`` keeps the original labels in ascending order;
+    ``core.induced_subgraph(g, atom.vertices)`` builds the subgraph.
     """
 
     vertices: tuple[int, ...]
-    graph: SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -232,62 +232,43 @@ def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
     if remaining:
         atoms.append(tuple(sorted(remaining)))
     atoms.sort()
-    return AtomDecomposition(
-        tuple(Atom(vs, induced_subgraph(g, vs)) for vs in atoms)
-    )
+    return AtomDecomposition(tuple(Atom(vs) for vs in atoms))
 
 
 def _classify_shape(nodes: list[Node], adjacency) -> tuple[str, list[Node]] | None:
     """Recognize the induced subgraph on nodes as a path or cycle.
 
     Returns ("path", order) or ("cycle", order), or None for anything else.
-    Orders start at the smallest node and are deterministic.
+    A path is walked from its smaller end, a cycle from its smallest node
+    toward the smaller neighbour, so orders are deterministic.
     """
     present = set(nodes)
     degree = {nd: len(adjacency[nd] & present) for nd in nodes}
     if len(nodes) == 1:
         return "path", list(nodes)
     ends = sorted(nd for nd in nodes if degree[nd] == 1)
-    if len(ends) == 2 and all(degree[nd] == 2 for nd in nodes if nd not in ends):
-        order = [ends[0]]
-        prev = None
-        while len(order) < len(nodes):
-            nxt = [
-                x for x in sorted(adjacency[order[-1]] & present) if x != prev
-            ]
-            if len(nxt) != 1:
-                return None
-            prev = order[-1]
-            order.append(nxt[0])
-        return ("path", order) if order[-1] == ends[1] else None
-    if all(degree[nd] == 2 for nd in nodes):
-        start = min(nodes)
-        order = [start]
-        prev = None
-        while True:
-            nxt = [
-                x for x in sorted(adjacency[order[-1]] & present) if x != prev
-            ]
-            if not nxt:
-                return None
-            prev = order[-1]
-            nxt_node = nxt[0]
-            if nxt_node == start:
-                break
-            if nxt_node in order:
-                return None
-            order.append(nxt_node)
-        return ("cycle", order) if len(order) == len(nodes) else None
-    return None
+    if len(ends) not in (0, 2) or any(
+        degree[nd] != 2 for nd in nodes if nd not in ends
+    ):
+        return None
+    order = [ends[0] if ends else min(nodes)]
+    prev = None
+    while len(order) < len(nodes):
+        nxt = [x for x in sorted(adjacency[order[-1]] & present) if x != prev]
+        if not nxt or nxt[0] == order[0]:
+            return None  # disconnected: the walk closed or stopped early
+        prev = order[-1]
+        order.append(nxt[0])
+    return ("path" if ends else "cycle"), order
 
 
 def _first_cut_node(nodes: list[Node], adjacency) -> Node | None:
     """Smallest node whose removal leaves the subgraph induced on the other
     nodes disconnected, or None."""
-    present = set(nodes)
+    present = frozenset(nodes)
     for x in sorted(nodes):
         rest = present - {x}
-        if rest and len(_reach(adjacency, next(iter(rest)), rest)) != len(rest):
+        if rest and not _connected(adjacency, rest):
             return x
     return None
 
@@ -354,14 +335,8 @@ def model_intersection_graph(model: ArcModel) -> SimpleGraph:
     verts = sorted(model.arcs.keys())
     if verts != list(range(len(verts))):
         raise ValueError("arc model vertices must be dense 0-based")
-    pos = {v: model.positions(v) for v in verts}
-    edges = [
-        (u, v)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        if pos[u] & pos[v]
-    ]
-    return SimpleGraph.from_edges(len(verts), edges)
+    pos = [model.positions(v) for v in verts]
+    return SimpleGraph.from_edges(len(verts), _meeting_pairs(pos))
 
 
 def _bits(mask: int):

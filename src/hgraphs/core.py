@@ -238,6 +238,12 @@ def _reach(adjacency, start, allowed) -> set:
     return seen
 
 
+def _connected(adjacency, nodes) -> bool:
+    """True iff nodes is non-empty and induces a connected subgraph."""
+    members = frozenset(nodes)
+    return bool(members) and _reach(adjacency, next(iter(members)), members) == members
+
+
 def _components(adjacency, vertices) -> list[tuple]:
     """Components of the subgraph induced on vertices, as sorted tuples
     ordered by smallest member."""
@@ -250,6 +256,19 @@ def _components(adjacency, vertices) -> list[tuple]:
             seen |= comp
             result.append(tuple(sorted(comp)))
     return result
+
+
+def _meeting_pairs(sets) -> list[tuple[int, int]]:
+    """Pairs u < v whose sets share an element, in ascending order.
+
+    sets is indexed by 0..len(sets)-1: a sequence or a dense int mapping.
+    """
+    return [
+        (u, v)
+        for u in range(len(sets))
+        for v in range(u + 1, len(sets))
+        if not sets[u].isdisjoint(sets[v])
+    ]
 
 
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import ColorLists, SimpleGraph, _check_clique, _reach
+from .core import ColorLists, SimpleGraph, _check_clique, _connected, _reach
 from .errors import InvalidDecomposition, ListColorOutOfRange
 
 
@@ -95,7 +95,7 @@ def check_decomposition(g: SimpleGraph, d: TreeDecomposition) -> list[str]:
     for v, hold in enumerate(holders):
         if not hold:
             problems.append(f"vertex {v} in no bag")
-        elif _reach(nbrs, min(hold), hold) != hold:
+        elif not _connected(nbrs, hold):
             problems.append(f"bags of vertex {v} are not connected in the tree")
     # every edge is inside some bag
     for u, v in g.edges:
@@ -497,60 +497,38 @@ def list_k_coloring(
     nice = make_nice(d)
     adj = g.adjacency
 
-    tables: list[dict[tuple[int, ...], tuple]] = [None] * len(nice.nodes)  # type: ignore
-
-    def eval_node(idx: int) -> None:
-        nd = nice.nodes[idx]
+    # make_nice adds every node after its children, so index order is a
+    # valid evaluation order
+    tables: list[dict[tuple[int, ...], tuple]] = []
+    for nd in nice.nodes:
         if nd.kind == "leaf":
-            tables[idx] = {(): ()}
-            return
-        if nd.kind == "join":
-            a, b = nd.children
-            left, right = tables[a], tables[b]
-            tables[idx] = {
-                s: (s, s) for s in left if s in right
-            }
-            return
-        (child,) = nd.children
-        ctab = tables[child]
-        if nd.kind == "introduce":
+            table = {(): ()}
+        elif nd.kind == "join":
+            left, right = (tables[c] for c in nd.children)
+            table = {s: (s, s) for s in left if s in right}
+        elif nd.kind == "introduce":
+            (child,) = nd.children
             v = nd.vertex
             vi = nd.bag.index(v)
             bag_nbrs = [
                 (i, u) for i, u in enumerate(nd.bag) if u != v and u in adj[v]
             ]
-            out: dict[tuple[int, ...], tuple] = {}
-            for state in ctab:
+            table = {}
+            for state in tables[child]:
                 for c in sorted(lists[v]):
                     if any(state[i if i < vi else i - 1] == c for i, _ in bag_nbrs):
                         continue
                     new = state[:vi] + (c,) + state[vi:]
-                    out[new] = (state,)
-            tables[idx] = out
-            return
-        # forget
-        v = nd.vertex
-        cbag = nice.nodes[child].bag
-        vi = cbag.index(v)
-        out = {}
-        for state in ctab:
-            new = state[:vi] + state[vi + 1 :]
-            if new not in out:  # first predecessor wins; iteration is insertion order
-                out[new] = (state,)
-        tables[idx] = out
-
-    post = []
-    stack = [(nice.root, False)]
-    while stack:
-        idx, done = stack.pop()
-        if done:
-            post.append(idx)
-            continue
-        stack.append((idx, True))
-        for ch in nice.nodes[idx].children:
-            stack.append((ch, False))
-    for idx in post:
-        eval_node(idx)
+                    table[new] = (state,)
+        else:  # forget
+            (child,) = nd.children
+            vi = nice.nodes[child].bag.index(nd.vertex)
+            table = {}
+            for state in tables[child]:
+                new = state[:vi] + state[vi + 1 :]
+                if new not in table:  # first predecessor wins, in insertion order
+                    table[new] = (state,)
+        tables.append(table)
 
     if () not in tables[nice.root]:
         return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Multigraph, _components, _reach
+from .core import Multigraph, _components, _connected
 from .errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
 from .fpt import TreeDecomposition, exact_decomposition, validate_decomposition
 
@@ -53,77 +53,46 @@ class TriPartition:
         return self.connecting[PAIR_KEYS.index((min(i, j), max(i, j)))]
 
 
-def _blocks(h: Multigraph) -> list[list[int]]:
-    """Biconnected components as lists of edge indices (loops excluded)."""
+def is_cactus(h: Multigraph) -> bool:
+    """True iff no edge of h lies on two cycles, i.e. every block is a
+    single edge or a cycle.
+
+    A pair of parallel edges forms a 2-node cycle and is accepted; loops are
+    ignored entirely.  One spanning-forest pass: each non-tree edge claims
+    the tree edges on its cycle, and a second claim means two cycles share
+    that edge.
+    """
     items = h.non_loop_items()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for k, (u, v) in items:
         adj[u].append((v, k))
         adj[v].append((u, k))
-    disc = [-1] * h.n
-    low = [0] * h.n
-    timer = 0
-    stack: list[int] = []
-    blocks: list[list[int]] = []
-
-    def dfs(root: int) -> None:
-        nonlocal timer
-        work = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while work:
-            u, in_edge, it = work[-1]
-            advanced = False
-            for w, k in it:
-                if k == in_edge:
-                    continue
-                if disc[w] == -1:
-                    stack.append(k)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    work.append((w, k, iter(adj[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[u]:
-                    stack.append(k)
-                    low[u] = min(low[u], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-                if low[u] >= disc[p]:
-                    block = []
-                    while True:
-                        k = stack.pop()
-                        block.append(k)
-                        if k == in_edge:
-                            break
-                    blocks.append(block)
-
-    for r in range(h.n):
-        if disc[r] == -1:
-            dfs(r)
-    return blocks
-
-
-def is_cactus(h: Multigraph) -> bool:
-    """True iff every block of h is a single edge or a cycle.
-
-    A pair of parallel edges forms a 2-node cycle and is accepted; loops are
-    ignored entirely.
-    """
-    for block in _blocks(h):
-        if len(block) == 1:
+    parent = [-1] * h.n
+    depth = [-1] * h.n
+    tree: set[int] = set()
+    for root in range(h.n):
+        if depth[root] >= 0:
             continue
-        degree: dict[int, int] = {}
-        for k in block:
-            u, v = h.edges[k]
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if len(block) != len(degree) or any(d != 2 for d in degree.values()):
-            return False
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, k in adj[x]:
+                if depth[y] < 0:
+                    depth[y], parent[y] = depth[x] + 1, x
+                    tree.add(k)
+                    stack.append(y)
+    claimed = [False] * h.n  # claimed[x]: the tree edge from x to parent[x]
+    for k, (u, v) in items:
+        if k in tree:
+            continue
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            if claimed[u]:
+                return False
+            claimed[u] = True
+            u = parent[u]
     return True
 
 
@@ -141,11 +110,6 @@ def treewidth_exact_small(
     width, d = exact_decomposition(simple)
     validate_decomposition(simple, d)
     return width, d
-
-
-def _part_connected(h: Multigraph, part: tuple[int, ...]) -> bool:
-    members = set(part)
-    return bool(part) and _reach(h.adjacency, part[0], members) == members
 
 
 def _connecting_edges(h: Multigraph, parts) -> tuple | None:
@@ -176,7 +140,7 @@ def validate_tripartition(h: Multigraph, part: TriPartition) -> None:
             if v in seen:
                 raise InvalidPartition(f"node {v} in two parts")
             seen.add(v)
-        if not _part_connected(h, p):
+        if not _connected(h.adjacency, p):
             raise InvalidPartition(f"part {p} is not connected")
     actual = _connecting_edges(h, part.parts)
     if actual is None:
@@ -222,7 +186,7 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
                 tuple(v for v, lab in zip(comp, labeling) if lab == 1),
                 tuple(v for v, lab in zip(comp, labeling) if lab == 2),
             )
-            if not all(_part_connected(h, p) for p in parts):
+            if not all(_connected(h.adjacency, p) for p in parts):
                 continue
             connecting = _connecting_edges(h, parts)
             if connecting is not None:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 
-from .clique import ArcModel
-from .core import SimpleGraph, Multigraph
-from .representation import HRepresentation, Node, SubdividedPattern, branch
+from .clique import ArcModel, _classify_shape
+from .core import SimpleGraph, Multigraph, _meeting_pairs
+from .representation import HRepresentation, Node, SubdividedPattern
 
 
 def gnp(n: int, p: float, rng: random.Random) -> SimpleGraph:
@@ -91,13 +91,7 @@ def random_representation(
         v: random_connected_set(pattern, rng, max_size)
         for v in range(n_vertices)
     }
-    edges = [
-        (u, v)
-        for u in range(n_vertices)
-        for v in range(u + 1, n_vertices)
-        if not sets[u].isdisjoint(sets[v])
-    ]
-    g = SimpleGraph.from_edges(n_vertices, edges)
+    g = SimpleGraph.from_edges(n_vertices, _meeting_pairs(sets))
     return g, HRepresentation(pattern, sets)
 
 
@@ -153,15 +147,7 @@ def representation_from_cycle_arcs(model: ArcModel) -> HRepresentation:
     if model.kind != "cycle":
         raise ValueError("expected a cycle model")
     pattern = cycle_pattern_for_length(model.length)
-    adjacency = pattern.adjacency
-    # walk the cycle to fix node order
-    start = branch(0)
-    order = [start]
-    prev = None
-    while len(order) < model.length:
-        nxt = [x for x in sorted(adjacency[order[-1]]) if x != prev]
-        prev = order[-1]
-        order.append(nxt[0])
+    _, order = _classify_shape(sorted(pattern.adjacency), pattern.adjacency)
     sets = {
         v: frozenset(order[p] for p in model.positions(v))
         for v in model.arcs

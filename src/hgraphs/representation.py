@@ -14,7 +14,8 @@ from .core import (
     Multigraph,
     SimpleGraph,
     _components,
-    _reach,
+    _connected,
+    _meeting_pairs,
     complement,
     two_subdivision,
 )
@@ -145,10 +146,6 @@ class HellyReport:
         return self.kind == "helly"
 
 
-def _set_connected(nodes: frozenset[Node], adjacency) -> bool:
-    return bool(nodes) and _reach(adjacency, next(iter(nodes)), nodes) == nodes
-
-
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     """Check that r is exactly a representation of g.
 
@@ -162,17 +159,11 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
         for nd in r.sets[v]:
             if nd not in adjacency:
                 raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
-        if not _set_connected(r.sets[v], adjacency):
+        if not _connected(adjacency, r.sets[v]):
             return Verdict.disconnected(v)
-    mismatches = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            shares = not r.sets[u].isdisjoint(r.sets[v])
-            expected = g.has_edge(u, v)
-            if shares != expected:
-                mismatches.append((u, v, expected))
-    if mismatches:
-        return Verdict.mismatch(mismatches)
+    wrong = sorted(g.edges.symmetric_difference(_meeting_pairs(r.sets)))
+    if wrong:
+        return Verdict.mismatch((u, v, (u, v) in g.edges) for u, v in wrong)
     return Verdict.ok()
 
 
@@ -181,13 +172,7 @@ def intersection_graph(r: HRepresentation) -> SimpleGraph:
     verts = sorted(r.sets.keys())
     if verts != list(range(len(verts))):
         raise DomainMismatch("representation domain must be dense 0-based")
-    edges = [
-        (u, v)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        if not r.sets[u].isdisjoint(r.sets[v])
-    ]
-    return SimpleGraph.from_edges(len(verts), edges)
+    return SimpleGraph.from_edges(len(verts), _meeting_pairs(r.sets))
 
 
 def helly_check(r: HRepresentation, cap: int) -> HellyReport:

@@ -31,6 +31,7 @@ from hgraphs.core import (
     complete_multipartite,
     cycle_graph,
     empty_graph,
+    induced_subgraph,
     max_clique_bruteforce,
     path_graph,
 )
@@ -164,11 +165,12 @@ def test_atom_decomposition_invariants():
         covered_edges = set()
         for atom in dec.atoms:
             covered_vertices.update(atom.vertices)
+            sub_graph = induced_subgraph(g, atom.vertices)
             back = dict(enumerate(atom.vertices))
             covered_edges.update(
-                tuple(sorted((back[x], back[y]))) for x, y in atom.graph.edges
+                tuple(sorted((back[x], back[y]))) for x, y in sub_graph.edges
             )
-            assert not has_clique_cutset(atom.graph)
+            assert not has_clique_cutset(sub_graph)
         assert covered_vertices == set(range(n))
         assert covered_edges == set(g.edges)
         for a, b in combinations(dec.atoms, 2):
@@ -188,7 +190,9 @@ def test_arc_model_for_path_atom():
         for atom in clique_cutset_decomposition(g).atoms:
             model = cactus_atom_arc_model(atom, rep)
             assert model.kind == "path"
-            assert model_intersection_graph(_relabel(model)) == atom.graph
+            assert model_intersection_graph(_relabel(model)) == induced_subgraph(
+                g, atom.vertices
+            )
 
 
 def _relabel(model: ArcModel) -> ArcModel:
@@ -392,7 +396,7 @@ def test_arc_model_rejects_non_atom():
     g = path_graph(3)
     rep = HRepresentation(pat, sets)
     assert verify_representation(g, rep).is_ok
-    fake_atom = Atom((0, 1, 2), g)
+    fake_atom = Atom((0, 1, 2))
     with pytest.raises(NotAnAtom):
         cactus_atom_arc_model(fake_atom, rep)
 

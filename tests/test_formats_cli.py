@@ -302,6 +302,39 @@ def test_cli_negative_target_exit_code(tmp_path, capsys):
     assert "argument --target: must be at least 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["td", "gen-hard", "subdivide", "complement"])
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
+    bad = str(tmp_path / "missing" / "out")
+    argv = [command, "--graph", fixture("k3.gr")]
+    if command == "gen-hard":
+        argv += ["--pattern", fixture("wheel4.hgr"), "--out-graph", bad,
+                 "--out-rep", str(tmp_path / "t.rep")]
+    else:
+        argv += ["--out", bad]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:0: cannot write file: ")
+    assert "Traceback" not in err
+
+
+def test_cli_color_list_outside_palette_names_file_vertex(tmp_path, capsys):
+    lists = tmp_path / "bad.lists"
+    lists.write_text("1: 5\n")
+    argv = ["color", "--graph", fixture("k3.gr"), "--lists", str(lists), "--k", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"{lists}:1: vertex 1 lists color 5 outside 1..3\n"
+    )
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_cli_color_nonpositive_k_exit_code(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["color", "--graph", fixture("k3.gr"), "--k", k])
+    assert exc.value.code == 2
+    assert f"argument --k: must be at least 1, got {k}" in capsys.readouterr().err
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     def run():
         out_graph = str(tmp_path / "t.gr")

@@ -197,6 +197,8 @@ def test_make_nice_preserves_width_and_coverage(g):
     assert nice.width == d.width
     assert _covered_pairs(nd.bag for nd in nice.nodes) == _covered_pairs(d.bags)
     for idx, nd in enumerate(nice.nodes):
+        # list_k_coloring evaluates nodes in index order
+        assert all(c < idx for c in nd.children)
         if nd.kind == "leaf":
             assert nd.bag == () and nd.children == ()
         elif nd.kind == "join":

@@ -205,14 +205,20 @@ def test_cactus_recognition_matches_reference():
         for mask in range(1 << len(pairs)):
             h = Multigraph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
             assert is_cactus(h) == _is_cactus_reference(h), h
-    # random multigraphs with parallel edges and loops
+    # random multigraphs with parallel edges, loops and several components
     rng = random.Random(5)
-    for _ in range(300):
-        n = rng.randint(1, 5)
+    for _ in range(600):
+        n = rng.randint(1, 8)
         edges = tuple(
-            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))
         )
         h = Multigraph(n, edges)
+        assert is_cactus(h) == _is_cactus_reference(h), h
+    # cacti one edge away from a cactus, mostly not cacti any more
+    for _ in range(300):
+        h = random_cactus(rng.randint(1, 10), rng)
+        extra = (rng.randrange(h.n), rng.randrange(h.n))
+        h = Multigraph(h.n, h.edges + (extra,))
         assert is_cactus(h) == _is_cactus_reference(h), h
 
 

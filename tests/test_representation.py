@@ -87,6 +87,23 @@ def test_verify_reports_adjacency_mismatch():
     verdict = verify_representation(path_graph(3), rep)
     assert verdict.kind == "mismatch"
     assert verdict.mismatches == ((0, 2, False),)
+    # missing and extra edges together, sorted by pair
+    rep = HRepresentation(
+        pat,
+        {
+            0: frozenset({branch(0)}),
+            1: frozenset({branch(0), sub(0, 1)}),
+            2: frozenset({branch(1)}),
+            3: frozenset({sub(0, 1), branch(1)}),
+        },
+    )
+    g = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 3)])
+    assert verify_representation(g, rep).mismatches == (
+        (0, 1, False),
+        (0, 2, True),
+        (0, 3, True),
+        (2, 3, False),
+    )
 
 
 def test_verify_requires_matching_domain():

@@ -1,15 +1,17 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hgraphs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
-    # checks written as assert vanish under python -O
+    # checks written as assert vanish under python -O, in the package and in
+    # the scripts alike
+    paths = sorted(ROOT.glob("src/hgraphs/*.py")) + sorted(ROOT.glob("scripts/*.py"))
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
-    assert not found, f"assert statements in the package: {found}"
+    assert paths and not found, f"assert statements: {found}"
