@@ -149,7 +149,11 @@ def cmd_gen_hard(args) -> int:
     target, rep = generate_hard_instance(instance.graph, instance.pattern, part)
     _write(args.out_graph, emit_gr(target))
     ref = os.path.relpath(args.pattern, os.path.dirname(args.out_rep) or ".")
-    _write(args.out_rep, emit_rep(rep, ref))
+    try:
+        _write(args.out_rep, emit_rep(rep, ref))
+    except ParseError:
+        os.remove(args.out_graph)  # leave no target without its representation
+        raise
     print(f"target: {target.n} vertices, {target.m} edges -> {args.out_graph}")
     print(f"representation -> {args.out_rep}")
     return EXIT_OK

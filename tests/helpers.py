@@ -7,6 +7,7 @@ own algorithms.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from hgraphs.core import SimpleGraph, connected_components, induced_subgraph
@@ -150,6 +151,100 @@ def carc_reference(model) -> tuple[int, ...]:
         if not graph_pos[u] & graph_pos[v]:
             raise AssertionError("candidate is not a clique")
     return result
+
+
+# The set-based min-fill order and min-degree peeling that the bitset
+# minfill_order and the bucket-queue degeneracy replaced, kept verbatim
+# (renamed) so tests can require identical orders and values from them.
+def minfill_order_reference(
+    g: SimpleGraph, rng: random.Random | None = None
+) -> list[int]:
+    """Elimination order picking a minimum-fill vertex at each step.
+
+    Ties go to the smallest vertex index unless an rng is supplied, in which
+    case a uniformly random tied vertex is taken (still deterministic per seed).
+    """
+    adj = [set(a) for a in g.adjacency]
+    remaining = set(range(g.n))
+    order = []
+    while remaining:
+        best_fill = None
+        tied = []
+        for v in sorted(remaining):
+            nb = adj[v] & remaining
+            fill = sum(
+                1 for a, c in combinations(sorted(nb), 2) if c not in adj[a]
+            )
+            if best_fill is None or fill < best_fill:
+                best_fill = fill
+                tied = [v]
+            elif fill == best_fill:
+                tied.append(v)
+        v = tied[0] if rng is None else rng.choice(tied)
+        nb = adj[v] & remaining
+        for a, c in combinations(sorted(nb), 2):
+            adj[a].add(c)
+            adj[c].add(a)
+        remaining.remove(v)
+        order.append(v)
+    return order
+
+
+def degeneracy_reference(g: SimpleGraph) -> int:
+    """Max over the min-degree peeling; a certified treewidth lower bound."""
+    adj = [set(a) for a in g.adjacency]
+    remaining = set(range(g.n))
+    worst = 0
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        worst = max(worst, len(adj[v] & remaining))
+        remaining.remove(v)
+    return worst
+
+
+def degeneracy_bruteforce(g: SimpleGraph) -> int:
+    """The largest minimum degree of an induced subgraph, over every subset."""
+    best = 0
+    for k in range(1, g.n + 1):
+        for vs in combinations(range(g.n), k):
+            members = set(vs)
+            best = max(best, min(len(g.adjacency[v] & members) for v in vs))
+    return best
+
+
+def grid_graph(rows: int, cols: int) -> SimpleGraph:
+    """The rows x cols grid, vertex r * cols + c at row r and column c."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((r * cols + c, r * cols + c + 1))
+            if r + 1 < rows:
+                edges.append((r * cols + c, (r + 1) * cols + c))
+    return SimpleGraph.from_edges(rows * cols, edges)
+
+
+def random_chordal(n: int, rng: random.Random) -> SimpleGraph:
+    """A random chordal graph on shuffled labels.
+
+    Each new vertex joins a random subset of a clique already present: an
+    earlier vertex together with the clique it joined.  Reversed insertion
+    order is then a perfect elimination order; an empty subset starts a new
+    component.
+    """
+    label = list(range(n))
+    rng.shuffle(label)
+    joined: list[list[int]] = []
+    edges = []
+    for v in range(n):
+        if v:
+            u = rng.randrange(v)
+            clique = [u] + joined[u]
+            joined.append(rng.sample(clique, rng.randint(0, len(clique))))
+        else:
+            joined.append([])
+        edges += [(label[u], label[v]) for u in joined[v]]
+    return SimpleGraph.from_edges(n, edges)
 
 
 def assert_clique(g: SimpleGraph, verts) -> None:

@@ -1,12 +1,18 @@
 import os
+import random
 
 import pytest
 
+from helpers import grid_graph, minfill_order_reference
 from hgraphs import formats
 from hgraphs.cli import main
-from hgraphs.core import Multigraph, complete_graph, path_graph
+from hgraphs.core import Multigraph, complete_graph, cycle_graph, path_graph
 from hgraphs.errors import ParseError
-from hgraphs.fpt import check_decomposition
+from hgraphs.fpt import (
+    check_decomposition,
+    decomposition_from_order,
+    exact_decomposition,
+)
 from hgraphs.representation import verify_representation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -232,6 +238,38 @@ def test_cli_td_writes_valid_file(tmp_path, capsys):
     assert check_decomposition(g, d) == []
 
 
+def test_cli_td_seed_draws_tied_vertices_as_before(tmp_path, capsys):
+    # --seed draws among tied min-fill vertices; the files must match the
+    # set-based min-fill order drawing from the same seed
+    cases = {"grid": grid_graph(6, 6), "cycle": cycle_graph(15)}
+    for name, g in cases.items():
+        graph = tmp_path / f"{name}.gr"
+        graph.write_text(formats.emit_gr(g))
+        out = str(tmp_path / f"{name}.td")
+        assert main(["td", "--graph", str(graph), "--seed", "3", "--out", out]) == 0
+        drawn = minfill_order_reference(g, random.Random(3))
+        assert drawn != minfill_order_reference(g)
+        assert read(out) == formats.emit_td(decomposition_from_order(g, drawn), g.n)
+    # at most 12 vertices the exact subset DP decides, and the seed is unused
+    out = str(tmp_path / "c5.td")
+    assert main(["td", "--graph", fixture("c5.gr"), "--seed", "3", "--out", out]) == 0
+    g = formats.parse_gr(read(fixture("c5.gr")))
+    assert read(out) == formats.emit_td(exact_decomposition(g)[1], g.n)
+    capsys.readouterr()
+
+
+def test_cli_td_on_long_path(tmp_path, capsys):
+    g = path_graph(5000)
+    graph = tmp_path / "path.gr"
+    graph.write_text(formats.emit_gr(g))
+    out = str(tmp_path / "path.td")
+    assert main(["td", "--graph", str(graph), "--out", out]) == 0
+    assert capsys.readouterr().out == f"width: 1 -> {out}\n"
+    d, n = formats.parse_td(read(out), out)
+    assert n == g.n and d.width == 1
+    assert check_decomposition(g, d) == []
+
+
 def test_cli_td_width_exceeded(tmp_path):
     k5 = tmp_path / "k5.gr"
     k5.write_text(formats.emit_gr(complete_graph(5)))
@@ -315,6 +353,17 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"{bad}:0: cannot write file: ")
     assert "Traceback" not in err
+
+
+def test_cli_gen_hard_leaves_no_graph_when_rep_unwritable(tmp_path, capsys):
+    out_graph = tmp_path / "t.gr"
+    bad = str(tmp_path / "missing" / "t.rep")
+    argv = ["gen-hard", "--graph", fixture("k3.gr"),
+            "--pattern", fixture("wheel4.hgr"),
+            "--out-graph", str(out_graph), "--out-rep", bad]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}:0: cannot write file: ")
+    assert not out_graph.exists()
 
 
 def test_cli_color_list_outside_palette_names_file_vertex(tmp_path, capsys):

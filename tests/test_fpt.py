@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import simple_graphs
-from helpers import assert_clique, coloring_is_proper, maximal_cliques_reference
+from helpers import (
+    assert_clique,
+    coloring_is_proper,
+    degeneracy_bruteforce,
+    degeneracy_reference,
+    grid_graph,
+    maximal_cliques_reference,
+    minfill_order_reference,
+    random_chordal,
+)
 from hgraphs.core import (
     SimpleGraph,
     complement,
@@ -125,6 +134,50 @@ def test_exact_treewidth_is_minimum_over_minfill():
         assert degeneracy(g) <= width
 
 
+def _differential_graphs(rng: random.Random):
+    yield from (empty_graph(0), empty_graph(1), empty_graph(7), grid_graph(4, 5))
+    for _ in range(80):
+        yield gnp(rng.randint(2, 30), rng.uniform(0.05, 0.2), rng)
+    for _ in range(60):
+        yield gnp(rng.randint(2, 18), rng.uniform(0.5, 0.9), rng)
+    for _ in range(100):
+        yield random_chordal(rng.randint(1, 40), rng)
+    for _ in range(60):  # two or more components side by side
+        a, b = gnp(rng.randint(1, 12), rng.random(), rng), random_chordal(10, rng)
+        shifted = [(u + a.n, v + a.n) for u, v in b.edges]
+        yield SimpleGraph.from_edges(a.n + b.n + 1, sorted(a.edges) + shifted)
+
+
+def test_minfill_and_degeneracy_match_reference():
+    # the set-based versions they replaced give the same order, also with
+    # an rng drawing among tied vertices, and the same degeneracy
+    count = 0
+    for g in _differential_graphs(random.Random(41)):
+        assert minfill_order(g) == minfill_order_reference(g)
+        for s in range(3):
+            assert minfill_order(g, random.Random(s)) == minfill_order_reference(
+                g, random.Random(s)
+            )
+        assert degeneracy(g) == degeneracy_reference(g)
+        count += 1
+    assert count == 304
+
+
+def test_degeneracy_matches_subset_oracle():
+    rng = random.Random(42)
+    graphs = [empty_graph(0), empty_graph(1), complete_graph(6), cycle_graph(7)]
+    graphs += [gnp(rng.randint(1, 10), rng.random(), rng) for _ in range(120)]
+    graphs += [random_chordal(rng.randint(1, 10), rng) for _ in range(40)]
+    for g in graphs:
+        assert degeneracy(g) == degeneracy_bruteforce(g)
+
+
+def test_minfill_and_degeneracy_on_long_path():
+    g = path_graph(5000)
+    assert minfill_order(g) == list(range(5000))
+    assert degeneracy(g) == 1
+
+
 def test_tree_decomposition_attempts():
     tree = path_graph(7)
     attempt = tree_decomposition(tree, 1)
@@ -153,14 +206,7 @@ def test_tree_decomposition_heuristic_path():
 def test_tree_decomposition_flags_width_over_accepted_factor():
     # 5x5 grid: degeneracy 2 never certifies width > 2, but the exact width 5
     # misses an accepted factor of 1 over target 2
-    edges = []
-    for r in range(5):
-        for c in range(5):
-            if c + 1 < 5:
-                edges.append((5 * r + c, 5 * r + c + 1))
-            if r + 1 < 5:
-                edges.append((5 * r + c, 5 * r + c + 5))
-    grid = SimpleGraph.from_edges(25, edges)
+    grid = grid_graph(5, 5)
     assert degeneracy(grid) == 2
     attempt = tree_decomposition(grid, 2, approx_factor=1)
     assert attempt.found and attempt.over_target
