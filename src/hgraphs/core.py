@@ -51,6 +51,15 @@ class SimpleGraph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbourhoods as int bitsets, bit u standing for vertex u."""
+        nbr = [0] * self.n
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
+
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
@@ -219,6 +228,14 @@ def list_coloring_bruteforce(
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     return _components(g.adjacency, range(g.n))
+
+
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _reach(adjacency, start, allowed) -> set:

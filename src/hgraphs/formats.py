@@ -221,7 +221,7 @@ def parse_rep(
     """
     pattern_base = parse_hgr(pattern_text, pattern_path)
     ref = None
-    counts = [0] * pattern_base.m
+    counts: list[int | None] = [None] * pattern_base.m  # None: no subdiv line
     sets: dict[int, frozenset] = {}
     pattern: SubdividedPattern | None = None
     for no, line in _lines(text):
@@ -251,11 +251,13 @@ def parse_rep(
             a, b = pattern_base.edges[e - 1]
             if a == b and t > 0:
                 raise ParseError(path, no, f"edge {e} is a loop and cannot be subdivided")
+            if counts[e - 1] is not None:
+                raise ParseError(path, no, f"duplicate subdiv line for edge {e}")
             counts[e - 1] = t
             continue
         if parts[0] == "map":
             if pattern is None:
-                pattern = SubdividedPattern(pattern_base, tuple(counts))
+                pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
             if len(parts) < 3:
                 raise ParseError(path, no, "expected 'map <v> <node>...'")
             v = _int(parts[1], path, no, "vertex")
@@ -271,7 +273,7 @@ def parse_rep(
     if ref is None:
         raise ParseError(path, 1, "missing r line")
     if pattern is None:
-        pattern = SubdividedPattern(pattern_base, tuple(counts))
+        pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
     if sorted(sets) != list(range(len(sets))):
         missing = next(i for i in range(len(sets) + 1) if i not in sets)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")

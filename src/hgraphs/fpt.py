@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import ColorLists, SimpleGraph, _check_clique, _connected, _reach
+from .core import ColorLists, SimpleGraph, _bits, _check_clique, _connected, _reach
 from .errors import InvalidDecomposition, ListColorOutOfRange
 
 
@@ -124,19 +123,13 @@ def decomposition_from_order(
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
     pos = {v: i for i, v in enumerate(order)}
-    adj = [set(a) for a in g.adjacency]
+    nbr = list(g.masks)
     bags = []
     elim_nbrs = []
     for v in order:
-        nb = sorted(adj[v])
+        nb = list(_bits(_eliminate(nbr, v)))
         bags.append(frozenset([v] + nb))
         elim_nbrs.append(nb)
-        for a, c in combinations(nb, 2):
-            adj[a].add(c)
-            adj[c].add(a)
-        for u in nb:
-            adj[u].discard(v)
-        adj[v].clear()
     edges = []
     for i, nb in enumerate(elim_nbrs):
         if nb:
@@ -144,6 +137,15 @@ def decomposition_from_order(
         elif i + 1 < len(bags):
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def _eliminate(nbr: list[int], v: int) -> int:
+    """Make N(v) a clique in the bitset graph nbr, drop v, and return N(v)."""
+    nv = nbr[v]
+    for u in _bits(nv):
+        nbr[u] = (nbr[u] | nv) ^ (1 << u | 1 << v)
+    nbr[v] = 0
+    return nv
 
 
 def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]:
@@ -158,13 +160,11 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
     to v or to one of its neighbours is recomputed (Bodlaender & Koster
     2010, "Treewidth computations I. Upper bounds").
     """
-    nbr = [0] * g.n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = list(g.masks)
 
     def fill_of(v: int) -> int:
-        # pairs in N(v) minus the edges inside N(v), each seen from both ends
+        # pairs in N(v) minus the edges inside N(v), each seen from both ends;
+        # inline bit loop: _bits here made min-fill 5-20% slower
         nv = nbr[v]
         inside = 0
         m = nv
@@ -188,20 +188,11 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
         if not tied:
             del by_fill[least]
         order.append(v)
-        # turn N(v) into a clique without v, then refresh the fill of N[N(v)]
-        nv = nbr[v]
-        near = nv
-        m = nv
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            nbr[u] = (nbr[u] | nv) ^ (low | 1 << v)
+        # only the fill of N(v) and of their neighbours can change
+        near = nv = _eliminate(nbr, v)
+        for u in _bits(nv):
             near |= nbr[u]
-            m ^= low
-        while near:
-            low = near & -near
-            w = low.bit_length() - 1
-            near ^= low
+        for w in _bits(near):
             f = fill_of(w)
             if f != fill[w]:
                 by_fill[fill[w]].remove(w)
@@ -248,32 +239,19 @@ def exact_decomposition(g: SimpleGraph) -> tuple[int, TreeDecomposition]:
     n = g.n
     if n == 0:
         return -1, TreeDecomposition((frozenset(),), ())
-    adj_mask = [0] * n
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = g.masks
     full = (1 << n) - 1
 
     def elim_degree(prefix: int, v: int) -> int:
-        # vertices outside prefix+v reachable from v through prefix
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj_mask[low.bit_length() - 1]
-                m ^= low
-            nxt &= prefix & ~comp
-            comp |= nxt
-            frontier = nxt
+        # vertices outside prefix+v next to v's component within prefix+v;
+        # each vertex of the component is expanded once, in its own frontier
+        comp = frontier = 1 << v
         reach = 0
-        m = comp
-        while m:
-            low = m & -m
-            reach |= adj_mask[low.bit_length() - 1]
-            m ^= low
+        while frontier:
+            for u in _bits(frontier):
+                reach |= adj_mask[u]
+            frontier = reach & prefix & ~comp
+            comp |= frontier
         return (reach & ~prefix & ~(1 << v)).bit_count()
 
     tw = [0] * (full + 1)
@@ -282,12 +260,8 @@ def exact_decomposition(g: SimpleGraph) -> tuple[int, TreeDecomposition]:
     for s in range(1, full + 1):
         best = n
         best_v = -1
-        m = s
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            prev = s ^ low
+        for v in _bits(s):
+            prev = s ^ 1 << v
             w = max(tw[prev], elim_degree(prev, v))
             if w < best:
                 best = w
@@ -411,25 +385,22 @@ def _color_class_tops(cands: int, non_nbr: list[int]) -> list[int]:
 
 
 def _max_clique_in_bag(
-    g: SimpleGraph, bag: frozenset[int], floor: int
-) -> tuple[int, ...]:
-    """Lexicographically smallest maximum clique inside one bag.
+    nbr: tuple[int, ...], non_nbr: list[int], bag: int, floor: int
+) -> int:
+    """Lexicographically smallest maximum clique inside one bag, as a bitset.
 
-    Returns () unless that clique has more than floor vertices.  Branch and
-    bound on int bitsets, bit i standing for the bag's i-th smallest vertex.
-    Cliques grow by ascending vertices, so they are met in lexicographic
-    order, and only a strictly larger clique replaces the best.  A branch is
-    cut only when a greedy-coloring bound (Tomita & Seki, MCQ, 2003) shows
-    it cannot beat the best, so the first maximum clique met is kept.
+    Returns 0 unless that clique has more than floor vertices.  Branch and
+    bound on int bitsets, bit v standing for vertex v: bag holds the bag's
+    vertices, nbr[v] is v's neighbourhood and non_nbr[v] masks out v and its
+    neighbours.  Cliques grow by ascending vertices, so they are met in
+    lexicographic order, and only a strictly larger clique replaces the best.
+    A branch is cut only when a greedy-coloring bound (Tomita & Seki, MCQ,
+    2003) shows it cannot beat the best, so the first maximum clique met is
+    kept.
     """
-    verts = sorted(bag)
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    nbr = [sum(bit[u] for u in g.adjacency[v] & bag) for v in verts]
-    non_nbr = [~(nb | bit[v]) for v, nb in zip(verts, nbr)]
     best, best_size = 0, floor
-    everything = (1 << len(verts)) - 1
     # frames: (clique bits, clique size, untried candidates, color tops)
-    stack = [(0, 0, everything, _color_class_tops(everything, non_nbr))]
+    stack = [(0, 0, bag, _color_class_tops(bag, non_nbr))]
     while stack:
         clique, size, cands, tops = stack[-1]
         need = best_size - size  # a branch must add more than this
@@ -447,7 +418,7 @@ def _max_clique_in_bag(
         sub = cands & nbr[i]
         if size + sub.bit_count() > best_size:
             stack.append((clique, size, sub, _color_class_tops(sub, non_nbr)))
-    return tuple(v for v in verts if best & bit[v])
+    return best
 
 
 def k_clique(
@@ -460,14 +431,19 @@ def k_clique(
     node), so the best over bags is a maximum clique.  Each bag looks only
     for a clique larger than the best so far, so the answer is the
     lexicographically smallest maximum clique of the earliest bag holding one.
+    Every bag is searched on the graph's own neighbour masks, g.masks.
     """
     validate_decomposition(g, d)
-    best: tuple[int, ...] = ()
+    non_nbr = [~(m | 1 << v) for v, m in enumerate(g.masks)]
+    best = 0
     for bag in d.bags:
-        if len(bag) > len(best):
-            best = _max_clique_in_bag(g, bag, len(best)) or best
-    _check_clique(g, best)
-    return best if len(best) >= k else None
+        floor = best.bit_count()
+        if len(bag) > floor:
+            bits = sum(1 << v for v in bag)
+            best = _max_clique_in_bag(g.masks, non_nbr, bits, floor) or best
+    clique = tuple(_bits(best))
+    _check_clique(g, clique)
+    return clique if len(clique) >= k else None
 
 
 def max_clique_decomposed(g: SimpleGraph, d: TreeDecomposition) -> tuple[int, ...]:
@@ -558,16 +534,15 @@ def list_k_coloring(
             (child,) = nd.children
             v = nd.vertex
             vi = nd.bag.index(v)
-            bag_nbrs = [
-                (i, u) for i, u in enumerate(nd.bag) if u != v and u in adj[v]
-            ]
+            # positions of v's bag neighbours in the child's states
+            near = [i - (i > vi) for i, u in enumerate(nd.bag) if u in adj[v]]
+            colors = sorted(lists[v])
             table = {}
             for state in tables[child]:
-                for c in sorted(lists[v]):
-                    if any(state[i if i < vi else i - 1] == c for i, _ in bag_nbrs):
-                        continue
-                    new = state[:vi] + (c,) + state[vi:]
-                    table[new] = (state,)
+                used = {state[j] for j in near}
+                for c in colors:
+                    if c not in used:
+                        table[state[:vi] + (c,) + state[vi:]] = (state,)
         else:  # forget
             (child,) = nd.children
             vi = nice.nodes[child].bag.index(nd.vertex)

@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 
 from hgraphs.core import SimpleGraph, connected_components, induced_subgraph
+from hgraphs.fpt import TreeDecomposition
 
 
 def all_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -200,6 +201,111 @@ def degeneracy_reference(g: SimpleGraph) -> int:
         worst = max(worst, len(adj[v] & remaining))
         remaining.remove(v)
     return worst
+
+
+# The set-based elimination game and the subset DP with inline bit loops
+# that the shared bitset elimination replaced, kept verbatim (renamed) so
+# tests can require identical bags, tree edges and widths from them.
+def decomposition_from_order_reference(
+    g: SimpleGraph, order: list[int] | tuple[int, ...]
+) -> TreeDecomposition:
+    """Tree decomposition induced by an elimination order.
+
+    Bag i is the i-th eliminated vertex together with its neighbors in the
+    partially filled graph; bag i hangs off the bag of its earliest-eliminated
+    fill neighbor.
+    """
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order must be a permutation of the vertices")
+    if g.n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(a) for a in g.adjacency]
+    bags = []
+    elim_nbrs = []
+    for v in order:
+        nb = sorted(adj[v])
+        bags.append(frozenset([v] + nb))
+        elim_nbrs.append(nb)
+        for a, c in combinations(nb, 2):
+            adj[a].add(c)
+            adj[c].add(a)
+        for u in nb:
+            adj[u].discard(v)
+        adj[v].clear()
+    edges = []
+    for i, nb in enumerate(elim_nbrs):
+        if nb:
+            edges.append((i, min(pos[w] for w in nb)))
+        elif i + 1 < len(bags):
+            edges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def exact_decomposition_reference(g: SimpleGraph) -> tuple[int, TreeDecomposition]:
+    """Exact treewidth via dynamic programming over vertex subsets.
+
+    State tw[S] is the best possible maximum elimination degree over orders
+    that eliminate exactly the set S first; the witnessing order is unwound
+    from the stored choices.  Exponential in n, intended for small graphs.
+    """
+    n = g.n
+    if n == 0:
+        return -1, TreeDecomposition((frozenset(),), ())
+    adj_mask = [0] * n
+    for u, v in g.edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    full = (1 << n) - 1
+
+    def elim_degree(prefix: int, v: int) -> int:
+        # vertices outside prefix+v reachable from v through prefix
+        comp = 1 << v
+        frontier = comp
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= adj_mask[low.bit_length() - 1]
+                m ^= low
+            nxt &= prefix & ~comp
+            comp |= nxt
+            frontier = nxt
+        reach = 0
+        m = comp
+        while m:
+            low = m & -m
+            reach |= adj_mask[low.bit_length() - 1]
+            m ^= low
+        return (reach & ~prefix & ~(1 << v)).bit_count()
+
+    tw = [0] * (full + 1)
+    tw[0] = -1
+    choice = [0] * (full + 1)
+    for s in range(1, full + 1):
+        best = n
+        best_v = -1
+        m = s
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            prev = s ^ low
+            w = max(tw[prev], elim_degree(prev, v))
+            if w < best:
+                best = w
+                best_v = v
+        tw[s] = best
+        choice[s] = best_v
+    order_rev = []
+    s = full
+    while s:
+        v = choice[s]
+        order_rev.append(v)
+        s ^= 1 << v
+    order = order_rev[::-1]
+    return tw[full], decomposition_from_order_reference(g, order)
 
 
 def degeneracy_bruteforce(g: SimpleGraph) -> int:

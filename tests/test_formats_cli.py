@@ -317,6 +317,21 @@ def test_cli_malformed_input_exit_code(tmp_path, capsys):
     assert "bad.gr:2" in err
 
 
+@pytest.mark.parametrize("first,second", [(3, 0), (0, 3)])
+def test_cli_duplicate_subdiv_line_exit_code(tmp_path, capsys, first, second):
+    # a second subdiv line for the same edge must not silently replace the first
+    (tmp_path / "edge.hgr").write_text(read(fixture("edge.hgr")))
+    graph = tmp_path / "two.gr"
+    graph.write_text("p tw 2 0\n")
+    rep = tmp_path / "dup.rep"
+    rep.write_text(
+        f"r edge.hgr\nsubdiv 1 {first}\nsubdiv 1 {second}\nmap 1 b:1\nmap 2 b:2\n"
+    )
+    assert main(["verify", "--graph", str(graph), "--rep", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{rep}:3: duplicate subdiv line for edge 1\n"
+
+
 def test_cli_negative_vertex_count_exit_code(tmp_path, capsys):
     bad = tmp_path / "neg.gr"
     bad.write_text("c header below\np tw -1 0\n")

@@ -8,8 +8,10 @@ from conftest import simple_graphs
 from helpers import (
     assert_clique,
     coloring_is_proper,
+    decomposition_from_order_reference,
     degeneracy_bruteforce,
     degeneracy_reference,
+    exact_decomposition_reference,
     grid_graph,
     maximal_cliques_reference,
     minfill_order_reference,
@@ -161,6 +163,30 @@ def test_minfill_and_degeneracy_match_reference():
         assert degeneracy(g) == degeneracy_reference(g)
         count += 1
     assert count == 304
+
+
+def test_elimination_matches_reference():
+    # the set-based elimination game and the subset DP with inline bit loops
+    # give the same bags and tree edges, so the same widths; g.masks holds
+    # the same graph as g.adjacency
+    rng = random.Random(43)
+    count = 0
+    for g in _differential_graphs(random.Random(44)):
+        assert g.masks == tuple(sum(1 << u for u in a) for a in g.adjacency)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        for o in (order, order[::-1], minfill_order(g)):
+            d = decomposition_from_order(g, o)
+            assert d == decomposition_from_order_reference(g, o)
+        count += 1
+    assert count == 304
+    small = [empty_graph(0), empty_graph(1), complete_graph(7), petersen_graph()]
+    small += [gnp(rng.randint(2, 10), rng.random(), rng) for _ in range(150)]
+    small += [random_chordal(rng.randint(1, 10), rng) for _ in range(50)]
+    for g in small:
+        width, d = exact_decomposition(g)
+        assert (width, d) == exact_decomposition_reference(g)
+        assert d.width == width
 
 
 def test_degeneracy_matches_subset_oracle():
@@ -317,16 +343,18 @@ def test_bag_scan_matches_reference_tuple():
 
 @pytest.mark.parametrize("pattern", [wheel(4), double_triangle()])
 def test_bag_scan_meets_poljak_identity_on_hard_targets(pattern):
-    # omega(co-S2(G)) = alpha(G) + |E(G)| (Poljak 1974), targets of 60-80 vertices
+    # omega(co-S2(G)) = alpha(G) + |E(G)| (Poljak 1974), targets of 60-120
+    # vertices, beyond what brute force reaches on the target itself
     rng = random.Random(37)
     part = find_tripartition(pattern)
-    for n in (12, 14, 16):
+    for n in (12, 14, 16, 20, 24):
         g = gnm(n, 2 * n, rng)
         target, _ = generate_hard_instance(g, pattern, part)
         d = tree_decomposition(target, target.n - 1).decomposition
         clique = max_clique_decomposed(target, d)
         assert_clique(target, clique)
-        assert len(clique) == len(max_clique_bruteforce(complement(g))) + g.m
+        alpha = len(max_clique_bruteforce(complement(g), limit=24))
+        assert len(clique) == alpha + g.m
 
 
 def test_bag_scan_sees_every_maximal_clique():

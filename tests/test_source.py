@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -31,3 +32,16 @@ def test_script_help_runs(script):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_harness_runs():
+    # one short pass of a benchmark workload, its answers checked against the
+    # harness's oracles: a refactor that breaks the harness fails here
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "hard-clique", "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["correct"] is True, summary
