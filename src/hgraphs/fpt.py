@@ -230,15 +230,20 @@ def degeneracy(g: SimpleGraph) -> int:
 
 
 def exact_decomposition(g: SimpleGraph) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth via dynamic programming over vertex subsets.
+    """Exact treewidth with the decomposition of a witnessing order."""
+    width, order = _exact_order(g)
+    return width, decomposition_from_order(g, order)
 
-    State tw[S] is the best possible maximum elimination degree over orders
-    that eliminate exactly the set S first; the witnessing order is unwound
-    from the stored choices.  Exponential in n, intended for small graphs.
+
+def _exact_order(g: SimpleGraph) -> tuple[int, list[int]]:
+    """Exact treewidth and an elimination order of that width.
+
+    Dynamic programming over vertex subsets: state tw[S] is the best possible
+    maximum elimination degree over orders that eliminate exactly the set S
+    first; the witnessing order is unwound from the stored choices.
+    Exponential in n, intended for small graphs.
     """
     n = g.n
-    if n == 0:
-        return -1, TreeDecomposition((frozenset(),), ())
     adj_mask = g.masks
     full = (1 << n) - 1
 
@@ -274,8 +279,7 @@ def exact_decomposition(g: SimpleGraph) -> tuple[int, TreeDecomposition]:
         v = choice[s]
         order_rev.append(v)
         s ^= 1 << v
-    order = order_rev[::-1]
-    return tw[full], decomposition_from_order(g, order)
+    return tw[full], order_rev[::-1]
 
 
 def tree_decomposition(

@@ -21,8 +21,10 @@ PAIR_KEYS = ((0, 1), (0, 2), (1, 2))
 class PatternProfile:
     """A pattern together with its exact treewidth.
 
-    ``bound(omega)`` is the width guarantee (tw+1)*omega - 1 available for
-    any graph represented on the pattern; it is strictly increasing in omega.
+    A parallel pair counts as a cycle, so it raises tw to at least 2: once
+    subdivided, the pair is one.  ``bound(omega)`` is the width guarantee
+    (tw+1)*omega - 1 available for any graph represented on any subdivision
+    of the pattern; it is strictly increasing in omega.
     """
 
     pattern: Multigraph
@@ -34,6 +36,8 @@ class PatternProfile:
     @staticmethod
     def compute(pattern: Multigraph, limit: int = 12) -> "PatternProfile":
         width, _ = treewidth_exact_small(pattern, limit)
+        if pattern.simple_graph().m < len(pattern.non_loop_items()):
+            width = max(width, 2)
         return PatternProfile(pattern, width)
 
 

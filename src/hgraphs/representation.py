@@ -13,18 +13,21 @@ from typing import Mapping
 from .core import (
     Multigraph,
     SimpleGraph,
-    _components,
     _connected,
     _meeting_pairs,
     complement,
     two_subdivision,
 )
 from .errors import DomainMismatch, InvalidRepresentation
-from .fpt import TreeDecomposition
+from .fpt import (
+    TreeDecomposition,
+    _exact_order,
+    decomposition_from_order,
+    minfill_order,
+)
 from .pattern import (
     PatternProfile,
     TriPartition,
-    treewidth_exact_small,
     validate_tripartition,
 )
 
@@ -281,87 +284,28 @@ def generate_hard_instance(
     return target, HRepresentation(pattern, sets)
 
 
-def _is_forest(h: Multigraph) -> bool:
-    items = h.non_loop_items()
-    simple_pairs = {tuple(sorted(e)) for _, e in items}
-    if len(simple_pairs) != len(items):
-        return False  # a parallel pair is a 2-cycle
-    return len(items) == h.n - len(_components(h.adjacency, range(h.n)))
+def _pattern_order(
+    pattern: SubdividedPattern, profile: PatternProfile
+) -> tuple[SimpleGraph, list[int]]:
+    """The subdivided pattern on the indices of ``pattern.nodes()`` and an
+    elimination order of width at most profile.tw.
 
-
-def _forest_bag_decomposition(pattern: SubdividedPattern):
-    """Width-1 decomposition of a subdivided forest: one bag per node edge.
-
-    Returns (bags over pattern nodes, tree edges).  Components are linked by
-    arbitrary bridge tree edges, which is harmless because bags of different
-    components share nothing.
+    A forest pattern (tw <= 1) stays a forest once subdivided, so min-fill
+    eliminates it leaf by leaf without fill.  Otherwise each edge's path is
+    eliminated first, walking away from one end, in bags of at most 3 nodes;
+    that leaves the base's simple graph, whose exact order comes next.
     """
-    adjacency = pattern.adjacency
-    nodes = sorted(adjacency)
-    bags: list[frozenset[Node]] = []
-    tree_edges: list[tuple[int, int]] = []
-    seen: set[Node] = set()
-    comp_roots: list[int] = []
-    for root in nodes:
-        if root in seen:
-            continue
-        seen.add(root)
-        root_bag = len(bags)
-        bags.append(frozenset([root]))
-        comp_roots.append(root_bag)
-        attach = {root: root_bag}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in sorted(adjacency[x]):
-                if y in seen:
-                    continue
-                seen.add(y)
-                idx = len(bags)
-                bags.append(frozenset([x, y]))
-                tree_edges.append((attach[x], idx))
-                attach[y] = idx
-                stack.append(y)
-    for a, b in zip(comp_roots, comp_roots[1:]):
-        tree_edges.append((a, b))
-    return bags, tree_edges
-
-
-def _pattern_decomposition(pattern: SubdividedPattern):
-    """Decomposition of the subdivided pattern with width max(tw(base), 2).
-
-    Forest patterns get the natural width-1 bag-per-edge decomposition so the
-    final bound is met at tw = 1.  Otherwise the base pattern is decomposed
-    exactly and each subdivided edge is appended as a chain of 3-node bags
-    hanging off a bag that contains both endpoints.
-    """
-    base = pattern.base
-    if _is_forest(base):
-        return _forest_bag_decomposition(pattern)
-    _, base_dec = treewidth_exact_small(base)
-    bags: list[frozenset[Node]] = [
-        frozenset(branch(h) for h in bag) for bag in base_dec.bags
-    ]
-    tree_edges = list(base_dec.tree_edges)
-    for k, (u, v) in enumerate(base.edges):
-        t = pattern.counts[k]
-        if u == v or t == 0:
-            continue
-        host = next(
-            i for i, bag in enumerate(base_dec.bags) if u in bag and v in bag
-        )
-        bu, bv = branch(u), branch(v)
-        chain = [frozenset([bu, sub(k, 1), bv])]
-        for i in range(1, t):
-            chain.append(frozenset([sub(k, i), sub(k, i + 1), bv]))
-        chain.append(frozenset([sub(k, t), bv]))
-        prev = host
-        for bag in chain:
-            idx = len(bags)
-            bags.append(bag)
-            tree_edges.append((prev, idx))
-            prev = idx
-    return bags, tree_edges
+    nodes = pattern.nodes()
+    index = {nd: i for i, nd in enumerate(nodes)}
+    graph = SimpleGraph.from_edges(
+        len(nodes),
+        ((index[a], index[b]) for a in nodes for b in pattern.adjacency[a]),
+    )
+    if profile.tw <= 1:
+        return graph, minfill_order(graph)
+    _, base_order = _exact_order(pattern.base.simple_graph())
+    # branch(h) is node h; each edge's path follows in order, from its first end
+    return graph, list(range(pattern.base.n, len(nodes))) + base_order
 
 
 def td_from_representation(
@@ -369,21 +313,24 @@ def td_from_representation(
 ) -> TreeDecomposition:
     """Tree decomposition of g of width at most (tw(pattern)+1) * omega(g) - 1.
 
-    A decomposition of the subdivided pattern is mapped bag-by-bag to the
-    vertices whose node sets touch the bag; each pattern node is held by a
-    clique of g, which gives the width bound.
+    The subdivided pattern is decomposed along one elimination order, and
+    each bag is mapped to the vertices whose node sets touch it; each pattern
+    node is held by a clique of g, which gives the width bound.  tw is the
+    profile's, in which a parallel pair counts as a cycle.
     """
     if profile.pattern != r.pattern.base:
         raise DomainMismatch("profile pattern differs from representation base")
     verdict = verify_representation(g, r)
     if not verdict.is_ok:
         raise InvalidRepresentation(verdict)
-    node_bags, tree_edges = _pattern_decomposition(r.pattern)
-    holders: dict[Node, list[int]] = {nd: [] for nd in r.pattern.adjacency}
+    node_dec = decomposition_from_order(*_pattern_order(r.pattern, profile))
+    nodes = r.pattern.nodes()
+    holders: dict[Node, list[int]] = {nd: [] for nd in nodes}
     for v in range(g.n):
         for nd in r.sets[v]:
             holders[nd].append(v)
     bags = tuple(
-        frozenset(v for nd in bag for v in holders[nd]) for bag in node_bags
+        frozenset(v for i in bag for v in holders[nodes[i]])
+        for bag in node_dec.bags
     )
-    return TreeDecomposition(bags, tuple(tree_edges))
+    return TreeDecomposition(bags, node_dec.tree_edges)

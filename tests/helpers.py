@@ -354,8 +354,11 @@ def random_chordal(n: int, rng: random.Random) -> SimpleGraph:
 
 
 def assert_clique(g: SimpleGraph, verts) -> None:
+    # raised, not asserted: pytest leaves asserts in this module unrewritten,
+    # and python -O would drop them
     for u, v in combinations(sorted(verts), 2):
-        assert g.has_edge(u, v), f"({u},{v}) missing: not a clique"
+        if not g.has_edge(u, v):
+            raise AssertionError(f"({u},{v}) missing: not a clique")
 
 
 def coloring_is_proper(g: SimpleGraph, lists, coloring: dict[int, int]) -> bool:

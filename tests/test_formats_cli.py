@@ -13,6 +13,7 @@ from hgraphs.fpt import (
     decomposition_from_order,
     exact_decomposition,
 )
+from hgraphs.randgen import random_cactus, random_representation, random_subdivision
 from hgraphs.representation import verify_representation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -180,6 +181,38 @@ def test_cli_clique_helly_and_brute_agree(capsys):
     code = main(["clique", "--graph", fixture("c5.gr"), "--mode", "brute"])
     assert code == 0
     assert "size: 2" in capsys.readouterr().out
+
+
+def _clique_size(capsys, argv) -> str | None:
+    code = main(argv)
+    out = capsys.readouterr().out
+    if code != 0:
+        assert code == 3 and "not helly" in out, (argv, code, out)
+        return None
+    return next(line for line in out.splitlines() if line.startswith("size: "))
+
+
+def test_cli_clique_modes_agree_on_cactus_inputs(tmp_path, capsys):
+    cases = [(fixture("p3.gr"), fixture("p3.rep")), (fixture("c5.gr"), fixture("c5.rep"))]
+    rng = random.Random(18)
+    for i in range(20):
+        pat = random_subdivision(random_cactus(rng.randint(1, 7), rng), rng, 3)
+        g, rep = random_representation(pat, rng.randint(1, 12), rng, 5)
+        (tmp_path / f"r{i}.hgr").write_text(formats.emit_hgr(pat.base))
+        (tmp_path / f"r{i}.rep").write_text(formats.emit_rep(rep, f"r{i}.hgr"))
+        (tmp_path / f"r{i}.gr").write_text(formats.emit_gr(g))
+        cases.append((str(tmp_path / f"r{i}.gr"), str(tmp_path / f"r{i}.rep")))
+    for graph, rep in cases:
+        sizes = {
+            mode: _clique_size(
+                capsys, ["clique", "--graph", graph, "--rep", rep, "--mode", mode]
+            )
+            for mode in ("cactus", "treewidth", "brute", "helly")
+        }
+        brute = sizes["brute"]
+        assert brute is not None, (graph, sizes)
+        assert sizes["cactus"] == sizes["treewidth"] == brute, (graph, sizes)
+        assert sizes["helly"] in (brute, None), (graph, sizes)
 
 
 def test_cli_clique_helly_certificate_exit_code(tmp_path):

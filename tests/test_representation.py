@@ -13,11 +13,16 @@ from hgraphs.core import (
     two_subdivision,
 )
 from hgraphs.errors import DomainMismatch, InvalidPartition
-from hgraphs.fpt import validate_decomposition
+from hgraphs.fpt import (
+    check_decomposition,
+    decomposition_from_order,
+    validate_decomposition,
+)
 from hgraphs.pattern import (
     PatternProfile,
     TriPartition,
     complete_pattern,
+    cycle_pattern,
     double_triangle,
     find_tripartition,
     wheel,
@@ -25,6 +30,7 @@ from hgraphs.pattern import (
 from hgraphs.representation import (
     HRepresentation,
     SubdividedPattern,
+    _pattern_order,
     branch,
     generate_hard_instance,
     helly_check,
@@ -35,6 +41,7 @@ from hgraphs.representation import (
 )
 from hgraphs.randgen import (
     gnm,
+    random_cactus,
     random_representation,
     random_subdivision,
     random_tree_pattern,
@@ -295,6 +302,59 @@ def test_td_on_cyclic_patterns():
             validate_decomposition(g, d)
             omega = len(max_clique_bruteforce(g))
             assert d.width <= profile.bound(omega)
+
+
+def test_td_parallel_pair_counts_as_cycle():
+    # a subdivided parallel pair is a cycle: width 2 even for omega = 1
+    pat = SubdividedPattern(cycle_pattern(2), (3, 3))
+    sets = [branch(1), sub(0, 2), branch(0), sub(1, 2), sub(0, 3)]
+    rep = HRepresentation(pat, {v: frozenset([nd]) for v, nd in enumerate(sets)})
+    g = SimpleGraph(5, frozenset())
+    profile = PatternProfile.compute(pat.base)
+    assert profile.tw == 2
+    d = td_from_representation(g, rep, profile)
+    validate_decomposition(g, d)
+    assert d.width <= profile.bound(1)
+
+
+def _sweep_pattern(rng: random.Random) -> Multigraph:
+    kind = rng.randrange(5)
+    if kind == 0:
+        return random_tree_pattern(rng.randint(1, 7), rng)
+    if kind == 1:
+        return random_cactus(rng.randint(1, 8), rng)
+    if kind == 2:
+        return rng.choice(
+            [complete_pattern(4), double_triangle(), wheel(4),
+             cycle_pattern(2), cycle_pattern(5)]
+        )
+    # multigraph: parallel edges, loops, isolated nodes, or no edges at all
+    n = rng.randint(0, 7)
+    m = rng.randint(0, 10) if n else 0
+    return Multigraph(
+        n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
+    )
+
+
+def test_td_random_pattern_sweep():
+    rng = random.Random(17)
+    profiles: dict[Multigraph, PatternProfile] = {}
+    for _ in range(1500):
+        h = _sweep_pattern(rng)
+        if h not in profiles:
+            profiles[h] = PatternProfile.compute(h)
+        profile = profiles[h]
+        pat = random_subdivision(h, rng, 3)
+        graph, order = _pattern_order(pat, profile)
+        node_dec = decomposition_from_order(graph, order)
+        assert check_decomposition(graph, node_dec) == []
+        assert node_dec.width <= profile.tw, (h, pat.counts)
+        size = rng.randint(1, 8) if h.n else 0
+        g, rep = random_representation(pat, size, rng, 4)
+        d = td_from_representation(g, rep, profile)
+        assert check_decomposition(g, d) == [], (h, pat.counts, rep.sets)
+        omega = len(max_clique_bruteforce(g))
+        assert d.width <= profile.bound(omega), (h, pat.counts, rep.sets)
 
 
 def test_td_profile_must_match():

@@ -11,9 +11,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
-    # checks written as assert vanish under python -O, in the package and in
-    # the scripts alike
-    paths = sorted(ROOT.glob("src/hgraphs/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    # checks written as assert vanish under python -O, in the package, the
+    # scripts and the test helpers alike (pytest rewrites asserts only in test
+    # modules and conftest)
+    paths = (
+        sorted(ROOT.glob("src/hgraphs/*.py"))
+        + sorted(ROOT.glob("scripts/*.py"))
+        + [ROOT / "tests" / "helpers.py"]
+    )
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in paths
