@@ -24,6 +24,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .formats import (
+    _list_line,
     emit_gr,
     emit_rep,
     emit_td,
@@ -123,9 +124,9 @@ def cmd_color(args) -> int:
         for v in sorted(instance.lists):
             worst = max(instance.lists[v])
             if worst > k:
-                raise ParseError(
-                    args.lists, 1, f"vertex {v + 1} lists color {worst} outside 1..{k}"
-                )
+                no = _list_line(args.lists, v)
+                msg = f"vertex {v + 1} lists color {worst} outside 1..{k}"
+                raise ParseError(args.lists, no, msg)
         lists.update(instance.lists)
     attempt = fpt.tree_decomposition(
         g, max(g.n - 1, 0), approx_factor=args.approx_factor

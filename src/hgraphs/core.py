@@ -209,20 +209,23 @@ def list_coloring_bruteforce(
         if v not in lists or not lists[v]:
             raise ValueError(f"vertex {v} has no color list")
     adj = g.adjacency
-    colors: dict[int, int] = {}
-
-    def assign(v: int) -> bool:
-        if v == g.n:
-            return True
-        for c in sorted(lists[v]):
-            if all(colors.get(u) != c for u in adj[v] if u < v):
+    colors = [0] * g.n
+    untried: list = []  # explicit stack: for each vertex up to v, colors not tried
+    v = 0
+    while v < g.n:
+        if len(untried) == v:
+            untried.append(iter(sorted(lists[v])))
+        for c in untried[v]:
+            if all(colors[u] != c for u in adj[v] if u < v):
                 colors[v] = c
-                if assign(v + 1):
-                    return True
-                del colors[v]
-        return False
-
-    return dict(colors) if assign(0) else None
+                v += 1
+                break
+        else:
+            untried.pop()
+            if not untried:
+                return None
+            v -= 1
+    return dict(enumerate(colors))
 
 
 def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:

@@ -366,10 +366,14 @@ def load_instance(
     if lists is not None and graph is not None:
         for v in lists:
             if v >= graph.n:
-                raise ParseError(
-                    lists_path, 1, f"list vertex {v + 1} outside graph"
-                )
+                no = _list_line(lists_path, v)
+                raise ParseError(lists_path, no, f"list vertex {v + 1} outside graph")
     return Instance(graph, pattern, rep, lists)
+
+
+def _list_line(path: str, v: int) -> int:
+    """Line of vertex v's entry in a lists file that parse_lists accepted."""
+    return next(no for no, ln in _lines(_read(path)) if int(ln.split(":")[0]) == v + 1)
 
 
 def _read(path: str) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import ColorLists, SimpleGraph, _bits, _check_clique, _connected, _reach
 from .errors import InvalidDecomposition, ListColorOutOfRange
@@ -517,7 +518,9 @@ def list_k_coloring(
     Dynamic program over the nice form of d: a state is a proper,
     list-respecting coloring of the current bag; introduce extends by list
     colors unused on bag neighbors, forget projects, join keeps assignments
-    present on both sides.  A witness is rebuilt from stored predecessors.
+    present on both sides.  Only forget nodes choose a predecessor, so only
+    their tables store one; the witness walk rebuilds the rest.  The DP stops
+    at the first empty table, as every ancestor's would be empty too.
     Pre-coloring extension is the special case of singleton lists.
     """
     validate_decomposition(g, d)
@@ -526,54 +529,57 @@ def list_k_coloring(
     adj = g.adjacency
 
     # make_nice adds every node after its children, so index order is a
-    # valid evaluation order
-    tables: list[dict[tuple[int, ...], tuple]] = []
+    # valid evaluation order; forget tables are dicts, the others lists
+    tables: list = []
     for nd in nice.nodes:
         if nd.kind == "leaf":
-            table = {(): ()}
+            table = [()]
         elif nd.kind == "join":
-            left, right = (tables[c] for c in nd.children)
-            table = {s: (s, s) for s in left if s in right}
+            left, right = tables[nd.children[0]], set(tables[nd.children[1]])
+            table = [s for s in left if s in right]
         elif nd.kind == "introduce":
             (child,) = nd.children
             v = nd.vertex
             vi = nd.bag.index(v)
-            # positions of v's bag neighbours in the child's states
+            # positions of v's bag neighbours in the child's states; pick reads
+            # their colors (a lone index is doubled, so it too gives a tuple)
             near = [i - (i > vi) for i, u in enumerate(nd.bag) if u in adj[v]]
+            pick = itemgetter(*near, *near[:1]) if near else lambda state: ()
             colors = sorted(lists[v])
-            table = {}
+            table = []
             for state in tables[child]:
-                used = {state[j] for j in near}
+                used = pick(state)
+                head, tail = state[:vi], state[vi:]
                 for c in colors:
                     if c not in used:
-                        table[state[:vi] + (c,) + state[vi:]] = (state,)
+                        table.append(head + (c,) + tail)
         else:  # forget
             (child,) = nd.children
             vi = nice.nodes[child].bag.index(nd.vertex)
             table = {}
-            for state in tables[child]:
-                new = state[:vi] + state[vi + 1 :]
-                if new not in table:  # first predecessor wins, in insertion order
-                    table[new] = (state,)
+            for state in tables[child]:  # the first predecessor wins
+                table.setdefault(state[:vi] + state[vi + 1 :], state)
+        if not table:
+            return None
         tables.append(table)
 
-    if () not in tables[nice.root]:
-        return None
-
-    # Witness: pre-order from the root, left child before right, each node
-    # read at the state its parent chose.
+    # Witness: pre-order from the root (empty bag, non-empty table), left
+    # child before right, each node read at the state its parent chose.
     coloring: dict[int, int] = {}
     walk = [(nice.root, ())]
     while walk:
         idx, state = walk.pop()
         nd = nice.nodes[idx]
-        preds = tables[idx][state]
-        for child, cstate in reversed(tuple(zip(nd.children, preds))):
-            walk.append((child, cstate))
         if nd.kind == "forget":
             (child,) = nd.children
-            (cstate,) = preds
+            cstate = tables[idx][state]
             coloring[nd.vertex] = cstate[nice.nodes[child].bag.index(nd.vertex)]
+            walk.append((child, cstate))
+        elif nd.kind == "introduce":
+            vi = nd.bag.index(nd.vertex)
+            walk.append((nd.children[0], state[:vi] + state[vi + 1 :]))
+        else:  # join, or a leaf without children
+            walk.extend((c, state) for c in reversed(nd.children))
     # every vertex is forgotten exactly once on the way to the empty root bag
     if len(coloring) != g.n:
         raise AssertionError(f"witness colors {len(coloring)} of {g.n} vertices")

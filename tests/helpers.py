@@ -11,7 +11,13 @@ import random
 from itertools import combinations
 
 from hgraphs.core import SimpleGraph, connected_components, induced_subgraph
-from hgraphs.fpt import TreeDecomposition
+from hgraphs.errors import OracleLimitExceeded
+from hgraphs.fpt import (
+    TreeDecomposition,
+    _check_lists,
+    make_nice,
+    validate_decomposition,
+)
 
 
 def all_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -306,6 +312,116 @@ def exact_decomposition_reference(g: SimpleGraph) -> tuple[int, TreeDecompositio
         s ^= 1 << v
     order = order_rev[::-1]
     return tw[full], decomposition_from_order_reference(g, order)
+
+
+# The list-coloring DP that stored a predecessor tuple for every state of
+# every table, and the recursive backtracking oracle, both replaced and
+# kept verbatim (renamed) so tests can require identical return values.
+def list_k_coloring_reference(
+    g: SimpleGraph, lists: ColorLists, k: int, d: TreeDecomposition
+) -> dict[int, int] | None:
+    """Proper coloring drawing each vertex's color from its own list, or None.
+
+    Dynamic program over the nice form of d: a state is a proper,
+    list-respecting coloring of the current bag; introduce extends by list
+    colors unused on bag neighbors, forget projects, join keeps assignments
+    present on both sides.  A witness is rebuilt from stored predecessors.
+    Pre-coloring extension is the special case of singleton lists.
+    """
+    validate_decomposition(g, d)
+    _check_lists(g, lists, k)
+    nice = make_nice(d)
+    adj = g.adjacency
+
+    # make_nice adds every node after its children, so index order is a
+    # valid evaluation order
+    tables: list[dict[tuple[int, ...], tuple]] = []
+    for nd in nice.nodes:
+        if nd.kind == "leaf":
+            table = {(): ()}
+        elif nd.kind == "join":
+            left, right = (tables[c] for c in nd.children)
+            table = {s: (s, s) for s in left if s in right}
+        elif nd.kind == "introduce":
+            (child,) = nd.children
+            v = nd.vertex
+            vi = nd.bag.index(v)
+            # positions of v's bag neighbours in the child's states
+            near = [i - (i > vi) for i, u in enumerate(nd.bag) if u in adj[v]]
+            colors = sorted(lists[v])
+            table = {}
+            for state in tables[child]:
+                used = {state[j] for j in near}
+                for c in colors:
+                    if c not in used:
+                        table[state[:vi] + (c,) + state[vi:]] = (state,)
+        else:  # forget
+            (child,) = nd.children
+            vi = nice.nodes[child].bag.index(nd.vertex)
+            table = {}
+            for state in tables[child]:
+                new = state[:vi] + state[vi + 1 :]
+                if new not in table:  # first predecessor wins, in insertion order
+                    table[new] = (state,)
+        tables.append(table)
+
+    if () not in tables[nice.root]:
+        return None
+
+    # Witness: pre-order from the root, left child before right, each node
+    # read at the state its parent chose.
+    coloring: dict[int, int] = {}
+    walk = [(nice.root, ())]
+    while walk:
+        idx, state = walk.pop()
+        nd = nice.nodes[idx]
+        preds = tables[idx][state]
+        for child, cstate in reversed(tuple(zip(nd.children, preds))):
+            walk.append((child, cstate))
+        if nd.kind == "forget":
+            (child,) = nd.children
+            (cstate,) = preds
+            coloring[nd.vertex] = cstate[nice.nodes[child].bag.index(nd.vertex)]
+    # every vertex is forgotten exactly once on the way to the empty root bag
+    if len(coloring) != g.n:
+        raise AssertionError(f"witness colors {len(coloring)} of {g.n} vertices")
+    for u, v in g.edges:
+        if coloring[u] == coloring[v]:
+            raise AssertionError(f"witness gives {u} and {v} the same color")
+    for v, c in coloring.items():
+        if c not in lists[v]:
+            raise AssertionError(f"witness color {c} of {v} is not on its list")
+    return coloring
+
+
+def list_coloring_bruteforce_reference(
+    g: SimpleGraph, lists: ColorLists, limit: int = 12
+) -> dict[int, int] | None:
+    """Proper list coloring by exhaustive backtracking, or None if unsatisfiable.
+
+    Vertices are colored in index order, colors tried in ascending order, so
+    the returned coloring (when one exists) is deterministic.
+    """
+    if g.n > limit:
+        raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    for v in range(g.n):
+        if v not in lists or not lists[v]:
+            raise ValueError(f"vertex {v} has no color list")
+    adj = g.adjacency
+    colors: dict[int, int] = {}
+
+    def assign(v: int) -> bool:
+        if v == g.n:
+            return True
+        for c in sorted(lists[v]):
+            if all(colors.get(u) != c for u in adj[v] if u < v):
+                colors[v] = c
+                if assign(v + 1):
+                    return True
+                del colors[v]
+        return False
+
+    return dict(colors) if assign(0) else None
 
 
 def degeneracy_bruteforce(g: SimpleGraph) -> int:

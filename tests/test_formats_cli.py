@@ -424,6 +424,24 @@ def test_cli_color_list_outside_palette_names_file_vertex(tmp_path, capsys):
     )
 
 
+def test_cli_color_list_outside_palette_names_its_line(tmp_path, capsys):
+    lists = tmp_path / "big.lists"
+    lists.write_text("c x\n1: 1\n3: 5\n")
+    argv = ["color", "--graph", fixture("p3.gr"), "--lists", str(lists), "--k", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"{lists}:3: vertex 3 lists color 5 outside 1..2\n"
+    )
+
+
+def test_cli_color_list_vertex_outside_graph_names_its_line(tmp_path, capsys):
+    lists = tmp_path / "far.lists"
+    lists.write_text("c comment\n1: 1\n2: 1 2\n7: 1\n")
+    argv = ["color", "--graph", fixture("p3.gr"), "--lists", str(lists), "--k", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{lists}:4: list vertex 7 outside graph\n"
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_cli_color_nonpositive_k_exit_code(capsys, k):
     with pytest.raises(SystemExit) as exc:

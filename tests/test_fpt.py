@@ -13,6 +13,8 @@ from helpers import (
     degeneracy_reference,
     exact_decomposition_reference,
     grid_graph,
+    list_coloring_bruteforce_reference,
+    list_k_coloring_reference,
     maximal_cliques_reference,
     minfill_order_reference,
     random_chordal,
@@ -451,9 +453,68 @@ def test_list_coloring_matches_oracle():
         d = decomposition_from_order(g, minfill_order(g))
         got = list_k_coloring(g, lists, k, d)
         want = list_coloring_bruteforce(g, lists)
+        assert want == list_coloring_bruteforce_reference(g, lists)
         assert (got is None) == (want is None)
         if got is not None:
             assert coloring_is_proper(g, lists, got)
+
+
+def _coloring_triples(rng):
+    """(graph, lists, k, decomposition) triples, SAT and UNSAT alike."""
+    graphs = [empty_graph(0), empty_graph(1), path_graph(300)]
+    graphs += [gnp(rng.randint(0, 14), rng.random() * 0.6, rng) for _ in range(250)]
+    graphs += [random_chordal(rng.randint(1, 14), rng) for _ in range(100)]
+    for _ in range(50):  # two components side by side
+        a, b = gnp(rng.randint(1, 7), rng.random(), rng), random_chordal(7, rng)
+        shifted = [(u + a.n, v + a.n) for u, v in b.edges]
+        graphs.append(SimpleGraph.from_edges(a.n + b.n, sorted(a.edges) + shifted))
+    for g in graphs:
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        decomps = [decomposition_from_order(g, o) for o in (minfill_order(g), shuffled)]
+        if g.n <= 10:
+            decomps.append(exact_decomposition(g)[1])
+        for d in decomps:
+            k = rng.randint(1, 4)
+            fraction = rng.choice((0.0, 0.1, 0.3))
+            yield g, random_lists(g.n, k, rng, singleton_fraction=fraction), k, d
+
+
+def test_list_coloring_matches_reference():
+    # the DP that stored every predecessor gives the same witness (so the
+    # same color stdout) and the same None, including where it stopped early
+    outcomes = {True: 0, False: 0}
+    for g, lists, k, d in _coloring_triples(random.Random(36)):
+        got = list_k_coloring(g, lists, k, d)
+        assert got == list_k_coloring_reference(g, lists, k, d)
+        outcomes[got is not None] += 1
+    assert sum(outcomes.values()) >= 1000
+    assert min(outcomes.values()) >= 300, outcomes
+    g = path_graph(300)
+    d = decomposition_from_order(g, range(300))
+    got = list_k_coloring(g, full_lists(300, 3), 3, d)
+    assert got == list_k_coloring_reference(g, full_lists(300, 3), 3, d)
+
+
+def test_list_coloring_unsat_only_at_join():
+    # c=0 may take 1 or 2, a=1 is pinned to 1 and b=2 to 2; each branch of
+    # the bag tree alone is colorable, so the first empty table is the join's
+    g = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
+    lists = {0: frozenset({1, 2}), 1: frozenset({1}), 2: frozenset({2})}
+    bags = (frozenset({0}), frozenset({0, 1}), frozenset({0, 2}))
+    d = TreeDecomposition(bags, ((0, 1), (0, 2)))
+    assert any(nd.kind == "join" for nd in make_nice(d).nodes)
+    assert list_k_coloring(g, lists, 2, d) is None
+    assert list_coloring_bruteforce(g, lists) is None
+    for pinned in (1, 2):  # freeing either pin makes it colorable
+        freed = {**lists, pinned: frozenset({1, 2})}
+        assert list_k_coloring(g, freed, 2, d) is not None
+
+
+def test_list_coloring_bruteforce_on_long_path():
+    n = 3000
+    got = list_coloring_bruteforce(path_graph(n), full_lists(n, 2), limit=n)
+    assert got == {v: 1 + v % 2 for v in range(n)}
 
 
 def test_empty_graph_decomposition_and_solvers():

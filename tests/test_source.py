@@ -50,3 +50,19 @@ def test_benchmark_harness_runs():
     assert done.returncode == 0, done.stdout + done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
     assert summary["correct"] is True, summary
+
+
+def test_benchmark_harness_traces_list_color():
+    # a traced pass of list-color: the tracer's self-check pins the nice-node
+    # count it reads off make_nice calls, which list_k_coloring must make by
+    # the public name, and the harness's oracles check every SAT/UNSAT answer
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "list-color", "--seed", "1", "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert any(ln.startswith("tracer self-check: ok") for ln in lines), done.stdout
+    summary = json.loads(lines[-1])
+    assert summary["correct"] is True, summary
