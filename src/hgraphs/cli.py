@@ -19,6 +19,7 @@ from .core import full_lists, max_clique_bruteforce
 from .errors import (
     ExactLimitExceeded,
     HgraphsError,
+    InvalidRepresentation,
     OracleLimitExceeded,
     ParseError,
     SearchLimitExceeded,
@@ -160,20 +161,24 @@ def cmd_gen_hard(args) -> int:
     return EXIT_OK
 
 
+def _verdict_lines(verdict) -> list[str]:
+    """A verification verdict as verify prints it, with 1-based ids."""
+    if verdict.is_ok:
+        return ["ok"]
+    if verdict.kind == "disconnected":
+        return [f"disconnected: vertex {verdict.vertex + 1}"]
+    lines = []
+    for u, v, expected in verdict.mismatches:
+        want, got = ("edge", "non-edge") if expected else ("non-edge", "edge")
+        lines.append(f"mismatch: ({u + 1},{v + 1}) expected {want}, got {got}")
+    return lines
+
+
 def cmd_verify(args) -> int:
     instance = load_instance(args.graph, rep_path=args.rep)
     verdict = verify_representation(instance.graph, instance.representation)
-    if verdict.is_ok:
-        print("ok")
-        return EXIT_OK
-    if verdict.kind == "disconnected":
-        print(f"disconnected: vertex {verdict.vertex + 1}")
-    else:
-        for u, v, expected in verdict.mismatches:
-            want = "edge" if expected else "non-edge"
-            got = "non-edge" if expected else "edge"
-            print(f"mismatch: ({u + 1},{v + 1}) expected {want}, got {got}")
-    return EXIT_NO
+    print("\n".join(_verdict_lines(verdict)))
+    return EXIT_OK if verdict.is_ok else EXIT_NO
 
 
 def cmd_helly(args) -> int:
@@ -367,6 +372,8 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except HgraphsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidRepresentation):
+            print("\n".join(_verdict_lines(exc.verdict)), file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -18,7 +18,6 @@ from .core import (
     _bits,
     _check_clique,
     _components,
-    _connected,
     _meeting_pairs,
     _reach,
 )
@@ -265,17 +264,6 @@ def _classify_shape(nodes: list[Node], adjacency) -> tuple[str, list[Node]] | No
     return ("path" if ends else "cycle"), order
 
 
-def _first_cut_node(nodes: list[Node], adjacency) -> Node | None:
-    """Smallest node whose removal leaves the subgraph induced on the other
-    nodes disconnected, or None."""
-    present = frozenset(nodes)
-    for x in sorted(nodes):
-        rest = present - {x}
-        if rest and not _connected(adjacency, rest):
-            return x
-    return None
-
-
 def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
     """Arc model of an atom represented on a cactus pattern.
 
@@ -303,10 +291,12 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
                     continue
                 arcs[v] = _positions_to_arc(positions, length, kind)
             return ArcModel(kind, length, arcs)
-        x = _first_cut_node(union, adjacency)
-        if x is None:
+        for x in union:  # the smallest cut node, with the parts it leaves
+            comps = _components(adjacency, set(union) - {x})
+            if len(comps) > 1:
+                break
+        else:
             raise NotAnAtom("union of node sets is neither path, cycle, nor cut")
-        comps = _components(adjacency, set(union) - {x})
         where = {nd: i for i, comp in enumerate(comps) for nd in comp}
         # a connected set avoiding x lies entirely in one component
         carriers = {where[min(nds)] for nds in sets.values() if x not in nds}

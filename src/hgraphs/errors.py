@@ -37,7 +37,7 @@ class InvalidRepresentation(HgraphsError):
     """A representation failed verification; carries the verdict."""
 
     def __init__(self, verdict):
-        super().__init__(f"representation failed verification: {verdict}")
+        super().__init__("representation failed verification")
         self.verdict = verdict
 
 

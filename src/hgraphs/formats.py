@@ -26,6 +26,27 @@ def _lines(text: str):
         yield no, line
 
 
+def _records(text: str, path: str, tag: str, before: str):
+    """(line number, tokens) of each content line of a headed file.
+
+    The header (first token tag) comes first and once; before is the message
+    for content above it."""
+    lines = _lines(text)
+    for no, line in lines:
+        parts = line.split()
+        if parts[0] != tag:
+            raise ParseError(path, no, before)
+        yield no, parts
+        break
+    else:
+        raise ParseError(path, 1, f"missing {tag} line")
+    for no, line in lines:
+        parts = line.split()
+        if parts[0] == tag:
+            raise ParseError(path, no, f"duplicate {tag} line")
+        yield no, parts
+
+
 def _int(tok: str, path: str, no: int, what: str) -> int:
     try:
         return int(tok)
@@ -41,22 +62,14 @@ def _count(tok: str, path: str, no: int, what: str) -> int:
 
 
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
-    n = m = None
+    records = _records(text, path, "p", "edge line before p line")
+    header_line, parts = next(records)
+    if len(parts) != 4 or parts[1] != "tw":
+        raise ParseError(path, header_line, "expected 'p tw <n> <m>'")
+    n = _count(parts[2], path, header_line, "vertex count")
+    m = _count(parts[3], path, header_line, "edge count")
     edges = set()
-    header_line = 0
-    for no, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(path, no, "duplicate p line")
-            if len(parts) != 4 or parts[1] != "tw":
-                raise ParseError(path, no, "expected 'p tw <n> <m>'")
-            n = _count(parts[2], path, no, "vertex count")
-            m = _count(parts[3], path, no, "edge count")
-            header_line = no
-            continue
-        if n is None:
-            raise ParseError(path, no, "edge line before p line")
+    for no, parts in records:
         if len(parts) != 2:
             raise ParseError(path, no, "expected '<u> <v>'")
         u = _int(parts[0], path, no, "endpoint")
@@ -70,8 +83,6 @@ def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
         if key in edges:
             raise ParseError(path, no, f"duplicate edge {u} {v}")
         edges.add(key)
-    if n is None:
-        raise ParseError(path, 1, "missing p line")
     if len(edges) != m:
         raise ParseError(
             path, header_line, f"declared {m} edges but found {len(edges)}"
@@ -86,22 +97,14 @@ def emit_gr(g: SimpleGraph) -> str:
 
 
 def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
-    n = m = None
+    records = _records(text, path, "h", "edge line before h line")
+    header_line, parts = next(records)
+    if len(parts) != 3:
+        raise ParseError(path, header_line, "expected 'h <n> <m>'")
+    n = _count(parts[1], path, header_line, "node count")
+    m = _count(parts[2], path, header_line, "edge count")
     edges = []
-    header_line = 0
-    for no, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "h":
-            if n is not None:
-                raise ParseError(path, no, "duplicate h line")
-            if len(parts) != 3:
-                raise ParseError(path, no, "expected 'h <n> <m>'")
-            n = _count(parts[1], path, no, "node count")
-            m = _count(parts[2], path, no, "edge count")
-            header_line = no
-            continue
-        if n is None:
-            raise ParseError(path, no, "edge line before h line")
+    for no, parts in records:
         if len(parts) != 2:
             raise ParseError(path, no, "expected '<u> <v>'")
         u = _int(parts[0], path, no, "endpoint")
@@ -110,8 +113,6 @@ def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
             if not (1 <= x <= n):
                 raise ParseError(path, no, f"node {x} outside 1..{n}")
         edges.append((u - 1, v - 1))
-    if n is None:
-        raise ParseError(path, 1, "missing h line")
     if len(edges) != m:
         raise ParseError(
             path, header_line, f"declared {m} edges but found {len(edges)}"
@@ -127,23 +128,17 @@ def emit_hgr(h: Multigraph) -> str:
 
 def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
     """Parse a .td file; returns the decomposition and the declared graph size."""
-    header = None
+    records = _records(text, path, "s", "content before s line")
+    header_line, parts = next(records)
+    if len(parts) != 5 or parts[1] != "td":
+        raise ParseError(path, header_line, "expected 's td <bags> <width+1> <n>'")
+    header = tuple(_count(p, path, header_line, "header field") for p in parts[2:])
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
-    header_line = 0
-    for no, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise ParseError(path, no, "duplicate s line")
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError(path, no, "expected 's td <bags> <width+1> <n>'")
-            header = tuple(_count(p, path, no, "header field") for p in parts[2:])
-            header_line = no
-            continue
-        if header is None:
-            raise ParseError(path, no, "content before s line")
+    for no, parts in records:
         if parts[0] == "b":
+            if len(parts) < 2:
+                raise ParseError(path, no, "expected 'b <id> <vertices...>'")
             idx = _int(parts[1], path, no, "bag id")
             if not (1 <= idx <= header[0]):
                 raise ParseError(path, no, f"bag id {idx} outside 1..{header[0]}")
@@ -163,8 +158,6 @@ def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
             if not (1 <= x <= header[0]):
                 raise ParseError(path, no, f"bag id {x} outside 1..{header[0]}")
         tree_edges.append((i - 1, j - 1))
-    if header is None:
-        raise ParseError(path, 1, "missing s line")
     if len(bags) != header[0]:
         raise ParseError(
             path, header_line, f"declared {header[0]} bags but found {len(bags)}"
@@ -220,21 +213,11 @@ def parse_rep(
     header (the caller resolves that reference to load ``pattern_text``).
     """
     pattern_base = parse_hgr(pattern_text, pattern_path)
-    ref = None
+    records, ref = _rep_records(text, path)
     counts: list[int | None] = [None] * pattern_base.m  # None: no subdiv line
     sets: dict[int, frozenset] = {}
     pattern: SubdividedPattern | None = None
-    for no, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "r":
-            if ref is not None:
-                raise ParseError(path, no, "duplicate r line")
-            if len(parts) != 2:
-                raise ParseError(path, no, "expected 'r <pattern-file>'")
-            ref = parts[1]
-            continue
-        if ref is None:
-            raise ParseError(path, no, "content before r line")
+    for no, parts in records:
         if parts[0] == "subdiv":
             if pattern is not None:
                 raise ParseError(path, no, "subdiv line after map lines")
@@ -269,15 +252,23 @@ def parse_rep(
                 _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
             )
             continue
+        line = text.splitlines()[no - 1].strip()
         raise ParseError(path, no, f"unrecognized line {line!r}")
-    if ref is None:
-        raise ParseError(path, 1, "missing r line")
     if pattern is None:
         pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
     if sorted(sets) != list(range(len(sets))):
         missing = next(i for i in range(len(sets) + 1) if i not in sets)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
     return HRepresentation(pattern, sets), ref
+
+
+def _rep_records(text: str, path: str):
+    """The records of a .rep after its header, and the pattern file it names."""
+    records = _records(text, path, "r", "content before r line")
+    no, parts = next(records)
+    if len(parts) != 2:
+        raise ParseError(path, no, "expected 'r <pattern-file>'")
+    return records, parts[1]
 
 
 def _node_ref(node) -> str:
@@ -349,7 +340,7 @@ def load_instance(
         pattern = parse_hgr(_read(pattern_path), pattern_path)
     if rep_path is not None:
         text = _read(rep_path)
-        ref = _rep_pattern_ref(text, rep_path)
+        _, ref = _rep_records(text, rep_path)
         resolved = os.path.join(os.path.dirname(rep_path) or ".", ref)
         rep, _ = parse_rep(text, _read(resolved), rep_path, resolved)
         if pattern is not None and rep.pattern.base != pattern:
@@ -382,12 +373,3 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}")
-
-
-def _rep_pattern_ref(text: str, path: str) -> str:
-    for no, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "r" and len(parts) == 2:
-            return parts[1]
-        raise ParseError(path, no, "first content line must be 'r <pattern-file>'")
-    raise ParseError(path, 1, "missing r line")

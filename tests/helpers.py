@@ -10,14 +10,16 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from hgraphs.core import SimpleGraph, connected_components, induced_subgraph
-from hgraphs.errors import OracleLimitExceeded
+from hgraphs.core import Multigraph, SimpleGraph, connected_components, induced_subgraph
+from hgraphs.errors import OracleLimitExceeded, ParseError
+from hgraphs.formats import _count, _int, _lines, _parse_node_ref
 from hgraphs.fpt import (
     TreeDecomposition,
     _check_lists,
     make_nice,
     validate_decomposition,
 )
+from hgraphs.representation import HRepresentation, SubdividedPattern
 
 
 def all_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -483,3 +485,199 @@ def coloring_is_proper(g: SimpleGraph, lists, coloring: dict[int, int]) -> bool:
     if any(coloring[u] == coloring[v] for u, v in g.edges):
         return False
     return all(coloring[v] in lists[v] for v in range(g.n))
+
+
+# The headed parsers as they were before one reader took over their header
+# rules, kept verbatim (renamed) so a differential fuzz test can require
+# identical return values and identical ParseError lines and messages.
+def parse_gr_reference(text: str, path: str = "<gr>") -> SimpleGraph:
+    n = m = None
+    edges = set()
+    header_line = 0
+    for no, line in _lines(text):
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError(path, no, "duplicate p line")
+            if len(parts) != 4 or parts[1] != "tw":
+                raise ParseError(path, no, "expected 'p tw <n> <m>'")
+            n = _count(parts[2], path, no, "vertex count")
+            m = _count(parts[3], path, no, "edge count")
+            header_line = no
+            continue
+        if n is None:
+            raise ParseError(path, no, "edge line before p line")
+        if len(parts) != 2:
+            raise ParseError(path, no, "expected '<u> <v>'")
+        u = _int(parts[0], path, no, "endpoint")
+        v = _int(parts[1], path, no, "endpoint")
+        for x in (u, v):
+            if not (1 <= x <= n):
+                raise ParseError(path, no, f"vertex {x} outside 1..{n}")
+        if u == v:
+            raise ParseError(path, no, "loops are not allowed in .gr files")
+        key = (min(u, v) - 1, max(u, v) - 1)
+        if key in edges:
+            raise ParseError(path, no, f"duplicate edge {u} {v}")
+        edges.add(key)
+    if n is None:
+        raise ParseError(path, 1, "missing p line")
+    if len(edges) != m:
+        raise ParseError(
+            path, header_line, f"declared {m} edges but found {len(edges)}"
+        )
+    return SimpleGraph.from_edges(n, edges)
+
+
+def parse_hgr_reference(text: str, path: str = "<hgr>") -> Multigraph:
+    n = m = None
+    edges = []
+    header_line = 0
+    for no, line in _lines(text):
+        parts = line.split()
+        if parts[0] == "h":
+            if n is not None:
+                raise ParseError(path, no, "duplicate h line")
+            if len(parts) != 3:
+                raise ParseError(path, no, "expected 'h <n> <m>'")
+            n = _count(parts[1], path, no, "node count")
+            m = _count(parts[2], path, no, "edge count")
+            header_line = no
+            continue
+        if n is None:
+            raise ParseError(path, no, "edge line before h line")
+        if len(parts) != 2:
+            raise ParseError(path, no, "expected '<u> <v>'")
+        u = _int(parts[0], path, no, "endpoint")
+        v = _int(parts[1], path, no, "endpoint")
+        for x in (u, v):
+            if not (1 <= x <= n):
+                raise ParseError(path, no, f"node {x} outside 1..{n}")
+        edges.append((u - 1, v - 1))
+    if n is None:
+        raise ParseError(path, 1, "missing h line")
+    if len(edges) != m:
+        raise ParseError(
+            path, header_line, f"declared {m} edges but found {len(edges)}"
+        )
+    return Multigraph(n, tuple(edges))
+
+
+def parse_td_reference(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
+    """Parse a .td file; returns the decomposition and the declared graph size."""
+    header = None
+    bags: dict[int, frozenset[int]] = {}
+    tree_edges = []
+    header_line = 0
+    for no, line in _lines(text):
+        parts = line.split()
+        if parts[0] == "s":
+            if header is not None:
+                raise ParseError(path, no, "duplicate s line")
+            if len(parts) != 5 or parts[1] != "td":
+                raise ParseError(path, no, "expected 's td <bags> <width+1> <n>'")
+            header = tuple(_count(p, path, no, "header field") for p in parts[2:])
+            header_line = no
+            continue
+        if header is None:
+            raise ParseError(path, no, "content before s line")
+        if parts[0] == "b":
+            idx = _int(parts[1], path, no, "bag id")
+            if not (1 <= idx <= header[0]):
+                raise ParseError(path, no, f"bag id {idx} outside 1..{header[0]}")
+            if idx in bags:
+                raise ParseError(path, no, f"duplicate bag {idx}")
+            verts = [_int(p, path, no, "bag vertex") for p in parts[2:]]
+            for v in verts:
+                if not (1 <= v <= header[2]):
+                    raise ParseError(path, no, f"vertex {v} outside 1..{header[2]}")
+            bags[idx] = frozenset(v - 1 for v in verts)
+            continue
+        if len(parts) != 2:
+            raise ParseError(path, no, "expected tree edge '<i> <j>'")
+        i = _int(parts[0], path, no, "bag id")
+        j = _int(parts[1], path, no, "bag id")
+        for x in (i, j):
+            if not (1 <= x <= header[0]):
+                raise ParseError(path, no, f"bag id {x} outside 1..{header[0]}")
+        tree_edges.append((i - 1, j - 1))
+    if header is None:
+        raise ParseError(path, 1, "missing s line")
+    if len(bags) != header[0]:
+        raise ParseError(
+            path, header_line, f"declared {header[0]} bags but found {len(bags)}"
+        )
+    ordered = tuple(bags[i + 1] for i in range(header[0]))
+    d = TreeDecomposition(ordered, tuple(tree_edges))
+    if max((len(b) for b in ordered), default=0) != header[1]:
+        raise ParseError(path, header_line, "declared width+1 disagrees with bags")
+    return d, header[2]
+
+
+def parse_rep_reference(
+    text: str, pattern_text: str, path: str = "<rep>", pattern_path: str = "<hgr>"
+) -> tuple[HRepresentation, str]:
+    """Parse a .rep file given the text of the pattern file it references.
+
+    Returns the representation and the pattern reference recorded in the
+    header (the caller resolves that reference to load ``pattern_text``).
+    """
+    pattern_base = parse_hgr_reference(pattern_text, pattern_path)
+    ref = None
+    counts: list[int | None] = [None] * pattern_base.m  # None: no subdiv line
+    sets: dict[int, frozenset] = {}
+    pattern: SubdividedPattern | None = None
+    for no, line in _lines(text):
+        parts = line.split()
+        if parts[0] == "r":
+            if ref is not None:
+                raise ParseError(path, no, "duplicate r line")
+            if len(parts) != 2:
+                raise ParseError(path, no, "expected 'r <pattern-file>'")
+            ref = parts[1]
+            continue
+        if ref is None:
+            raise ParseError(path, no, "content before r line")
+        if parts[0] == "subdiv":
+            if pattern is not None:
+                raise ParseError(path, no, "subdiv line after map lines")
+            if len(parts) != 3:
+                raise ParseError(path, no, "expected 'subdiv <edge> <count>'")
+            e = _int(parts[1], path, no, "edge index")
+            t = _int(parts[2], path, no, "subdivision count")
+            if not (1 <= e <= pattern_base.m):
+                raise ParseError(
+                    path, no, f"edge index {e} outside 1..{pattern_base.m}"
+                )
+            if t < 0:
+                raise ParseError(path, no, "subdivision count must be >= 0")
+            a, b = pattern_base.edges[e - 1]
+            if a == b and t > 0:
+                raise ParseError(path, no, f"edge {e} is a loop and cannot be subdivided")
+            if counts[e - 1] is not None:
+                raise ParseError(path, no, f"duplicate subdiv line for edge {e}")
+            counts[e - 1] = t
+            continue
+        if parts[0] == "map":
+            if pattern is None:
+                pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
+            if len(parts) < 3:
+                raise ParseError(path, no, "expected 'map <v> <node>...'")
+            v = _int(parts[1], path, no, "vertex")
+            if v < 1:
+                raise ParseError(path, no, f"vertex {v} must be positive")
+            if v - 1 in sets:
+                raise ParseError(path, no, f"duplicate map line for vertex {v}")
+            sets[v - 1] = frozenset(
+                _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
+            )
+            continue
+        raise ParseError(path, no, f"unrecognized line {line!r}")
+    if ref is None:
+        raise ParseError(path, 1, "missing r line")
+    if pattern is None:
+        pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
+    if sorted(sets) != list(range(len(sets))):
+        missing = next(i for i in range(len(sets) + 1) if i not in sets)
+        raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
+    return HRepresentation(pattern, sets), ref

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from helpers import grid_graph, minfill_order_reference
+from helpers import (
+    grid_graph,
+    minfill_order_reference,
+    parse_gr_reference,
+    parse_hgr_reference,
+    parse_rep_reference,
+    parse_td_reference,
+)
 from hgraphs import formats
 from hgraphs.cli import main
 from hgraphs.core import Multigraph, complete_graph, cycle_graph, path_graph
@@ -12,9 +19,11 @@ from hgraphs.fpt import (
     check_decomposition,
     decomposition_from_order,
     exact_decomposition,
+    tree_decomposition,
 )
+from hgraphs.pattern import find_tripartition, path_pattern
 from hgraphs.randgen import random_cactus, random_representation, random_subdivision
-from hgraphs.representation import verify_representation
+from hgraphs.representation import generate_hard_instance, verify_representation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -120,6 +129,147 @@ def test_td_parser_validates_header():
     with pytest.raises(ParseError) as err:
         formats.parse_td("s td 1 5 3\nb 1 1 2\n", "bad.td")
     assert "width" in err.value.message
+
+
+@pytest.mark.parametrize(
+    "parse,tag,before,header,body",
+    [
+        (formats.parse_gr, "p", "edge line before p line", "p tw 2 1", "1 2"),
+        (formats.parse_hgr, "h", "edge line before h line", "h 2 1", "1 2"),
+        (formats.parse_td, "s", "content before s line", "s td 1 1 1", "b 1 1"),
+        (
+            lambda text, path: formats.parse_rep(text, "h 2 1\n1 2\n", path),
+            "r", "content before r line", "r edge.hgr", "map 1 b:1",
+        ),
+    ],
+    ids=["gr", "hgr", "td", "rep"],
+)
+def test_headed_formats_share_header_errors(parse, tag, before, header, body):
+    cases = [
+        ("c only a comment\n\nc and another\n", 1, f"missing {tag} line"),
+        (f"c note\n{body}\n{header}\n", 2, before),
+        (f"{header}\nc note\n{header}\n{body}\n", 3, f"duplicate {tag} line"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text, "f")
+        assert (err.value.line, err.value.message) == (line, message), text
+
+
+def test_rep_parser_keeps_unrecognized_line_spacing():
+    with pytest.raises(ParseError) as err:
+        formats.parse_rep("r edge.hgr\n  what  now \n", "h 2 1\n1 2\n", "f")
+    assert (err.value.line, err.value.message) == (2, "unrecognized line 'what  now'")
+
+
+def test_td_parser_rejects_bag_line_without_id():
+    with pytest.raises(ParseError) as err:
+        formats.parse_td("s td 1 0 1\nb\n", "f")
+    assert (err.value.line, err.value.message) == (2, "expected 'b <id> <vertices...>'")
+
+
+FUZZ_TOKENS = ("p", "h", "s", "r", "c", "0", "-1", "x", "b:0", "s:1.0")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """Drop, duplicate or swap lines; replace or insert a token; widen a gap."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        kind = rng.randrange(6)
+        tokens = lines[i].split()
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif kind == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 3 and tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif kind == 4:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] = lines[i].replace(" ", "  ", 1)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text: str):
+    try:
+        return "value", parse(text, "f")
+    except ParseError as exc:
+        return "error", (exc.line, exc.message)
+
+
+def _fuzz_corpus():
+    """(file, parse, reference parse or None, emit) for each fuzzed file: the
+    fixtures, each headed format's empty file, gen-hard targets and
+    representations, and td output."""
+    def rep_format(pattern_text):
+        return (
+            lambda text, path: formats.parse_rep(text, pattern_text, path),
+            lambda text, path: parse_rep_reference(text, pattern_text, path),
+            lambda parsed: formats.emit_rep(*parsed),
+        )
+
+    by_suffix = {
+        ".gr": (formats.parse_gr, parse_gr_reference, formats.emit_gr),
+        ".hgr": (formats.parse_hgr, parse_hgr_reference, formats.emit_hgr),
+        ".td": (formats.parse_td, parse_td_reference, lambda dn: formats.emit_td(*dn)),
+        ".lists": (formats.parse_lists, None, formats.emit_lists),
+    }
+    corpus = []
+    for name in sorted(os.listdir(FIXTURES)):
+        text = read(fixture(name))
+        if name.endswith(".rep"):
+            ref = text.split()[1]
+            corpus.append((text, *rep_format(read(fixture(ref)))))
+        else:
+            corpus.append((text, *by_suffix[os.path.splitext(name)[1]]))
+    corpus += [
+        ("p tw 0 0\n", *by_suffix[".gr"]),
+        ("h 0 0\n", *by_suffix[".hgr"]),
+        ("s td 0 0 0\n", *by_suffix[".td"]),
+        ("r edge.hgr\n", *rep_format(read(fixture("edge.hgr")))),
+    ]
+    graph = formats.parse_gr(read(fixture("k3.gr")))
+    for name in ("wheel4.hgr", "double_triangle.hgr"):
+        pattern_text = read(fixture(name))
+        pattern = formats.parse_hgr(pattern_text)
+        target, rep = generate_hard_instance(graph, pattern, find_tripartition(pattern))
+        d = tree_decomposition(target, target.n - 1, rng=random.Random(0)).decomposition
+        corpus.append((formats.emit_gr(target), *by_suffix[".gr"]))
+        corpus.append((formats.emit_rep(rep, name), *rep_format(pattern_text)))
+        corpus.append((formats.emit_td(d, target.n), *by_suffix[".td"]))
+    return corpus
+
+
+def test_headed_parsers_match_reference_on_mutated_files():
+    # every case: the parser agrees with its reference (value, or ParseError
+    # line and message), errors name a line of the file, and a parsed file's
+    # canonical emission parses back to itself
+    rng = random.Random(11)
+    corpus = _fuzz_corpus()
+    formats_seen = set()
+    cases = 0
+    for text, parse, reference, emit in corpus:
+        for _ in range(300):
+            mutated = _mutate(text, rng)
+            got = _outcome(parse, mutated)
+            if reference is not None:
+                assert got == _outcome(reference, mutated), mutated
+                formats_seen.add(text.split()[0])
+            if got[0] == "error":
+                assert 1 <= got[1][0] <= max(1, len(mutated.splitlines())), mutated
+            else:
+                canonical = emit(got[1])
+                assert emit(parse(canonical, "f")) == canonical, mutated
+            cases += 1
+    assert cases >= 5000 and formats_seen == {"p", "h", "s", "r"}
 
 
 # -- CLI -------------------------------------------------------------------
@@ -363,6 +513,77 @@ def test_cli_duplicate_subdiv_line_exit_code(tmp_path, capsys, first, second):
     assert main(["verify", "--graph", str(graph), "--rep", str(rep)]) == 2
     err = capsys.readouterr().err
     assert err == f"{rep}:3: duplicate subdiv line for edge 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("map 1 b:1\nr edge.hgr\n", 1, "content before r line"),
+        ("c a note\nr\n", 2, "expected 'r <pattern-file>'"),
+        ("c only a comment\n", 1, "missing r line"),
+    ],
+    ids=["before-header", "header-arity", "missing-header"],
+)
+def test_cli_rep_header_errors(tmp_path, capsys, text, line, message):
+    # the CLI reads a .rep's pattern reference with parse_rep's own header rules
+    rep = tmp_path / "bad.rep"
+    rep.write_text(text)
+    assert main(["verify", "--graph", fixture("p3.gr"), "--rep", str(rep)]) == 2
+    assert capsys.readouterr().err == f"{rep}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "graph_text,rep_text,report",
+    [
+        ("p tw 3 1\n1 2\n", None, "mismatch: (2,3) expected non-edge, got edge"),
+        (
+            None,
+            "r edge.hgr\nsubdiv 1 1\nmap 1 b:1 s:1.1\nmap 2 b:2 s:1.1\nmap 3 b:1 b:2\n",
+            "disconnected: vertex 3",
+        ),
+    ],
+    ids=["mismatch", "disconnected"],
+)
+def test_cli_clique_reports_failed_verification_as_verify(
+    tmp_path, capsys, graph_text, rep_text, report
+):
+    graph, rep = fixture("p3.gr"), fixture("p3.rep")
+    if graph_text is not None:
+        graph = str(tmp_path / "g.gr")
+        (tmp_path / "g.gr").write_text(graph_text)
+    if rep_text is not None:
+        rep = str(tmp_path / "r.rep")
+        (tmp_path / "r.rep").write_text(rep_text)
+        (tmp_path / "edge.hgr").write_text(read(fixture("edge.hgr")))
+    assert main(["verify", "--graph", graph, "--rep", rep]) == 1
+    assert capsys.readouterr().out == report + "\n"
+    assert main(["clique", "--graph", graph, "--rep", rep]) == 2
+    out, err = capsys.readouterr()
+    assert out == "strategy: cactus (representation on a cactus pattern given)\n"
+    assert err == f"error: representation failed verification\n{report}\n"
+
+
+def test_cli_gen_hard_tripartition_search_limit_exit_code(tmp_path, capsys):
+    pattern = tmp_path / "path16.hgr"
+    pattern.write_text(formats.emit_hgr(path_pattern(16)))
+    out_graph, out_rep = tmp_path / "t.gr", tmp_path / "t.rep"
+    argv = ["gen-hard", "--graph", fixture("k3.gr"), "--pattern", str(pattern),
+            "--out-graph", str(out_graph), "--out-rep", str(out_rep)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "limit exceeded: n=16 exceeds tripartition search limit 15\n"
+    )
+    assert not out_graph.exists() and not out_rep.exists()
+
+
+def test_cli_clique_brute_oracle_limit_exit_code(tmp_path, capsys):
+    graph = tmp_path / "p21.gr"
+    graph.write_text(formats.emit_gr(path_graph(21)))
+    argv = ["clique", "--graph", str(graph), "--mode", "brute"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "limit exceeded: n=21 exceeds oracle limit 20\n"
+    assert main(argv + ["--oracle-limit", "21"]) == 0
+    assert capsys.readouterr().out.endswith("clique: 1 2\nsize: 2\n")
 
 
 def test_cli_negative_vertex_count_exit_code(tmp_path, capsys):

@@ -66,3 +66,18 @@ def test_benchmark_harness_traces_list_color():
     assert any(ln.startswith("tracer self-check: ok") for ln in lines), done.stdout
     summary = json.loads(lines[-1])
     assert summary["correct"] is True, summary
+
+
+def test_benchmark_harness_traces_cactus_clique():
+    # a traced pass of cactus-clique: its branch-and-bound clique oracle and
+    # the tracer's pinned atom count catch a wrong peel or a wrong arc model
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "cactus-clique", "--seed", "1", "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert any(ln.startswith("tracer self-check: ok") for ln in lines), done.stdout
+    summary = json.loads(lines[-1])
+    assert summary["correct"] is True, summary
