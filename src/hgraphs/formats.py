@@ -70,24 +70,40 @@ def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
     m = _count(parts[3], path, header_line, "edge count")
     edges = set()
     for no, parts in records:
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected '<u> <v>'")
-        u = _int(parts[0], path, no, "endpoint")
-        v = _int(parts[1], path, no, "endpoint")
-        for x in (u, v):
-            if not (1 <= x <= n):
-                raise ParseError(path, no, f"vertex {x} outside 1..{n}")
-        if u == v:
-            raise ParseError(path, no, "loops are not allowed in .gr files")
-        key = (min(u, v) - 1, max(u, v) - 1)
-        if key in edges:
-            raise ParseError(path, no, f"duplicate edge {u} {v}")
-        edges.add(key)
+        try:
+            x, y = parts
+            a, b = int(x) - 1, int(y) - 1
+        except ValueError:
+            a = b = -1
+        if a > b:
+            a, b = b, a
+        # one comparison accepts a well-formed edge; _edge_key names a fault
+        if 0 <= a < b < n and (a, b) not in edges:
+            edges.add((a, b))
+        else:
+            edges.add(_edge_key(parts, n, edges, path, no))
     if len(edges) != m:
         raise ParseError(
             path, header_line, f"declared {m} edges but found {len(edges)}"
         )
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph(n, frozenset(edges))
+
+
+def _edge_key(parts: list[str], n: int, edges: set, path: str, no: int):
+    """The 0-based pair of a .gr edge line, checked in the documented order."""
+    if len(parts) != 2:
+        raise ParseError(path, no, "expected '<u> <v>'")
+    u = _int(parts[0], path, no, "endpoint")
+    v = _int(parts[1], path, no, "endpoint")
+    for x in (u, v):
+        if not (1 <= x <= n):
+            raise ParseError(path, no, f"vertex {x} outside 1..{n}")
+    if u == v:
+        raise ParseError(path, no, "loops are not allowed in .gr files")
+    key = (min(u, v) - 1, max(u, v) - 1)
+    if key in edges:
+        raise ParseError(path, no, f"duplicate edge {u} {v}")
+    return key
 
 
 def emit_gr(g: SimpleGraph) -> str:
@@ -241,6 +257,7 @@ def parse_rep(
         if parts[0] == "map":
             if pattern is None:
                 pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
+                known = {_node_ref(nd): nd for nd in pattern.nodes()}
             if len(parts) < 3:
                 raise ParseError(path, no, "expected 'map <v> <node>...'")
             v = _int(parts[1], path, no, "vertex")
@@ -248,9 +265,12 @@ def parse_rep(
                 raise ParseError(path, no, f"vertex {v} must be positive")
             if v - 1 in sets:
                 raise ParseError(path, no, f"duplicate map line for vertex {v}")
-            sets[v - 1] = frozenset(
-                _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
-            )
+            try:
+                sets[v - 1] = frozenset([known[tok] for tok in parts[2:]])
+            except KeyError:  # a bad or non-canonical id: the full checks
+                sets[v - 1] = frozenset(
+                    _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
+                )
             continue
         line = text.splitlines()[no - 1].strip()
         raise ParseError(path, no, f"unrecognized line {line!r}")
@@ -351,9 +371,11 @@ def load_instance(
         lists = parse_lists(_read(lists_path), lists_path)
     if rep is not None and graph is not None:
         if sorted(rep.sets) != list(range(graph.n)):
-            raise ParseError(
-                rep_path, 1, "representation does not map exactly the graph vertices"
-            )
+            # the first map line beyond the graph, else line 1
+            records, _ = _rep_records(text, rep_path)
+            beyond = (no for no, p in records if p[0] == "map" and int(p[1]) > graph.n)
+            msg = "representation does not map exactly the graph vertices"
+            raise ParseError(rep_path, next(beyond, 1), msg)
     if lists is not None and graph is not None:
         for v in lists:
             if v >= graph.n:

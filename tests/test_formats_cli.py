@@ -22,7 +22,12 @@ from hgraphs.fpt import (
     tree_decomposition,
 )
 from hgraphs.pattern import find_tripartition, path_pattern
-from hgraphs.randgen import random_cactus, random_representation, random_subdivision
+from hgraphs.randgen import (
+    gnm,
+    random_cactus,
+    random_representation,
+    random_subdivision,
+)
 from hgraphs.representation import generate_hard_instance, verify_representation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -270,6 +275,65 @@ def test_headed_parsers_match_reference_on_mutated_files():
                 assert emit(parse(canonical, "f")) == canonical, mutated
             cases += 1
     assert cases >= 5000 and formats_seen == {"p", "h", "s", "r"}
+
+
+# ids that int() reads but emission never writes, then ids out of range (the
+# gen-hard targets below have 40 vertices)
+FALLBACK_TOKENS = (
+    "b:01", "s:01.1", "s:1.01", "b:+1", "+1", "1_0", "０", "99", "41", "s:1.99", "b:0",
+)
+
+
+def _noncanonical(tok: str, rng: random.Random) -> str:
+    """tok with a '0' or '+' put before one of its numbers."""
+    starts = [
+        k for k, ch in enumerate(tok) if ch.isdigit() and (k == 0 or tok[k - 1] in ":.")
+    ]
+    if not starts:
+        return tok
+    k = rng.choice(starts)
+    return tok[:k] + rng.choice("0+") + tok[k:]
+
+
+def test_parsers_match_reference_on_noncanonical_and_out_of_range_ids():
+    # such ids miss the lookup fast paths of parse_gr and parse_rep; the full
+    # checks behind them must give the reference's value or (line, message)
+    # on gen-hard targets of benchmark size (40 vertices, about 730 edges)
+    rng = random.Random(12)
+    corpus = []
+    for name in ("wheel4.hgr", "double_triangle.hgr"):
+        pattern_text = read(fixture(name))
+        pattern = formats.parse_hgr(pattern_text)
+        graph = gnm(8, 16, rng)
+        target, rep = generate_hard_instance(graph, pattern, find_tripartition(pattern))
+        corpus.append((formats.emit_gr(target), formats.parse_gr, parse_gr_reference))
+        corpus.append((
+            formats.emit_rep(rep, name),
+            lambda text, path, pt=pattern_text: formats.parse_rep(text, pt, path),
+            lambda text, path, pt=pattern_text: parse_rep_reference(text, pt, path),
+        ))
+    seen = set()
+    for text, parse, reference in corpus:
+        lines = text.splitlines()
+        for _ in range(100):
+            mutated = list(lines)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(1, len(mutated))  # keep the header
+                tokens = mutated[i].split()
+                j = rng.randrange(len(tokens))
+                kind = rng.randrange(3)
+                if kind == 0:
+                    tokens[j] = rng.choice(FALLBACK_TOKENS)
+                elif kind == 1:
+                    tokens[j] = _noncanonical(tokens[j], rng)
+                else:  # a loop in a .gr edge line
+                    tokens[j] = tokens[-1 - j]
+                mutated[i] = " ".join(tokens)
+            mutated_text = "\n".join(mutated) + "\n"
+            got = _outcome(parse, mutated_text)
+            assert got == _outcome(reference, mutated_text), mutated_text
+            seen.add((text.split()[0], got[0]))
+    assert seen == {("p", "value"), ("p", "error"), ("r", "value"), ("r", "error")}
 
 
 # -- CLI -------------------------------------------------------------------
@@ -533,6 +597,22 @@ def test_cli_rep_header_errors(tmp_path, capsys, text, line, message):
 
 
 @pytest.mark.parametrize(
+    "graph_text,line",
+    [("p tw 1 0\n", 4), ("p tw 2 1\n1 2\n", 5), ("p tw 4 2\n1 2\n2 3\n", 1)],
+    ids=["rep-beyond-graph-by-two", "rep-beyond-graph-by-one", "graph-beyond-rep"],
+)
+def test_cli_rep_vertex_count_mismatch_names_its_line(tmp_path, capsys, graph_text, line):
+    # the first map line of a vertex the graph lacks, else the header line
+    graph = tmp_path / "g.gr"
+    graph.write_text(graph_text)
+    rep = fixture("p3.rep")
+    assert main(["verify", "--graph", str(graph), "--rep", rep]) == 2
+    assert capsys.readouterr().err == (
+        f"{rep}:{line}: representation does not map exactly the graph vertices\n"
+    )
+
+
+@pytest.mark.parametrize(
     "graph_text,rep_text,report",
     [
         ("p tw 3 1\n1 2\n", None, "mismatch: (2,3) expected non-edge, got edge"),
@@ -687,3 +767,51 @@ def test_cli_outputs_are_deterministic(tmp_path, capsys):
         return capsys.readouterr().out + read(out_graph) + read(out_rep)
 
     assert run() == run()
+
+
+# (argv, the pattern files its .rep names): argv names its inputs by fixture
+# name, copied afresh into a directory per case, and its outputs out.*
+CLI_FUZZ_RUNS = (
+    (["verify", "--graph", "p3.gr", "--rep", "p3.rep"], ("edge.hgr",)),
+    (["clique", "--graph", "c5.gr", "--rep", "c5.rep"], ("c5_cycle.hgr",)),
+    (["clique", "--graph", "p3.gr", "--rep", "p3.rep", "--mode", "helly"],
+     ("edge.hgr",)),
+    (["clique", "--graph", "k3.gr", "--mode", "treewidth"], ()),
+    (["--cap", "2", "helly", "--rep", "c5.rep"], ("c5_cycle.hgr",)),
+    (["color", "--graph", "path4.gr", "--lists", "path4.lists", "--k", "2"], ()),
+    (["atoms", "--graph", "c5.gr"], ()),
+    (["gen-hard", "--graph", "k3.gr", "--pattern", "wheel4.hgr",
+      "--out-graph", "out.gr", "--out-rep", "out.rep"], ()),
+)
+
+
+def test_cli_exit_codes_on_mutated_inputs(tmp_path, capsys):
+    # no exception escapes main; exit 2 names an input file and a line of it
+    # (line 0 only for a file that cannot be read) or is an 'error:' report
+    # such as a representation that fails verification
+    rng = random.Random(13)
+    codes = set()
+    for case in range(1600):
+        argv, referenced = CLI_FUZZ_RUNS[case % len(CLI_FUZZ_RUNS)]
+        inputs = [a for a in argv if "." in a and not a.startswith("out.")]
+        texts = {name: read(fixture(name)) for name in inputs + list(referenced)}
+        for name in rng.sample(sorted(texts), rng.randint(1, len(texts))):
+            texts[name] = _mutate(texts[name], rng)
+        case_dir = tmp_path / str(case)
+        case_dir.mkdir()
+        for name, text in texts.items():
+            (case_dir / name).write_text(text, encoding="utf-8")
+        code = main([str(case_dir / a) if "." in a else a for a in argv])
+        err = capsys.readouterr().err
+        codes.add(code)
+        assert code in (0, 1, 2, 3), (argv, texts)
+        if code != 2 or err.startswith("error: "):
+            continue
+        path, line, message = err.split(":", 2)
+        assert os.path.dirname(path) == str(case_dir), err
+        name, line = os.path.basename(path), int(line)
+        if line == 0:
+            assert message.startswith(" cannot read file: ") and name not in texts, err
+        else:
+            assert 1 <= line <= max(1, len(texts[name].splitlines())), (err, texts)
+    assert codes == {0, 1, 2, 3}

@@ -52,13 +52,10 @@ def test_benchmark_harness_runs():
     assert summary["correct"] is True, summary
 
 
-def test_benchmark_harness_traces_list_color():
-    # a traced pass of list-color: the tracer's self-check pins the nice-node
-    # count it reads off make_nice calls, which list_k_coloring must make by
-    # the public name, and the harness's oracles check every SAT/UNSAT answer
+def _check_traced_run(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "list-color", "--seed", "1", "--seconds", "0.01", "--trace", "1"],
+         workload, "--seed", "1", "--seconds", "0.01", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
@@ -66,18 +63,22 @@ def test_benchmark_harness_traces_list_color():
     assert any(ln.startswith("tracer self-check: ok") for ln in lines), done.stdout
     summary = json.loads(lines[-1])
     assert summary["correct"] is True, summary
+
+
+def test_benchmark_harness_traces_list_color():
+    # a traced pass of list-color: the tracer's self-check pins the nice-node
+    # count it reads off make_nice calls, which list_k_coloring must make by
+    # the public name, and the harness's oracles check every SAT/UNSAT answer
+    _check_traced_run("list-color")
 
 
 def test_benchmark_harness_traces_cactus_clique():
     # a traced pass of cactus-clique: its branch-and-bound clique oracle and
     # the tracer's pinned atom count catch a wrong peel or a wrong arc model
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "cactus-clique", "--seed", "1", "--seconds", "0.01", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    lines = done.stdout.splitlines()
-    assert any(ln.startswith("tracer self-check: ok") for ln in lines), done.stdout
-    summary = json.loads(lines[-1])
-    assert summary["correct"] is True, summary
+    _check_traced_run("cactus-clique")
+
+
+def test_benchmark_harness_traces_hard_clique():
+    # a traced pass of hard-clique: only the traced run checks that the Helly
+    # route stops at exactly bound + 1 maximal cliques
+    _check_traced_run("hard-clique")
