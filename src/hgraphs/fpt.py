@@ -156,10 +156,13 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
     case a uniformly random tied vertex is taken (still deterministic per seed).
 
     Adjacency is held as int bitsets and each vertex's fill is kept, grouped
-    by value.  Eliminating v only changes the neighbourhoods of v's
-    neighbours and the edges among them, so only the fill of vertices next
-    to v or to one of its neighbours is recomputed (Bodlaender & Koster
-    2010, "Treewidth computations I. Upper bounds").
+    by value.  Fills are computed once and then kept by deltas (Bodlaender &
+    Koster 2010, "Treewidth computations I. Upper bounds").  Eliminating v
+    first adds its fill edges one at a time: a new edge ab lowers the fill
+    of each common neighbour of a and b by one and raises a's by
+    |N(a) \\ N(b)| and b's by |N(b) \\ N(a)|, read before linking.  Then N(v)
+    is a clique, and dropping v lowers the fill of each w in N(v) by
+    |N(w) \\ N(v)|, with v already gone from N(w).
     """
     nbr = list(g.masks)
 
@@ -180,6 +183,7 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
     by_fill: dict[int, set[int]] = {}
     for v, f in enumerate(fill):
         by_fill.setdefault(f, set()).add(v)
+    delta = [0] * g.n  # fill changes of the current step, reset once applied
     order = []
     while by_fill:
         least = min(by_fill)
@@ -189,18 +193,35 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
         if not tied:
             del by_fill[least]
         order.append(v)
-        # only the fill of N(v) and of their neighbours can change
-        near = nv = _eliminate(nbr, v)
-        for u in _bits(nv):
-            near |= nbr[u]
-        for w in _bits(near):
-            f = fill_of(w)
-            if f != fill[w]:
-                by_fill[fill[w]].remove(w)
-                if not by_fill[fill[w]]:
-                    del by_fill[fill[w]]
+        nv = nbr[v]
+        touched = nv
+        if fill[v]:
+            # links pair by pair, not by _eliminate: each new edge moves fills
+            for a in _bits(nv):
+                for b in _bits(nv & ~nbr[a] & ~((2 << a) - 1)):  # b > a, unlinked
+                    na, nb = nbr[a], nbr[b]
+                    common = na & nb
+                    touched |= common
+                    for w in _bits(common):
+                        delta[w] -= 1
+                    delta[a] += (na & ~nb).bit_count()
+                    delta[b] += (nb & ~na).bit_count()
+                    nbr[a] = na | 1 << b
+                    nbr[b] = nb | 1 << a
+        nbr[v] = 0
+        for w in _bits(nv):
+            nbr[w] ^= 1 << v
+            delta[w] -= (nbr[w] & ~nv).bit_count()
+        for w in _bits(touched & ~(1 << v)):
+            if delta[w]:
+                f = fill[w]
+                by_fill[f].remove(w)
+                if not by_fill[f]:
+                    del by_fill[f]
+                f += delta[w]
                 by_fill.setdefault(f, set()).add(w)
                 fill[w] = f
+                delta[w] = 0
     return order
 
 

@@ -21,7 +21,7 @@ from hgraphs.fpt import (
     exact_decomposition,
     tree_decomposition,
 )
-from hgraphs.pattern import find_tripartition, path_pattern
+from hgraphs.pattern import find_tripartition, path_pattern, wheel
 from hgraphs.randgen import (
     gnm,
     random_cactus,
@@ -487,8 +487,14 @@ def test_cli_td_writes_valid_file(tmp_path, capsys):
 
 def test_cli_td_seed_draws_tied_vertices_as_before(tmp_path, capsys):
     # --seed draws among tied min-fill vertices; the files must match the
-    # set-based min-fill order drawing from the same seed
-    cases = {"grid": grid_graph(6, 6), "cycle": cycle_graph(15)}
+    # set-based min-fill order drawing from the same seed, also on a dense
+    # gen-hard target (30 vertices, 92% of pairs present)
+    pattern = wheel(4)
+    target, _ = generate_hard_instance(
+        gnm(6, 12, random.Random(5)), pattern, find_tripartition(pattern)
+    )
+    assert target.n == 30
+    cases = {"grid": grid_graph(6, 6), "cycle": cycle_graph(15), "hard": target}
     for name, g in cases.items():
         graph = tmp_path / f"{name}.gr"
         graph.write_text(formats.emit_gr(g))

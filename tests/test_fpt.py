@@ -167,6 +167,28 @@ def test_minfill_and_degeneracy_match_reference():
     assert count == 304
 
 
+def test_minfill_matches_reference_on_dense_and_long_inputs():
+    # fills kept by deltas stay exact where the graphs above do not reach:
+    # gen-hard targets (25-40 vertices, about 92% of pairs, many ties) and
+    # sparse graphs of up to 150 vertices, where fill edges pile up over
+    # many steps; each with and without an rng drawing among tied vertices
+    rng = random.Random(45)
+    graphs = []
+    for pattern in (wheel(4), double_triangle()):
+        part = find_tripartition(pattern)
+        for n in (5, 6, 7, 8):
+            graphs.append(generate_hard_instance(gnm(n, 2 * n, rng), pattern, part)[0])
+    for n, p in ((60, 0.15), (100, 0.06), (150, 0.05)):
+        graphs.append(gnp(n, p, rng))
+    for g in graphs:
+        assert minfill_order(g) == minfill_order_reference(g)
+        for s in range(3):
+            assert minfill_order(g, random.Random(s)) == minfill_order_reference(
+                g, random.Random(s)
+            )
+    assert [g.n for g in graphs[:4]] == [25, 30, 35, 40]
+
+
 def test_elimination_matches_reference():
     # the set-based elimination game and the subset DP with inline bit loops
     # give the same bags and tree edges, so the same widths; g.masks holds
