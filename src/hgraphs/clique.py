@@ -98,40 +98,49 @@ class HellyCliqueResult:
 def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
     """Enumerate maximal cliques, stopping once more than cap are seen.
 
-    Pivoted branch and bound; the pivot takes the candidate with the most
-    remaining candidates as neighbors, ties toward the smaller index, so the
-    emission order is deterministic.
+    Pivoted Bron-Kerbosch (Tomita, Tanaka & Takahashi 2006) on the int
+    bitsets of ``g.masks``.  Each frame holds four bitsets: the clique, the
+    candidates, the used vertices and the branch vertices left.  The pivot is
+    the vertex of candidates | used with the most neighbours among the
+    candidates, the smallest on ties; the branches are the candidates outside
+    the pivot's neighbourhood, taken lowest bit first, so the emission order
+    is deterministic.  Frames live on an explicit stack, so a clique of any
+    size cannot exhaust the recursion limit.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if g.n == 0:
         return CliqueEnumeration(True, (), cap)
-    # sets, not g.masks: masks were no faster on chordal graphs of 100-250 vertices
-    adj = g.adjacency
+    masks = g.masks
     found: list[tuple[int, ...]] = []
 
-    def frame(clique: set[int], cands: set[int], used: set[int]):
-        pivot = max(cands | used, key=lambda u: (len(cands & adj[u]), -u))
-        return clique, cands, used, iter(sorted(cands - adj[pivot]))
+    def frame(clique: int, cands: int, used: int) -> list[int]:
+        most = -1
+        for u in _bits(cands | used):
+            count = (cands & masks[u]).bit_count()
+            if count > most:
+                most, pivot = count, u
+        return [clique, cands, used, cands & ~masks[pivot]]
 
-    # An explicit stack of frames (clique, candidates, used, branch vertices
-    # left), so a clique of any size cannot exhaust the recursion limit.
     # A branch's own sets are cut out before v moves from the candidates to
     # the used set, so moving it first changes nothing the branch sees.
-    stack = [frame(set(), set(range(g.n)), set())]
+    stack = [frame(0, (1 << g.n) - 1, 0)]
     while stack:
-        clique, cands, used, branches = stack[-1]
-        v = next(branches, None)
-        if v is None:
+        top = stack[-1]
+        clique, cands, used, branches = top
+        if not branches:
             stack.pop()
             continue
-        grown, sub_cands, sub_used = clique | {v}, cands & adj[v], used & adj[v]
-        cands.discard(v)
-        used.add(v)
+        low = branches & -branches
+        top[1], top[2], top[3] = cands ^ low, used | low, branches ^ low
+        nbr = masks[low.bit_length() - 1]
+        grown, sub_cands, sub_used = clique | low, cands & nbr, used & nbr
         if sub_cands or sub_used:
             stack.append(frame(grown, sub_cands, sub_used))
             continue
-        found.append(tuple(sorted(grown)))
+        # built from a list: tuple(generator) grows by resizing, and the
+        # freed tuples pile up in CPython's tuple free lists
+        found.append(tuple([*_bits(grown)]))
         if len(found) > cap:
             return CliqueEnumeration(False, tuple(found), cap)
     return CliqueEnumeration(True, tuple(sorted(found)), cap)
@@ -146,7 +155,9 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
     representation on h exists.  No representation is required as input.
     """
     bound = h.n + h.m * g.n
-    enum = maximal_cliques_capped(g, bound)
+    if bound == 0 and g.n:  # each vertex lies in a maximal clique
+        return HellyCliqueResult(None, 1, bound)
+    enum = maximal_cliques_capped(g, max(bound, 1))
     if not enum.complete:
         return HellyCliqueResult(None, len(enum.cliques), bound)
     best: tuple[int, ...] = ()

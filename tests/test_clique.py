@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,9 @@ from helpers import (
     atoms_bruteforce,
     carc_reference,
     has_clique_cutset,
+    maximal_cliques_capped_reference,
     maximal_cliques_reference,
+    random_chordal,
 )
 import hgraphs.clique as clique_module
 from hgraphs.clique import (
@@ -36,15 +39,24 @@ from hgraphs.core import (
     path_graph,
 )
 from hgraphs.errors import InvalidRepresentation, NotCactus
-from hgraphs.pattern import complete_pattern, cycle_pattern, double_triangle, path_pattern
+from hgraphs.pattern import (
+    complete_pattern,
+    cycle_pattern,
+    double_triangle,
+    find_tripartition,
+    path_pattern,
+    wheel,
+)
 from hgraphs.representation import (
     HRepresentation,
     SubdividedPattern,
     branch,
+    generate_hard_instance,
     sub,
     verify_representation,
 )
 from hgraphs.randgen import (
+    gnm,
     gnp,
     random_arc_model,
     random_cactus,
@@ -96,6 +108,46 @@ def test_enumeration_of_a_large_clique_does_not_recurse():
 def test_enumeration_cap_validation():
     with pytest.raises(ValueError):
         maximal_cliques_capped(path_graph(2), 0)
+
+
+def _hard_targets(rng, sizes, patterns):
+    """gen-hard targets co-S2(G), G = gnm(n, 2n), with their Helly bounds."""
+    for n in sizes:
+        g = gnm(n, 2 * n, rng)
+        for h in patterns:
+            target, _ = generate_hard_instance(g, h, find_tripartition(h))
+            yield target, h.n + h.m * target.n
+
+
+def test_enumeration_emits_as_the_set_based_reference():
+    rng = random.Random(22)
+    cases = list(_hard_targets(rng, [5, 6, 7, 8] * 2, (wheel(4), double_triangle())))
+    for _ in range(200):
+        g = gnp(rng.randint(1, 30), rng.random(), rng)
+        cases += [(g, cap) for cap in (1, 2, 7, 50, 10**6)]
+    cases += [(random_chordal(rng.randint(100, 250), rng), 10**6) for _ in range(4)]
+    cases.append((path_graph(900), 10**6))
+    for g, cap in cases:
+        enum = maximal_cliques_capped(g, cap)
+        expected = maximal_cliques_capped_reference(g, cap)
+        assert (enum.complete, enum.cliques) == (expected.complete, expected.cliques)
+
+
+def test_helly_overflow_does_not_grow_traced_memory():
+    h = wheel(4)
+    targets = [t for t, _ in _hard_targets(random.Random(23), (6, 7, 8), (h,))]
+    assert [t.n for t in targets] == [30, 35, 40]
+    tracemalloc.start()
+    try:
+        for i in range(20):
+            clique_helly(targets[i % 3], h)
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(300):
+            clique_helly(targets[i % 3], h)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, grown
 
 
 def test_clique_helly_c6_triangle_pattern():

@@ -445,6 +445,18 @@ def test_cli_clique_helly_certificate_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", ["auto", "helly"])
+def test_cli_clique_helly_on_a_pattern_without_nodes(tmp_path, capsys, mode):
+    (tmp_path / "empty.hgr").write_text("h 0 0\n")
+    (tmp_path / "k3.gr").write_text(formats.emit_gr(complete_graph(3)))
+    (tmp_path / "none.gr").write_text("p tw 0 0\n")
+    argv = ["clique", "--pattern", str(tmp_path / "empty.hgr"), "--mode", mode]
+    assert main(argv + ["--graph", str(tmp_path / "k3.gr")]) == 3
+    assert "not helly: more than 0 maximal cliques" in capsys.readouterr().out
+    assert main(argv + ["--graph", str(tmp_path / "none.gr")]) == 0
+    assert "size: 0" in capsys.readouterr().out
+
+
 def test_cli_color_unsat_exit_code(capsys):
     code = main(
         [
