@@ -32,7 +32,7 @@ from .formats import (
     load_instance,
 )
 from .pattern import find_tripartition, is_cactus
-from .representation import generate_hard_instance, helly_check, verify_representation
+from .representation import generate_hard_instance, verify_representation
 from .core import complement as complement_graph
 from .core import two_subdivision
 
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
 
 def cmd_helly(args) -> int:
     instance = load_instance(rep_path=args.rep)
-    report = helly_check(instance.representation, args.cap)
+    report = cliquemod.helly_check(instance.representation, args.cap)
     if report.kind == "helly":
         print("helly")
         return EXIT_OK

@@ -1,6 +1,6 @@
-"""Clique algorithms: capped enumeration, the Helly bound route,
-clique-cutset decomposition, cactus-atom arc models, and circular-arc
-maximum clique.
+"""Clique algorithms: capped enumeration, the Helly bound route, the Helly
+property check of a representation, clique-cutset decomposition,
+cactus-atom arc models, and circular-arc maximum clique.
 
 Every clique returned by a public operation is re-checked for pairwise
 adjacency before it leaves this module.
@@ -23,7 +23,12 @@ from .core import (
 )
 from .errors import InvalidRepresentation, NotAnAtom, NotCactus
 from .pattern import is_cactus
-from .representation import HRepresentation, Node, verify_representation
+from .representation import (
+    HRepresentation,
+    Node,
+    intersection_graph,
+    verify_representation,
+)
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,19 @@ class ArcModel:
         if self.kind == "path":
             raise ValueError("path arcs cannot wrap")
         return frozenset(range(s, self.length)) | frozenset(range(0, t + 1))
+
+
+@dataclass(frozen=True)
+class HellyReport:
+    """Outcome of the Helly property check."""
+
+    kind: str  # "helly" | "violation" | "exceeded"
+    witness: tuple[int, ...] = ()
+    cap: int | None = None
+
+    @property
+    def is_helly(self) -> bool:
+        return self.kind == "helly"
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,28 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
             best = c
     _check_clique(g, best)
     return HellyCliqueResult(best, len(enum.cliques), bound)
+
+
+def helly_check(r: HRepresentation, cap: int) -> HellyReport:
+    """Decide the Helly property of a representation.
+
+    Every pairwise-intersecting subfamily is a clique of the intersection
+    graph, hence contained in a maximal clique; if each maximal clique has a
+    common node, each of its subfamilies inherits it.  So scanning maximal
+    cliques suffices.  Enumeration emitting more than ``cap`` cliques yields
+    an exceeded report.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    g = intersection_graph(r)
+    enum = maximal_cliques_capped(g, cap)
+    if not enum.complete:
+        return HellyReport("exceeded", cap=cap)
+    for clique in enum.cliques:
+        common = frozenset.intersection(*(r.sets[v] for v in clique))
+        if not common:
+            return HellyReport("violation", witness=clique)
+    return HellyReport("helly")
 
 
 def _mcs_m(g: SimpleGraph):

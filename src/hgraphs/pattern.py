@@ -129,7 +129,8 @@ def _connecting_edges(h: Multigraph, parts) -> tuple | None:
         buckets[(min(iu, iv), max(iu, iv))].append(k)
     if any(len(buckets[pk]) < 2 for pk in PAIR_KEYS):
         return None
-    return tuple(tuple(buckets[pk]) for pk in PAIR_KEYS)
+    # from a list, as in clique.maximal_cliques_capped: no tuple(generator)
+    return tuple([tuple(buckets[pk]) for pk in PAIR_KEYS])
 
 
 def validate_tripartition(h: Multigraph, part: TriPartition) -> None:
@@ -185,16 +186,14 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
         if len(comp) < 3:
             continue
         for labeling in _canonical_labelings(len(comp)):
-            parts: tuple = (
-                tuple(v for v, lab in zip(comp, labeling) if lab == 0),
-                tuple(v for v, lab in zip(comp, labeling) if lab == 1),
-                tuple(v for v, lab in zip(comp, labeling) if lab == 2),
-            )
+            parts: tuple[list[int], ...] = ([], [], [])
+            for v, lab in zip(comp, labeling):
+                parts[lab].append(v)
             if not all(_connected(h.adjacency, p) for p in parts):
                 continue
             connecting = _connecting_edges(h, parts)
             if connecting is not None:
-                return TriPartition(parts, connecting)
+                return TriPartition(tuple([tuple(p) for p in parts]), connecting)
     return None
 
 

@@ -26,6 +26,7 @@ from .fpt import (
     minfill_order,
 )
 from .pattern import (
+    PAIR_KEYS,
     PatternProfile,
     TriPartition,
     validate_tripartition,
@@ -136,19 +137,6 @@ class Verdict:
         return Verdict("mismatch", mismatches=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class HellyReport:
-    """Outcome of the Helly property check."""
-
-    kind: str  # "helly" | "violation" | "exceeded"
-    witness: tuple[int, ...] = ()
-    cap: int | None = None
-
-    @property
-    def is_helly(self) -> bool:
-        return self.kind == "helly"
-
-
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     """Check that r is exactly a representation of g.
 
@@ -178,40 +166,25 @@ def intersection_graph(r: HRepresentation) -> SimpleGraph:
     return SimpleGraph.from_edges(len(verts), _meeting_pairs(r.sets))
 
 
-def helly_check(r: HRepresentation, cap: int) -> HellyReport:
-    """Decide the Helly property of a representation.
-
-    Every pairwise-intersecting subfamily is a clique of the intersection
-    graph, hence contained in a maximal clique; if each maximal clique has a
-    common node, each of its subfamilies inherits it.  So scanning maximal
-    cliques suffices.  Enumeration emitting more than ``cap`` cliques yields
-    an exceeded report.
-    """
-    from .clique import maximal_cliques_capped  # local import: module cycle
-
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    g = intersection_graph(r)
-    enum = maximal_cliques_capped(g, cap)
-    if not enum.complete:
-        return HellyReport("exceeded", cap=cap)
-    for clique in enum.cliques:
-        common = frozenset.intersection(*(r.sets[v] for v in clique))
-        if not common:
-            return HellyReport("violation", witness=clique)
-    return HellyReport("helly")
-
-
 def generate_hard_instance(
     g: SimpleGraph, h: Multigraph, part: TriPartition
 ) -> tuple[SimpleGraph, HRepresentation]:
     """Represent the complement of g's 2-subdivision on a subdivision of h.
 
-    Two connecting edges of each part pair carry the construction: the four
-    paths between part 1 and parts 2 and 3 get one internal node per vertex
-    of g, the two between parts 2 and 3 one per edge of g.  Prefix/suffix
-    lengths are paired off so that exactly the subdivided-path adjacencies of
-    g survive as non-edges of the target.
+    For each part pair (i, j), the first two connecting edges become paths
+    a and b of s internal nodes, each read from its end in part i; s is n
+    for the pairs (0, 1) and (0, 2), and |E(g)| for (1, 2).  A pair is cut
+    at t in 1..s into head(t) = a[:t] + b[:s-t] and tail(t) = a[t:] +
+    b[s-t:].  A head and a tail of one pair miss each other exactly when
+    both are cut at the same t; two heads always meet, and so do two tails.
+    Each set takes its part's branch nodes and two cuts:
+
+    - vertex i of g: head01(i+1) and head02(i+1);
+    - sub1 of edge j = (u, v): tail01(u+1) and head12(j+1);
+    - sub2 of edge j: tail02(v+1) and tail12(j+1).
+
+    Two sets then miss each other exactly along the edges u-sub1, sub1-sub2
+    and sub2-v of the 2-subdivision, whose complement is the target.
     """
     validate_tripartition(h, part)
     labeled = two_subdivision(g)
@@ -219,68 +192,26 @@ def generate_hard_instance(
     n, m = g.n, len(labeled.edge_order)
 
     counts = [0] * h.m
-    chosen = {}
-    for pair, size in (((0, 1), n), ((0, 2), n), ((1, 2), m)):
-        first, second = part.edges_between(*pair)[:2]
-        counts[first] = size
-        counts[second] = size
-        chosen[pair] = (first, second)
+    for edges, s in zip(part.connecting, (n, n, m)):
+        counts[edges[0]] = counts[edges[1]] = s
     pattern = SubdividedPattern(h, tuple(counts))
 
-    in_part = {}
-    for i, p in enumerate(part.parts):
-        for node in p:
-            in_part[node] = i
-
-    def oriented(k: int, from_part: int) -> list[Node]:
-        u, v = h.edges[k]
-        start = u if in_part[u] == from_part else v
-        return pattern.path_from(k, start)
-
-    # Paths leave part 1 toward parts 2 and 3, and part 2 toward part 3.
-    path_12_a = oriented(chosen[(0, 1)][0], 0)
-    path_12_b = oriented(chosen[(0, 1)][1], 0)
-    path_13_a = oriented(chosen[(0, 2)][0], 0)
-    path_13_b = oriented(chosen[(0, 2)][1], 0)
-    path_23_a = oriented(chosen[(1, 2)][0], 1)
-    path_23_b = oriented(chosen[(1, 2)][1], 1)
-
-    branch_sets = [
-        frozenset(branch(x) for x in p) for p in part.parts
-    ]
-
-    sets: dict[int, frozenset[Node]] = {}
-    # Vertex i of g (1-based position q = i+1) takes prefixes of length q of
-    # one path per pair and complementary length n-q of the other, so two
-    # original vertices always share part-1 branch nodes, while the sets for
-    # edge subdivision vertices (built from the opposite ends) miss vertex q
-    # exactly when q is the matching endpoint of their edge.
-    for i in range(n):
-        q = i + 1
-        sets[i] = branch_sets[0].union(
-            path_12_a[:q],
-            path_12_b[: n - q],
-            path_13_a[:q],
-            path_13_b[: n - q],
+    def cuts(pair: int):
+        i = PAIR_KEYS[pair][0]
+        a, b = (
+            pattern.path_from(k, next(x for x in h.edges[k] if x in part.parts[i]))
+            for k in part.connecting[pair][:2]
         )
-    for j in range(m):
-        ell = labeled.left(j) + 1
-        p = j + 1
-        sets[labeled.sub1(j)] = branch_sets[1].union(
-            path_12_a[ell:],
-            path_12_b[n - ell :],
-            path_23_a[:p],
-            path_23_b[: m - p],
-        )
-    for j in range(m):
-        rr = labeled.right(j) + 1
-        p = j + 1
-        sets[labeled.sub2(j)] = branch_sets[2].union(
-            path_13_a[rr:],
-            path_13_b[n - rr :],
-            path_23_a[p:],
-            path_23_b[m - p :],
-        )
+        s = len(a)
+        return (lambda t: a[:t] + b[: s - t]), (lambda t: a[t:] + b[s - t :])
+
+    (head01, tail01), (head02, tail02), (head12, tail12) = map(cuts, range(3))
+
+    top, mid, low = (frozenset(branch(x) for x in p) for p in part.parts)
+    sets = {i: top.union(head01(i + 1), head02(i + 1)) for i in range(n)}
+    for j, (u, v) in enumerate(labeled.edge_order):
+        sets[labeled.sub1(j)] = mid.union(tail01(u + 1), head12(j + 1))
+        sets[labeled.sub2(j)] = low.union(tail02(v + 1), tail12(j + 1))
     return target, HRepresentation(pattern, sets)
 
 

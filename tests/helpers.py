@@ -11,7 +11,14 @@ import random
 from itertools import combinations
 
 from hgraphs.clique import CliqueEnumeration
-from hgraphs.core import Multigraph, SimpleGraph, connected_components, induced_subgraph
+from hgraphs.core import (
+    Multigraph,
+    SimpleGraph,
+    complement,
+    connected_components,
+    induced_subgraph,
+    two_subdivision,
+)
 from hgraphs.errors import OracleLimitExceeded, ParseError
 from hgraphs.formats import _count, _int, _lines, _parse_node_ref
 from hgraphs.fpt import (
@@ -20,7 +27,8 @@ from hgraphs.fpt import (
     make_nice,
     validate_decomposition,
 )
-from hgraphs.representation import HRepresentation, SubdividedPattern
+from hgraphs.pattern import TriPartition, validate_tripartition
+from hgraphs.representation import HRepresentation, Node, SubdividedPattern, branch
 
 
 def all_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -727,3 +735,88 @@ def parse_rep_reference(
         missing = next(i for i in range(len(sets) + 1) if i not in sets)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
     return HRepresentation(pattern, sets), ref
+
+
+# The six-path construction that the head/tail rule of generate_hard_instance
+# replaced, kept verbatim (renamed) so tests can require identical targets,
+# representations and emitted files from both.
+def generate_hard_instance_reference(
+    g: SimpleGraph, h: Multigraph, part: TriPartition
+) -> tuple[SimpleGraph, HRepresentation]:
+    """Represent the complement of g's 2-subdivision on a subdivision of h.
+
+    Two connecting edges of each part pair carry the construction: the four
+    paths between part 1 and parts 2 and 3 get one internal node per vertex
+    of g, the two between parts 2 and 3 one per edge of g.  Prefix/suffix
+    lengths are paired off so that exactly the subdivided-path adjacencies of
+    g survive as non-edges of the target.
+    """
+    validate_tripartition(h, part)
+    labeled = two_subdivision(g)
+    target = complement(labeled.result)
+    n, m = g.n, len(labeled.edge_order)
+
+    counts = [0] * h.m
+    chosen = {}
+    for pair, size in (((0, 1), n), ((0, 2), n), ((1, 2), m)):
+        first, second = part.edges_between(*pair)[:2]
+        counts[first] = size
+        counts[second] = size
+        chosen[pair] = (first, second)
+    pattern = SubdividedPattern(h, tuple(counts))
+
+    in_part = {}
+    for i, p in enumerate(part.parts):
+        for node in p:
+            in_part[node] = i
+
+    def oriented(k: int, from_part: int) -> list[Node]:
+        u, v = h.edges[k]
+        start = u if in_part[u] == from_part else v
+        return pattern.path_from(k, start)
+
+    # Paths leave part 1 toward parts 2 and 3, and part 2 toward part 3.
+    path_12_a = oriented(chosen[(0, 1)][0], 0)
+    path_12_b = oriented(chosen[(0, 1)][1], 0)
+    path_13_a = oriented(chosen[(0, 2)][0], 0)
+    path_13_b = oriented(chosen[(0, 2)][1], 0)
+    path_23_a = oriented(chosen[(1, 2)][0], 1)
+    path_23_b = oriented(chosen[(1, 2)][1], 1)
+
+    branch_sets = [
+        frozenset(branch(x) for x in p) for p in part.parts
+    ]
+
+    sets: dict[int, frozenset[Node]] = {}
+    # Vertex i of g (1-based position q = i+1) takes prefixes of length q of
+    # one path per pair and complementary length n-q of the other, so two
+    # original vertices always share part-1 branch nodes, while the sets for
+    # edge subdivision vertices (built from the opposite ends) miss vertex q
+    # exactly when q is the matching endpoint of their edge.
+    for i in range(n):
+        q = i + 1
+        sets[i] = branch_sets[0].union(
+            path_12_a[:q],
+            path_12_b[: n - q],
+            path_13_a[:q],
+            path_13_b[: n - q],
+        )
+    for j in range(m):
+        ell = labeled.left(j) + 1
+        p = j + 1
+        sets[labeled.sub1(j)] = branch_sets[1].union(
+            path_12_a[ell:],
+            path_12_b[n - ell :],
+            path_23_a[:p],
+            path_23_b[: m - p],
+        )
+    for j in range(m):
+        rr = labeled.right(j) + 1
+        p = j + 1
+        sets[labeled.sub2(j)] = branch_sets[2].union(
+            path_13_a[rr:],
+            path_13_b[n - rr :],
+            path_23_a[p:],
+            path_23_b[m - p :],
+        )
+    return target, HRepresentation(pattern, sets)

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from helpers import generate_hard_instance_reference
+
+from hgraphs.clique import helly_check
 from hgraphs.core import (
     Multigraph,
     SimpleGraph,
@@ -13,6 +16,7 @@ from hgraphs.core import (
     two_subdivision,
 )
 from hgraphs.errors import DomainMismatch, InvalidPartition
+from hgraphs.formats import emit_gr, emit_rep
 from hgraphs.fpt import (
     check_decomposition,
     decomposition_from_order,
@@ -33,7 +37,6 @@ from hgraphs.representation import (
     _pattern_order,
     branch,
     generate_hard_instance,
-    helly_check,
     intersection_graph,
     sub,
     td_from_representation,
@@ -41,6 +44,7 @@ from hgraphs.representation import (
 )
 from hgraphs.randgen import (
     gnm,
+    gnp,
     random_cactus,
     random_representation,
     random_subdivision,
@@ -250,6 +254,38 @@ def test_hard_instance_random_sweep():
         for h, part in zip(patterns, parts):
             target, rep = generate_hard_instance(g, h, part)
             assert verify_representation(target, rep).is_ok
+
+
+def test_hard_instance_matches_six_path_reference():
+    """Equal targets, representations and emitted files on the gen-hard
+    shape, on wheel(5) and K5, and on random multigraph patterns."""
+    rng = random.Random(15)
+    cases = []
+    for h in (wheel(4), double_triangle()):
+        for n in range(5, 9):
+            cases.append((gnm(n, 2 * n, rng), h))
+    for h in (wheel(5), complete_pattern(5)):
+        for n in range(10):
+            cases.append((gnp(n, rng.random(), rng), h))
+    patterns = []
+    while len(patterns) < 60:
+        k = rng.randint(3, 7)
+        h = Multigraph(k, tuple(
+            (rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(5, 14))
+        ))
+        if find_tripartition(h) is not None:
+            patterns.append(h)
+    for i, h in enumerate(patterns):
+        n = i % 10
+        cases.append((gnp(n, 0.0 if i % 4 == 0 else rng.random(), rng), h))
+    assert sum(g.m == 0 for g, _ in cases) >= 10
+    for g, h in cases:
+        part = find_tripartition(h)
+        target, rep = generate_hard_instance(g, h, part)
+        ref_target, ref_rep = generate_hard_instance_reference(g, h, part)
+        assert (target, rep) == (ref_target, ref_rep), (g, h)
+        assert emit_gr(target) == emit_gr(ref_target)
+        assert emit_rep(rep, "h.hgr") == emit_rep(ref_rep, "h.hgr")
 
 
 def test_td_from_interval_representation():
