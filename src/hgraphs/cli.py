@@ -8,6 +8,7 @@ search limit was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -264,7 +265,7 @@ def _int_at_least(low: int):
 
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a subcommand-level absence from clobbering a value given
-    # before the subcommand; unset flags get GLOBAL_DEFAULTS after parsing
+    # before the subcommand; unset flags get GLOBAL_DEFAULTS from the top level
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="seed for heuristic tie-breaks")
     p.add_argument("--cap", type=_int_at_least(1), default=argparse.SUPPRESS,
@@ -283,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "of subdivided patterns.",
     )
     _add_global_flags(parser)
+    parser.set_defaults(**GLOBAL_DEFAULTS)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("clique", help="maximum clique with strategy auto-selection")
@@ -294,13 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "cactus", "helly", "treewidth", "brute"],
         default="auto",
     )
-    p.set_defaults(func=cmd_clique)
 
     p = subs.add_parser("color", help="list coloring via tree-decomposition DP")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", help="color lists file; unlisted vertices get 1..k")
     p.add_argument("--k", type=_int_at_least(1), required=True)
-    p.set_defaults(func=cmd_color)
 
     p = subs.add_parser(
         "gen-hard",
@@ -310,60 +310,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-rep", required=True)
-    p.set_defaults(func=cmd_gen_hard)
 
     p = subs.add_parser("verify", help="verify a representation against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--rep", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("helly", help="check the Helly property of a representation")
     p.add_argument("--rep", required=True)
-    p.set_defaults(func=cmd_helly)
 
     p = subs.add_parser("atoms", help="clique-cutset decomposition into atoms")
     p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_atoms)
 
     p = subs.add_parser("td", help="width-targeted tree decomposition")
     p.add_argument("--graph", required=True)
     p.add_argument("--target", type=_int_at_least(0))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_td)
 
     p = subs.add_parser("subdivide", help="2-subdivision of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_subdivide)
 
     p = subs.add_parser("complement", help="complement of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_complement)
 
     for sub_parser in subs.choices.values():
         _add_global_flags(sub_parser)
     return parser
 
 
-# build_parser -> its parser; one entry at most, see main
-_PARSER: dict = {}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    # The parser is built once per process.  Its subcommands hold the cmd_*
-    # functions bound when it was built, so it is rebuilt whenever
-    # build_parser itself is rebound (perfbench/tracer.py wraps both).
-    parser = _PARSER.get(build_parser)
-    if parser is None:
-        _PARSER.clear()
-        parser = _PARSER[build_parser] = build_parser()
-    args = parser.parse_args(argv)
-    for key, value in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* function is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"{exc.path}:{exc.line}: {exc.message}", file=sys.stderr)
         return EXIT_INPUT

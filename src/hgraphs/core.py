@@ -183,15 +183,21 @@ def max_clique_bruteforce(g: SimpleGraph, limit: int = 20) -> tuple[int, ...]:
         raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     adj = g.adjacency
     best: tuple[int, ...] = ()
-
-    def extend(clique: tuple[int, ...], candidates: list[int]) -> None:
-        nonlocal best
-        if len(clique) > len(best):
-            best = clique
-        for i, v in enumerate(candidates):
-            extend(clique + (v,), [w for w in candidates[i + 1 :] if w in adj[v]])
-
-    extend((), list(range(g.n)))
+    # frames [clique, candidates, next index]: a child's candidate list is
+    # built only when the child is visited, so the stack holds O(n^2) ints
+    stack = [[(), list(range(g.n)), 0]]
+    while stack:
+        frame = stack[-1]
+        clique, candidates, i = frame
+        if i == len(candidates):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        v = candidates[i]
+        child = clique + (v,)
+        if len(child) > len(best):
+            best = child
+        stack.append([child, [w for w in candidates[i + 1 :] if w in adj[v]], 0])
     return best
 
 

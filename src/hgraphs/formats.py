@@ -61,6 +61,29 @@ def _count(tok: str, path: str, no: int, what: str) -> int:
     return value
 
 
+def _within(x: int, high: int, noun: str, path: str, no: int) -> int:
+    if not (1 <= x <= high):
+        raise ParseError(path, no, f"{noun} {x} outside 1..{high}")
+    return x
+
+
+def _pair(
+    parts: list[str], path: str, no: int, what: str, high: int, noun: str, shape: str
+) -> tuple[int, int]:
+    """The two 1-based ids of a line, checked in the documented order: token
+    count, both integers, then both ranges."""
+    if len(parts) != 2:
+        raise ParseError(path, no, f"expected {shape}")
+    u = _int(parts[0], path, no, what)
+    v = _int(parts[1], path, no, what)
+    return _within(u, high, noun, path, no), _within(v, high, noun, path, no)
+
+
+def _declared(found: int, declared: int, what: str, path: str, no: int) -> None:
+    if found != declared:
+        raise ParseError(path, no, f"declared {declared} {what} but found {found}")
+
+
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
     records = _records(text, path, "p", "edge line before p line")
     header_line, parts = next(records)
@@ -82,22 +105,13 @@ def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
             edges.add((a, b))
         else:
             edges.add(_edge_key(parts, n, edges, path, no))
-    if len(edges) != m:
-        raise ParseError(
-            path, header_line, f"declared {m} edges but found {len(edges)}"
-        )
+    _declared(len(edges), m, "edges", path, header_line)
     return SimpleGraph(n, frozenset(edges))
 
 
 def _edge_key(parts: list[str], n: int, edges: set, path: str, no: int):
     """The 0-based pair of a .gr edge line, checked in the documented order."""
-    if len(parts) != 2:
-        raise ParseError(path, no, "expected '<u> <v>'")
-    u = _int(parts[0], path, no, "endpoint")
-    v = _int(parts[1], path, no, "endpoint")
-    for x in (u, v):
-        if not (1 <= x <= n):
-            raise ParseError(path, no, f"vertex {x} outside 1..{n}")
+    u, v = _pair(parts, path, no, "endpoint", n, "vertex", "'<u> <v>'")
     if u == v:
         raise ParseError(path, no, "loops are not allowed in .gr files")
     key = (min(u, v) - 1, max(u, v) - 1)
@@ -121,18 +135,16 @@ def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
     m = _count(parts[2], path, header_line, "edge count")
     edges = []
     for no, parts in records:
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected '<u> <v>'")
-        u = _int(parts[0], path, no, "endpoint")
-        v = _int(parts[1], path, no, "endpoint")
-        for x in (u, v):
-            if not (1 <= x <= n):
-                raise ParseError(path, no, f"node {x} outside 1..{n}")
+        try:
+            x, y = parts
+            u, v = int(x), int(y)
+        except ValueError:
+            u = v = 0
+        # one range test accepts a well-formed edge; _pair names a fault
+        if not (0 < u <= n and 0 < v <= n):
+            u, v = _pair(parts, path, no, "endpoint", n, "node", "'<u> <v>'")
         edges.append((u - 1, v - 1))
-    if len(edges) != m:
-        raise ParseError(
-            path, header_line, f"declared {m} edges but found {len(edges)}"
-        )
+    _declared(len(edges), m, "edges", path, header_line)
     return Multigraph(n, tuple(edges))
 
 
@@ -156,28 +168,19 @@ def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
             if len(parts) < 2:
                 raise ParseError(path, no, "expected 'b <id> <vertices...>'")
             idx = _int(parts[1], path, no, "bag id")
-            if not (1 <= idx <= header[0]):
-                raise ParseError(path, no, f"bag id {idx} outside 1..{header[0]}")
+            _within(idx, header[0], "bag id", path, no)
             if idx in bags:
                 raise ParseError(path, no, f"duplicate bag {idx}")
             verts = [_int(p, path, no, "bag vertex") for p in parts[2:]]
             for v in verts:
-                if not (1 <= v <= header[2]):
-                    raise ParseError(path, no, f"vertex {v} outside 1..{header[2]}")
+                _within(v, header[2], "vertex", path, no)
             bags[idx] = frozenset(v - 1 for v in verts)
             continue
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected tree edge '<i> <j>'")
-        i = _int(parts[0], path, no, "bag id")
-        j = _int(parts[1], path, no, "bag id")
-        for x in (i, j):
-            if not (1 <= x <= header[0]):
-                raise ParseError(path, no, f"bag id {x} outside 1..{header[0]}")
-        tree_edges.append((i - 1, j - 1))
-    if len(bags) != header[0]:
-        raise ParseError(
-            path, header_line, f"declared {header[0]} bags but found {len(bags)}"
+        i, j = _pair(
+            parts, path, no, "bag id", header[0], "bag id", "tree edge '<i> <j>'"
         )
+        tree_edges.append((i - 1, j - 1))
+    _declared(len(bags), header[0], "bags", path, header_line)
     ordered = tuple(bags[i + 1] for i in range(header[0]))
     d = TreeDecomposition(ordered, tuple(tree_edges))
     if max((len(b) for b in ordered), default=0) != header[1]:
@@ -198,9 +201,7 @@ def emit_td(d: TreeDecomposition, n: int) -> str:
 def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
     if tok.startswith("b:"):
         h = _int(tok[2:], path, no, "branch node")
-        if not (1 <= h <= pattern.base.n):
-            raise ParseError(path, no, f"branch node {h} outside 1..{pattern.base.n}")
-        return branch(h - 1)
+        return branch(_within(h, pattern.base.n, "branch node", path, no) - 1)
     if tok.startswith("s:"):
         body = tok[2:]
         if "." not in body:
@@ -208,8 +209,7 @@ def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
         e_str, i_str = body.split(".", 1)
         e = _int(e_str, path, no, "edge index")
         i = _int(i_str, path, no, "subdivision position")
-        if not (1 <= e <= pattern.base.m):
-            raise ParseError(path, no, f"edge index {e} outside 1..{pattern.base.m}")
+        _within(e, pattern.base.m, "edge index", path, no)
         if not (1 <= i <= pattern.counts[e - 1]):
             raise ParseError(
                 path,
@@ -241,10 +241,7 @@ def parse_rep(
                 raise ParseError(path, no, "expected 'subdiv <edge> <count>'")
             e = _int(parts[1], path, no, "edge index")
             t = _int(parts[2], path, no, "subdivision count")
-            if not (1 <= e <= pattern_base.m):
-                raise ParseError(
-                    path, no, f"edge index {e} outside 1..{pattern_base.m}"
-                )
+            _within(e, pattern_base.m, "edge index", path, no)
             if t < 0:
                 raise ParseError(path, no, "subdivision count must be >= 0")
             a, b = pattern_base.edges[e - 1]

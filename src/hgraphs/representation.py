@@ -124,18 +124,6 @@ class Verdict:
     def is_ok(self) -> bool:
         return self.kind == "ok"
 
-    @staticmethod
-    def ok() -> "Verdict":
-        return Verdict("ok")
-
-    @staticmethod
-    def disconnected(vertex: int) -> "Verdict":
-        return Verdict("disconnected", vertex=vertex)
-
-    @staticmethod
-    def mismatch(pairs) -> "Verdict":
-        return Verdict("mismatch", mismatches=tuple(pairs))
-
 
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     """Check that r is exactly a representation of g.
@@ -151,11 +139,12 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
             if nd not in adjacency:
                 raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
         if not _connected(adjacency, r.sets[v]):
-            return Verdict.disconnected(v)
+            return Verdict("disconnected", vertex=v)
     wrong = sorted(g.edges.symmetric_difference(_meeting_pairs(r.sets)))
     if wrong:
-        return Verdict.mismatch((u, v, (u, v) in g.edges) for u, v in wrong)
-    return Verdict.ok()
+        mismatches = tuple([(u, v, (u, v) in g.edges) for u, v in wrong])
+        return Verdict("mismatch", mismatches=mismatches)
+    return Verdict("ok")
 
 
 def intersection_graph(r: HRepresentation) -> SimpleGraph:

@@ -20,7 +20,6 @@ from hgraphs.core import (
     two_subdivision,
 )
 from hgraphs.errors import OracleLimitExceeded, ParseError
-from hgraphs.formats import _count, _int, _lines, _parse_node_ref
 from hgraphs.fpt import (
     TreeDecomposition,
     _check_lists,
@@ -28,7 +27,13 @@ from hgraphs.fpt import (
     validate_decomposition,
 )
 from hgraphs.pattern import TriPartition, validate_tripartition
-from hgraphs.representation import HRepresentation, Node, SubdividedPattern, branch
+from hgraphs.representation import (
+    HRepresentation,
+    Node,
+    SubdividedPattern,
+    branch,
+    sub,
+)
 
 
 def all_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -103,6 +108,34 @@ def maximal_cliques_capped_reference(g: SimpleGraph, cap: int) -> CliqueEnumerat
         if len(found) > cap:
             return CliqueEnumeration(False, tuple(found), cap)
     return CliqueEnumeration(True, tuple(sorted(found)), cap)
+
+
+# core.max_clique_bruteforce as it was before its recursion became an explicit
+# stack, kept verbatim (renamed) so a differential test can require the same
+# clique from both.
+def max_clique_bruteforce_reference(
+    g: SimpleGraph, limit: int = 20
+) -> tuple[int, ...]:
+    """Maximum clique by exhaustive clique enumeration.
+
+    Visits every clique of the graph via ordered extension, so the result is
+    independent of any of the solver code paths.  Ties are broken toward the
+    lexicographically smallest vertex set.
+    """
+    if g.n > limit:
+        raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    adj = g.adjacency
+    best: tuple[int, ...] = ()
+
+    def extend(clique: tuple[int, ...], candidates: list[int]) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = clique
+        for i, v in enumerate(candidates):
+            extend(clique + (v,), [w for w in candidates[i + 1 :] if w in adj[v]])
+
+    extend((), list(range(g.n)))
+    return best
 
 
 def has_clique_cutset(g: SimpleGraph) -> bool:
@@ -539,6 +572,56 @@ def coloring_is_proper(g: SimpleGraph, lists, coloring: dict[int, int]) -> bool:
     if any(coloring[u] == coloring[v] for u, v in g.edges):
         return False
     return all(coloring[v] in lists[v] for v in range(g.n))
+
+
+# The token helpers of hgraphs.formats as they were before its id checks were
+# stated once, kept verbatim so the reference parsers share no code with the
+# parsers they are compared against.
+def _lines(text: str):
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        yield no, line
+
+
+def _int(tok: str, path: str, no: int, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(path, no, f"expected integer {what}, got {tok!r}")
+
+
+def _count(tok: str, path: str, no: int, what: str) -> int:
+    value = _int(tok, path, no, what)
+    if value < 0:
+        raise ParseError(path, no, f"{what} must be non-negative, got {value}")
+    return value
+
+
+def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
+    if tok.startswith("b:"):
+        h = _int(tok[2:], path, no, "branch node")
+        if not (1 <= h <= pattern.base.n):
+            raise ParseError(path, no, f"branch node {h} outside 1..{pattern.base.n}")
+        return branch(h - 1)
+    if tok.startswith("s:"):
+        body = tok[2:]
+        if "." not in body:
+            raise ParseError(path, no, f"expected s:<edge>.<i>, got {tok!r}")
+        e_str, i_str = body.split(".", 1)
+        e = _int(e_str, path, no, "edge index")
+        i = _int(i_str, path, no, "subdivision position")
+        if not (1 <= e <= pattern.base.m):
+            raise ParseError(path, no, f"edge index {e} outside 1..{pattern.base.m}")
+        if not (1 <= i <= pattern.counts[e - 1]):
+            raise ParseError(
+                path,
+                no,
+                f"edge {e} has {pattern.counts[e - 1]} subdivision nodes, not {i}",
+            )
+        return sub(e - 1, i)
+    raise ParseError(path, no, f"expected b:<node> or s:<edge>.<i>, got {tok!r}")
 
 
 # The headed parsers as they were before one reader took over their header

@@ -1,10 +1,12 @@
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given
 
 from conftest import simple_graphs
-from helpers import assert_clique, coloring_is_proper
+from helpers import assert_clique, coloring_is_proper, max_clique_bruteforce_reference
 from hgraphs.core import (
     SimpleGraph,
     complement,
@@ -138,6 +140,27 @@ def test_max_clique_bruteforce_limit():
     with pytest.raises(OracleLimitExceeded):
         max_clique_bruteforce(empty_graph(21))
     assert max_clique_bruteforce(empty_graph(21), limit=21) == (0,)
+
+
+def test_max_clique_bruteforce_matches_recursive_reference():
+    from hgraphs.randgen import gnp
+
+    rng = random.Random(16)
+    for _ in range(300):
+        g = gnp(rng.randint(0, 14), rng.random(), rng)
+        assert max_clique_bruteforce(g) == max_clique_bruteforce_reference(g)
+
+
+def test_max_clique_bruteforce_needs_no_recursion_depth():
+    # a raised --oracle-limit must not turn a dense graph into a RecursionError
+    g = complete_graph(16)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 10)
+    try:
+        got = max_clique_bruteforce(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == tuple(range(16))
 
 
 def test_list_coloring_bruteforce_triangle_unsat():

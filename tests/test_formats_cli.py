@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 
@@ -12,6 +13,7 @@ from helpers import (
     parse_td_reference,
 )
 from hgraphs import formats
+from hgraphs import cli
 from hgraphs.cli import main
 from hgraphs.core import Multigraph, complete_graph, cycle_graph, path_graph
 from hgraphs.errors import ParseError
@@ -563,6 +565,40 @@ def test_cli_atoms(capsys):
     assert main(["atoms", "--graph", fixture("path4.gr")]) == 0
     out = capsys.readouterr().out
     assert "atoms: 3" in out
+
+
+def test_cli_each_subcommand_has_one_cmd_function():
+    # main runs cmd_<command>, so a renamed command or function would end in a
+    # KeyError traceback
+    subs = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    names = {"cmd_" + name.replace("-", "_") for name in subs.choices}
+    functions = {name for name in vars(cli) if name.startswith("cmd_")}
+    assert names == functions
+    assert all(callable(getattr(cli, name)) for name in names)
+
+
+def test_cli_runs_rebound_cmd_function_without_rebuilding_parser(capsys, monkeypatch):
+    argv = ["atoms", "--graph", fixture("path4.gr")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = {"build_parser": 0, "cmd_atoms": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert calls == {"build_parser": 0, "cmd_atoms": 2}
 
 
 def test_cli_global_flags_accepted_in_both_positions(capsys):

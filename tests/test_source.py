@@ -28,6 +28,21 @@ def test_no_assert_statements_in_package():
     assert paths and not found, f"assert statements: {found}"
 
 
+def test_reference_helpers_share_no_private_code_with_formats():
+    # a reference parser built on the parsers' own private helpers agrees with
+    # them wherever those helpers are wrong, so the differential fuzz would
+    # compare code against itself
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8"))
+    shared = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "hgraphs.formats"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not shared, f"tests/helpers.py imports from hgraphs.formats: {shared}"
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in ROOT.glob("scripts/*.py")))
 def test_script_help_runs(script):
     # a script whose imports broke in a refactor of the package fails here
