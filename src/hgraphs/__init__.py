@@ -1,127 +1,1 @@
 """Algorithms on intersection graphs of subdivided pattern graphs."""
-
-from .clique import (
-    Atom,
-    AtomDecomposition,
-    ArcModel,
-    CliqueEnumeration,
-    HellyCliqueResult,
-    HellyReport,
-    cactus_atom_arc_model,
-    carc_max_clique,
-    clique_cactus,
-    clique_cutset_decomposition,
-    clique_helly,
-    helly_check,
-    maximal_cliques_capped,
-    model_intersection_graph,
-)
-from .core import (
-    ColorLists,
-    LabeledTwoSubdivision,
-    Multigraph,
-    SimpleGraph,
-    complement,
-    connected_components,
-    induced_subgraph,
-    list_coloring_bruteforce,
-    max_clique_bruteforce,
-    two_subdivision,
-)
-from .fpt import (
-    DecompositionAttempt,
-    KCliqueOutcome,
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    check_decomposition,
-    decomposition_from_order,
-    exact_decomposition,
-    k_clique,
-    k_clique_bounded,
-    list_k_coloring,
-    make_nice,
-    max_clique_decomposed,
-    minfill_order,
-    tree_decomposition,
-    validate_decomposition,
-)
-from .pattern import (
-    PatternProfile,
-    TriPartition,
-    double_triangle,
-    find_tripartition,
-    is_cactus,
-    treewidth_exact_small,
-    validate_tripartition,
-    wheel,
-)
-from .representation import (
-    HRepresentation,
-    SubdividedPattern,
-    Verdict,
-    branch,
-    generate_hard_instance,
-    intersection_graph,
-    sub,
-    td_from_representation,
-    verify_representation,
-)
-
-__all__ = [
-    "ArcModel",
-    "Atom",
-    "AtomDecomposition",
-    "CliqueEnumeration",
-    "ColorLists",
-    "DecompositionAttempt",
-    "HRepresentation",
-    "HellyCliqueResult",
-    "HellyReport",
-    "KCliqueOutcome",
-    "LabeledTwoSubdivision",
-    "Multigraph",
-    "NiceTreeDecomposition",
-    "PatternProfile",
-    "SimpleGraph",
-    "SubdividedPattern",
-    "TreeDecomposition",
-    "TriPartition",
-    "Verdict",
-    "branch",
-    "cactus_atom_arc_model",
-    "carc_max_clique",
-    "check_decomposition",
-    "clique_cactus",
-    "clique_cutset_decomposition",
-    "clique_helly",
-    "complement",
-    "connected_components",
-    "decomposition_from_order",
-    "double_triangle",
-    "exact_decomposition",
-    "find_tripartition",
-    "generate_hard_instance",
-    "helly_check",
-    "induced_subgraph",
-    "intersection_graph",
-    "is_cactus",
-    "k_clique",
-    "k_clique_bounded",
-    "list_coloring_bruteforce",
-    "list_k_coloring",
-    "make_nice",
-    "max_clique_bruteforce",
-    "max_clique_decomposed",
-    "maximal_cliques_capped",
-    "minfill_order",
-    "model_intersection_graph",
-    "sub",
-    "td_from_representation",
-    "tree_decomposition",
-    "treewidth_exact_small",
-    "two_subdivision",
-    "validate_decomposition",
-    "validate_tripartition",
-    "verify_representation",
-    "wheel",
-]

@@ -144,6 +144,9 @@ def cmd_color(args) -> int:
 
 
 def cmd_gen_hard(args) -> int:
+    ref = os.path.relpath(args.pattern, os.path.dirname(args.out_rep) or ".")
+    if ref.split() != [ref]:  # the .rep header `r <pattern-file>` is one token
+        raise ParseError(args.pattern, 0, "pattern path contains whitespace")
     instance = load_instance(args.graph, args.pattern)
     part = find_tripartition(instance.pattern)
     if part is None:
@@ -151,7 +154,6 @@ def cmd_gen_hard(args) -> int:
         return EXIT_NO
     target, rep = generate_hard_instance(instance.graph, instance.pattern, part)
     _write(args.out_graph, emit_gr(target))
-    ref = os.path.relpath(args.pattern, os.path.dirname(args.out_rep) or ".")
     try:
         _write(args.out_rep, emit_rep(rep, ref))
     except ParseError:

@@ -390,5 +390,5 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}")

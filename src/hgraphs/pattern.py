@@ -178,12 +178,17 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
     """Exhaustive search for a valid tripartition, or None.
 
     Each connected component of h is searched independently; the first valid
-    partition in lexicographic labeling order is returned.
+    partition in lexicographic labeling order is returned.  A component whose
+    non-loop cycle rank m - n + 1 is below 4 is skipped: contracting its three
+    parts would leave at least the 3-node, 6-edge multigraph, of rank 4.
     """
     if h.n > limit:
         raise SearchLimitExceeded(f"n={h.n} exceeds tripartition search limit {limit}")
+    items = h.non_loop_items()
     for comp in _components(h.adjacency, range(h.n)):
-        if len(comp) < 3:
+        members = set(comp)
+        rank = sum(u in members for _, (u, _v) in items) - len(comp) + 1
+        if rank < 4:
             continue
         for labeling in _canonical_labelings(len(comp)):
             parts: tuple[list[int], ...] = ([], [], [])

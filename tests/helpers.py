@@ -14,19 +14,26 @@ from hgraphs.clique import CliqueEnumeration
 from hgraphs.core import (
     Multigraph,
     SimpleGraph,
+    _components,
+    _connected,
     complement,
     connected_components,
     induced_subgraph,
     two_subdivision,
 )
-from hgraphs.errors import OracleLimitExceeded, ParseError
+from hgraphs.errors import OracleLimitExceeded, ParseError, SearchLimitExceeded
 from hgraphs.fpt import (
     TreeDecomposition,
     _check_lists,
     make_nice,
     validate_decomposition,
 )
-from hgraphs.pattern import TriPartition, validate_tripartition
+from hgraphs.pattern import (
+    TriPartition,
+    _canonical_labelings,
+    _connecting_edges,
+    validate_tripartition,
+)
 from hgraphs.representation import (
     HRepresentation,
     Node,
@@ -903,3 +910,28 @@ def generate_hard_instance_reference(
             path_23_b[m - p :],
         )
     return target, HRepresentation(pattern, sets)
+
+
+# The tripartition search before it skipped components of cycle rank below 4,
+# kept verbatim (renamed) so tests can require identical answers from both.
+def find_tripartition_reference(h: Multigraph, limit: int = 15) -> TriPartition | None:
+    """Exhaustive search for a valid tripartition, or None.
+
+    Each connected component of h is searched independently; the first valid
+    partition in lexicographic labeling order is returned.
+    """
+    if h.n > limit:
+        raise SearchLimitExceeded(f"n={h.n} exceeds tripartition search limit {limit}")
+    for comp in _components(h.adjacency, range(h.n)):
+        if len(comp) < 3:
+            continue
+        for labeling in _canonical_labelings(len(comp)):
+            parts: tuple[list[int], ...] = ([], [], [])
+            for v, lab in zip(comp, labeling):
+                parts[lab].append(v)
+            if not all(_connected(h.adjacency, p) for p in parts):
+                continue
+            connecting = _connecting_edges(h, parts)
+            if connecting is not None:
+                return TriPartition(tuple([tuple(p) for p in parts]), connecting)
+    return None

@@ -1,6 +1,7 @@
 import argparse
 import os
 import random
+import time
 
 import pytest
 
@@ -710,6 +711,36 @@ def test_cli_gen_hard_tripartition_search_limit_exit_code(tmp_path, capsys):
     assert not out_graph.exists() and not out_rep.exists()
 
 
+def test_cli_gen_hard_without_tripartition_answers_at_search_limit(tmp_path, capsys):
+    # a path has cycle rank 0, so the search skips it without trying labelings
+    pattern = tmp_path / "path15.hgr"
+    pattern.write_text(formats.emit_hgr(path_pattern(15)))
+    out_graph, out_rep = tmp_path / "t.gr", tmp_path / "t.rep"
+    argv = ["gen-hard", "--graph", fixture("k3.gr"), "--pattern", str(pattern),
+            "--out-graph", str(out_graph), "--out-rep", str(out_rep)]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        "pattern admits no tripartition with doubled connections\n"
+    )
+    assert not out_graph.exists() and not out_rep.exists()
+
+
+def test_cli_gen_hard_rejects_pattern_path_with_whitespace(tmp_path, capsys):
+    # the .rep header `r <pattern-file>` holds one token, so such a file could
+    # not be read back
+    (tmp_path / "my dir").mkdir()
+    pattern = tmp_path / "my dir" / "wheel4.hgr"
+    pattern.write_text(read(fixture("wheel4.hgr")))
+    out_graph, out_rep = tmp_path / "t.gr", tmp_path / "t.rep"
+    argv = ["gen-hard", "--graph", fixture("k3.gr"), "--pattern", str(pattern),
+            "--out-graph", str(out_graph), "--out-rep", str(out_rep)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{pattern}:0: pattern path contains whitespace\n"
+    assert not out_graph.exists() and not out_rep.exists()
+
+
 def test_cli_clique_brute_oracle_limit_exit_code(tmp_path, capsys):
     graph = tmp_path / "p21.gr"
     graph.write_text(formats.emit_gr(path_graph(21)))
@@ -767,6 +798,21 @@ def test_cli_gen_hard_leaves_no_graph_when_rep_unwritable(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"{bad}:0: cannot write file: ")
     assert not out_graph.exists()
+
+
+@pytest.mark.parametrize("kind", ["gr", "lists"])
+def test_cli_input_not_utf8_exit_code(tmp_path, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "gr":
+        bad.write_bytes(b"p tw 2 1\n1 2\n\xff\n")
+        argv = ["atoms", "--graph", str(bad)]
+    else:
+        bad.write_bytes(b"1: 1\n\xff\n")
+        argv = ["color", "--graph", fixture("k3.gr"), "--lists", str(bad), "--k", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:0: cannot read file: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_color_list_outside_palette_names_file_vertex(tmp_path, capsys):

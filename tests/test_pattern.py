@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 
+from helpers import find_tripartition_reference
+
 from hgraphs.core import Multigraph
 from hgraphs.errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
 from hgraphs.fpt import validate_decomposition
@@ -135,6 +137,23 @@ def test_tripartition_search_does_not_grow_traced_memory():
     finally:
         tracemalloc.stop()
     assert grown < 128 * 1024, grown
+
+
+def test_tripartition_matches_reference_on_random_multigraphs():
+    # the rank cut skips only components that cannot hold a tripartition, so
+    # answers equal those of the search that tries every labeling
+    rng = random.Random(17)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        edges = tuple(
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))
+        )
+        h = Multigraph(n, edges)
+        want = find_tripartition_reference(h)
+        assert find_tripartition(h) == want, h
+        found += want is not None
+    assert found > 300
 
 
 def test_tripartition_is_validated_independently():

@@ -28,6 +28,20 @@ def test_no_assert_statements_in_package():
     assert paths and not found, f"assert statements: {found}"
 
 
+def test_package_init_reexports_nothing():
+    # every public name has one import path, its module: the package
+    # imports nothing and declares no __all__
+    init = ROOT / "src" / "hgraphs" / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        or (isinstance(node, ast.Name) and node.id == "__all__")
+    ]
+    assert not found, f"__init__.py imports or names __all__ at lines {found}"
+
+
 def test_reference_helpers_share_no_private_code_with_formats():
     # a reference parser built on the parsers' own private helpers agrees with
     # them wherever those helpers are wrong, so the differential fuzz would
