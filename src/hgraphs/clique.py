@@ -8,6 +8,7 @@ adjacency before it leaves this module.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -212,10 +213,16 @@ def _mcs_m(g: SimpleGraph):
     """One MCS-M+ run: a minimal elimination ordering and its generators.
 
     Vertices are numbered from last to first, each time taking an
-    unnumbered vertex of the largest weight, ties toward the smaller index.
-    Numbering v raises, and joins to v by a fill edge, every unnumbered u
-    that v reaches through unnumbered vertices all lighter than u; this fill
-    is minimal (Berry, Blair, Heggernes & Peyton 2004).
+    unnumbered vertex of the largest weight, ties toward the smaller index:
+    a heap keyed (-weight, vertex) gets one entry per raise, and entries
+    whose weight is stale are skipped.  Numbering v raises, and joins to v
+    by a fill edge, every unnumbered u that v reaches through unnumbered
+    vertices all lighter than u; this fill is minimal (Berry, Blair,
+    Heggernes & Peyton 2004).
+
+    The search from v runs level by level; at level j only an unseen vertex
+    heavier than j can still be raised, so it stops once the count of such
+    vertices, kept per weight, drops to zero.
 
     Returns (generators, later): the vertices whose weight when numbered is
     no larger than that of the vertex numbered just before, in numbering
@@ -227,36 +234,53 @@ def _mcs_m(g: SimpleGraph):
     weight = [0] * g.n
     later: list[set[int]] = [set() for _ in range(g.n)]
     unnumbered = set(range(g.n))
+    count = [g.n] + [0] * g.n  # count[w]: unnumbered vertices of weight w
+    heap = [(0, u) for u in range(g.n)]  # sorted, so already a heap
     generators: list[int] = []
     prev = -1
-    while unnumbered:
-        v = max(unnumbered, key=lambda u: (weight[u], -u))
+    while heap:
+        key, v = heapq.heappop(heap)
+        if -key != weight[v]:  # a numbered vertex has only stale entries
+            continue
         unnumbered.discard(v)
-        if weight[v] <= prev:
+        top = weight[v]
+        count[top] -= 1
+        if top <= prev:
             generators.append(v)
-        prev = weight[v]
+        prev = top
         # buckets[j] holds vertices whose path from v is no heavier than j;
-        # no unnumbered vertex outweighs v, so buckets past weight[v] stay
-        # empty and bucket weight[v] itself can raise nothing.
-        buckets: list[list[int]] = [[] for _ in range(weight[v] + 1)]
+        # no unnumbered vertex outweighs v, so buckets past top stay empty
+        # and bucket top itself can raise nothing.
+        buckets: list[list[int]] = [[] for _ in range(top + 1)]
         raised = [u for u in adj[v] if u in unnumbered]
         seen = set(raised)
+        unseen = count[: top + 1]
         for u in raised:
             buckets[weight[u]].append(u)
-        for j in range(weight[v]):
+            unseen[weight[u]] -= 1
+        heavy = sum(unseen[1:])  # unseen and heavier than level 0
+        for j in range(top):
             stack = buckets[j]
-            while stack:
+            while stack and heavy:
                 for z in adj[stack.pop()]:
                     if z in unnumbered and z not in seen:
                         seen.add(z)
                         if weight[z] > j:
+                            heavy -= 1
+                            unseen[weight[z]] -= 1
                             raised.append(z)
                             buckets[weight[z]].append(z)
                         else:
                             stack.append(z)
+            heavy -= unseen[j + 1]
+            if not heavy:
+                break
         for u in raised:
+            count[weight[u]] -= 1
             weight[u] += 1
+            count[weight[u]] += 1
             later[u].add(v)
+            heapq.heappush(heap, (-weight[u], u))
     return generators, later
 
 
@@ -279,7 +303,12 @@ def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
         sep = later[x]
         if any(b not in adj[a] for a, b in combinations(sep, 2)):
             continue
-        side = _reach(adj, x, remaining - sep)
+        # take the separator out of remaining for the search and put it
+        # back: building remaining - sep costs a pass over remaining
+        cut = sep & remaining
+        remaining -= cut
+        side = _reach(adj, x, remaining)
+        remaining |= cut
         atoms.append(tuple(sorted(side | sep)))
         remaining -= side
     if remaining:
@@ -537,7 +566,9 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
     """Maximum clique of a graph represented on a cactus pattern.
 
     The clique-cutset decomposition reduces the problem to atoms, each atom
-    is peeled to an arc model, and the best arc-model clique wins.
+    is peeled to an arc model, and the best arc-model clique wins.  An atom
+    whose vertices are pairwise adjacent is its own maximum clique, the one
+    the arc model would give, so it skips the model.
     """
     if not is_cactus(r.pattern.base):
         raise NotCactus("pattern base is not a cactus")
@@ -546,10 +577,14 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
         raise InvalidRepresentation(verdict)
     if g.n == 0:
         return ()
+    masks = g.masks
     best: tuple[int, ...] = ()
     for atom in clique_cutset_decomposition(g).atoms:
-        model = cactus_atom_arc_model(atom, r)
-        c = carc_max_clique(model)
+        whole = sum(1 << v for v in atom.vertices)
+        if all(whole & ~masks[v] == 1 << v for v in atom.vertices):
+            c = atom.vertices
+        else:
+            c = carc_max_clique(cactus_atom_arc_model(atom, r))
         if len(c) > len(best) or (len(c) == len(best) and c < best):
             best = c
     _check_clique(g, best)

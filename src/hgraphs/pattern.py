@@ -180,10 +180,14 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
     Each connected component of h is searched independently; the first valid
     partition in lexicographic labeling order is returned.  A component whose
     non-loop cycle rank m - n + 1 is below 4 is skipped: contracting its three
-    parts would leave at least the 3-node, 6-edge multigraph, of rank 4.
+    parts would leave at least the 3-node, 6-edge multigraph, of rank 4.  A
+    cactus has no tripartition at all: contracting the parts leaves a minor of
+    it, cacti are closed under minors, and that multigraph is not a cactus.
     """
     if h.n > limit:
         raise SearchLimitExceeded(f"n={h.n} exceeds tripartition search limit {limit}")
+    if is_cactus(h):
+        return None
     items = h.non_loop_items()
     for comp in _components(h.adjacency, range(h.n)):
         members = set(comp)

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -13,12 +14,14 @@ from helpers import (
     has_clique_cutset,
     maximal_cliques_capped_reference,
     maximal_cliques_reference,
+    mcs_m_reference,
     random_chordal,
 )
 import hgraphs.clique as clique_module
 from hgraphs.clique import (
     ArcModel,
     _bipartite_max_independent,
+    _mcs_m,
     cactus_atom_arc_model,
     carc_max_clique,
     clique_cactus,
@@ -195,6 +198,31 @@ def test_atoms_path():
         assert [a.vertices for a in atoms] == [(i, i + 1) for i in range(n - 1)]
 
 
+def test_atoms_long_path_in_time():
+    start = time.perf_counter()
+    atoms = clique_cutset_decomposition(path_graph(5000)).atoms
+    elapsed = time.perf_counter() - start
+    assert [a.vertices for a in atoms] == [(i, i + 1) for i in range(4999)]
+    assert elapsed < 2.0, elapsed
+
+
+def _caterpillar(spine: int) -> SimpleGraph:
+    # a path 0..spine-1 with one leaf hung on each spine vertex
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i) for i in range(spine)]
+    return SimpleGraph.from_edges(2 * spine, edges)
+
+
+def test_mcs_m_matches_reference():
+    rng = random.Random(30)
+    for _ in range(2000):
+        g = gnp(rng.randint(0, 30), rng.choice((0.05, 0.15, 0.3, 0.5, 0.8)), rng)
+        assert _mcs_m(g) == mcs_m_reference(g), g
+    for n in (3, 10, 100, 2000):
+        for g in (path_graph(n), cycle_graph(n), _caterpillar(n // 2)):
+            assert _mcs_m(g) == mcs_m_reference(g), g.n
+
+
 def test_atoms_chordless_cycle():
     atoms = clique_cutset_decomposition(cycle_graph(5)).atoms
     assert [a.vertices for a in atoms] == [(0, 1, 2, 3, 4)]
@@ -342,6 +370,16 @@ def test_carc_matches_reference_tuples():
         assert carc_max_clique(model) == carc_reference(model), model
 
 
+def _random_cactus_representations():
+    # clique atoms skip the arc model, so it takes 16 graphs for more than
+    # 8 atoms to reach carc_max_clique
+    rng = random.Random(28)
+    for _ in range(16):
+        h = random_cactus(rng.randint(2, 8), rng)
+        pat = random_subdivision(h, rng, 3)
+        yield random_representation(pat, rng.randint(20, 40), rng, 6)
+
+
 def test_carc_matches_reference_inside_clique_cactus(monkeypatch):
     seen = []
 
@@ -352,13 +390,24 @@ def test_carc_matches_reference_inside_clique_cactus(monkeypatch):
         return got
 
     monkeypatch.setattr(clique_module, "carc_max_clique", checked)
-    rng = random.Random(28)
-    for _ in range(8):
-        h = random_cactus(rng.randint(2, 8), rng)
-        pat = random_subdivision(h, rng, 3)
-        g, rep = random_representation(pat, rng.randint(20, 40), rng, 6)
+    for g, rep in _random_cactus_representations():
         clique_cactus(g, rep)
     assert len(seen) > 8
+
+
+def test_clique_atoms_answer_what_their_arc_models_give():
+    # clique_cactus takes a clique atom's vertices as its maximum clique;
+    # the arc model it skips must build and give that same tuple
+    cliques = 0
+    for g, rep in _random_cactus_representations():
+        for atom in clique_cutset_decomposition(g).atoms:
+            vs = atom.vertices
+            if any(v not in g.adjacency[u] for u, v in combinations(vs, 2)):
+                continue
+            model = cactus_atom_arc_model(atom, rep)
+            assert carc_max_clique(model) == vs == carc_reference(model), model
+            cliques += 1
+    assert cliques > 100
 
 
 def test_carc_interval_models_beyond_bruteforce():

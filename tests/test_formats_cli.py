@@ -727,6 +727,26 @@ def test_cli_gen_hard_without_tripartition_answers_at_search_limit(tmp_path, cap
     assert not out_graph.exists() and not out_rep.exists()
 
 
+def test_cli_gen_hard_on_cactus_pattern_answers_at_once(tmp_path, capsys):
+    # a chain of seven triangles (15 nodes, cycle rank 7): no cactus has a
+    # tripartition, so no labeling is tried
+    pattern = tmp_path / "triangles.hgr"
+    chain = Multigraph(15, tuple(
+        e for i in range(0, 14, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))
+    ))
+    pattern.write_text(formats.emit_hgr(chain))
+    out_graph, out_rep = tmp_path / "t.gr", tmp_path / "t.rep"
+    argv = ["gen-hard", "--graph", fixture("k3.gr"), "--pattern", str(pattern),
+            "--out-graph", str(out_graph), "--out-rep", str(out_rep)]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        "pattern admits no tripartition with doubled connections\n"
+    )
+    assert not out_graph.exists() and not out_rep.exists()
+
+
 def test_cli_gen_hard_rejects_pattern_path_with_whitespace(tmp_path, capsys):
     # the .rep header `r <pattern-file>` holds one token, so such a file could
     # not be read back

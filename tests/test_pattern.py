@@ -193,10 +193,13 @@ def _all_simple_connected_cacti(n):
             yield h
 
 
+# find_tripartition answers None on a cactus without searching; the reference
+# tries every labeling, so these tests still check the claim behind that
 def test_cacti_admit_no_tripartition_exhaustive_small():
     for n in range(1, 6):
         for h in _all_simple_connected_cacti(n):
             assert find_tripartition(h) is None
+            assert find_tripartition_reference(h) is None
 
 
 def test_cacti_admit_no_tripartition_random():
@@ -204,6 +207,7 @@ def test_cacti_admit_no_tripartition_random():
     for _ in range(60):
         h = random_cactus(rng.randint(1, 8), rng)
         assert find_tripartition(h) is None
+        assert find_tripartition_reference(h) is None
 
 
 def _is_cactus_reference(h: Multigraph) -> bool:

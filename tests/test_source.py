@@ -42,6 +42,21 @@ def test_package_init_reexports_nothing():
     assert not found, f"__init__.py imports or names __all__ at lines {found}"
 
 
+def test_package_imports_only_at_module_level():
+    # an import inside a function hides a module's dependencies and an
+    # import cycle until that function first runs
+    found = []
+    for path in sorted(ROOT.glob("src/hgraphs/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert not found, f"imports below module level: {found}"
+
+
 def test_reference_helpers_share_no_private_code_with_formats():
     # a reference parser built on the parsers' own private helpers agrees with
     # them wherever those helpers are wrong, so the differential fuzz would
