@@ -130,10 +130,14 @@ def cmd_color(args) -> int:
                 msg = f"vertex {v + 1} lists color {worst} outside 1..{k}"
                 raise ParseError(args.lists, no, msg)
         lists.update(instance.lists)
-    attempt = fpt.tree_decomposition(
-        g, max(g.n - 1, 0), approx_factor=args.approx_factor
-    )
-    coloring = fpt.list_k_coloring(g, lists, k, attempt.decomposition)
+    # forced colors alone may empty a list; then no decomposition is needed
+    lists = fpt.narrow_lists(g, lists)
+    coloring = None
+    if lists is not None:
+        attempt = fpt.tree_decomposition(
+            g, max(g.n - 1, 0), approx_factor=args.approx_factor
+        )
+        coloring = fpt.list_k_coloring(g, lists, k, attempt.decomposition)
     if coloring is None:
         print("UNSAT")
         return EXIT_NO

@@ -499,7 +499,9 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
     when |S| minus a greedy matching of the disjointness graph is no larger
     than the best (by Konig the candidate has |S| minus a maximum matching's
     size), or when S lies inside the S of a pair matched before (an induced
-    subgraph has no larger clique).
+    subgraph has no larger clique).  On an interval model the scan stops at
+    the first candidate as large as the largest point load, which no clique
+    exceeds, so the answer is the same.
     """
     verts = sorted(model.arcs.keys())
     pos = {v: model.positions(v) for v in verts}
@@ -524,6 +526,9 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
                 meets |= through[p]
         disjoint.append(everything & ~meets)
     best, best_size = 0, 0
+    # intervals that pairwise meet share a point (Helly), so on a path no
+    # candidate beats the largest point load and the first to reach it wins
+    load = max(map(int.bit_count, through.values())) if model.kind == "path" else -1
     matched: list[int] = []
     for pi, p in enumerate(endpoints):
         left = through[p]
@@ -555,6 +560,10 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
             candidate = _bipartite_max_independent(left, right, rows)
             if candidate.bit_count() > best_size:
                 best, best_size = candidate, candidate.bit_count()
+                if best_size == load:
+                    break
+        if best_size == load:
+            break
     result = tuple(sorted([others[i] for i in _bits(best)] + full))
     for u, v in combinations(result, 2):
         if not pos[u] & pos[v]:

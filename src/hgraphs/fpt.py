@@ -7,11 +7,18 @@ every other module that produces a decomposition is tested against it.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import ColorLists, SimpleGraph, _bits, _check_clique, _connected, _reach
-from .errors import InvalidDecomposition, ListColorOutOfRange
+from .errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceeded
+
+# list_k_coloring raises SearchLimitExceeded once its introduce steps have
+# built more states than this.  The forget tables keep their full states
+# for the witness: at the budget, 3-coloring a 12x12 grid holds about 60 MiB
+STATE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -26,8 +33,7 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: tuple[int, ...]  # sorted
     children: tuple[int, ...]
@@ -336,8 +342,14 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
 
     Bags are kept as sorted tuples, so join children always agree on vertex
     order.  Width and the set of covered vertex pairs are preserved exactly.
+    The bag tree is rooted at bag 0.  A tree edge becomes a chain that
+    forgets the child bag's vertices outside the parent's, then introduces
+    the parent's vertices outside the child's, each in ascending order; a
+    bag with several children joins their chains in the order of its tree
+    edges, left to right, and a bag without children starts from a leaf.
+    Nodes are named tuples, each added after its children.
     """
-    bags = [tuple(sorted(b)) for b in d.bags] or [()]
+    bags = [frozenset(b) for b in d.bags] or [frozenset()]
     nbrs: list[list[int]] = [[] for _ in bags]
     for i, j in d.tree_edges:
         nbrs[i].append(j)
@@ -345,48 +357,39 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
     nodes: list[NiceNode] = []
 
     def add(kind: str, bag: tuple[int, ...], children=(), vertex=None) -> int:
-        nodes.append(NiceNode(kind, bag, tuple(children), vertex))
+        nodes.append(NiceNode(kind, bag, children, vertex))
         return len(nodes) - 1
 
-    def chain(idx: int, frm: tuple[int, ...], to: tuple[int, ...]) -> int:
-        cur = idx
-        bag = list(frm)
-        for v in [x for x in frm if x not in to]:
+    def chain(idx: int, frm: frozenset[int], to: frozenset[int]) -> int:
+        bag = sorted(frm)
+        for v in sorted(frm - to):
             bag.remove(v)
-            cur = add("forget", tuple(bag), (cur,), v)
-        for v in [x for x in to if x not in frm]:
-            bag = sorted(bag + [v])
-            cur = add("introduce", tuple(bag), (cur,), v)
-        return cur
+            idx = add("forget", tuple(bag), (idx,), v)
+        for v in sorted(to - frm):
+            insort(bag, v)
+            idx = add("introduce", tuple(bag), (idx,), v)
+        return idx
 
-    # Post-order over the bag tree from bag 0 with an explicit stack, so a
-    # long path of bags cannot exhaust the interpreter's recursion limit.
-    # Each subtree is finished before its next sibling's starts, and a bag's
-    # chains and joins follow all of its subtrees.
-    top = [-1] * len(bags)  # node index standing for each finished subtree
-    seen = [False] * len(bags)
-    seen[0] = True
-    stack = [(0, -1, False)]
-    while stack:
-        i, parent, kids_done = stack.pop()
-        kids = [j for j in nbrs[i] if j != parent]
-        if not kids_done:
-            stack.append((i, parent, True))
-            for j in reversed(kids):
-                if seen[j]:
+    # Breadth first from bag 0, then each bag after all of its children,
+    # without recursion, so a long path of bags cannot exhaust the
+    # interpreter's recursion limit.
+    parent: list[int | None] = [None] * len(bags)
+    parent[0] = -1
+    order = [0]
+    for i in order:
+        for j in nbrs[i]:
+            if j != parent[i]:
+                if parent[j] is not None:
                     raise InvalidDecomposition("bag tree has a cycle")
-                seen[j] = True
-                stack.append((j, i, False))
-        elif not kids:
-            top[i] = chain(add("leaf", ()), (), bags[i])
-        else:
-            lifted = [chain(top[j], bags[j], bags[i]) for j in kids]
-            cur = lifted[0]
-            for nxt in lifted[1:]:
-                cur = add("join", bags[i], (cur, nxt))
-            top[i] = cur
-
-    root = chain(top[0], bags[0], ())
+                parent[j] = i
+                order.append(j)
+    top = [-1] * len(bags)  # node index standing for each finished subtree
+    for i in reversed(order):
+        lifted = [chain(top[j], bags[j], bags[i]) for j in nbrs[i] if j != parent[i]]
+        top[i] = lifted[0] if lifted else chain(add("leaf", ()), frozenset(), bags[i])
+        for nxt in lifted[1:]:
+            top[i] = add("join", tuple(sorted(bags[i])), (top[i], nxt))
+    root = chain(top[0], bags[0], frozenset())
     return NiceTreeDecomposition(tuple(nodes), root)
 
 
@@ -531,77 +534,196 @@ def _check_lists(g: SimpleGraph, lists: ColorLists, k: int) -> None:
             )
 
 
+def narrow_lists(g: SimpleGraph, lists: ColorLists) -> dict[int, frozenset[int]] | None:
+    """The lists with each forced color taken from the neighbours', or None.
+
+    A vertex whose list is the single color c must take c, so c leaves its
+    neighbours' lists, which may leave one of them a single color in turn;
+    this repeats until no list changes.  Every proper list coloring keeps to
+    the narrowed lists, so a list left empty (None) means there is none.
+    lists must hold every vertex of g; the caller's mapping is not changed.
+    """
+    narrowed = dict(lists)
+    forced = [v for v in range(g.n) if len(narrowed[v]) == 1]
+    for v in forced:
+        (c,) = narrowed[v]
+        for u in g.adjacency[v]:
+            if c in narrowed[u]:
+                narrowed[u] = narrowed[u] - {c}
+                if not narrowed[u]:
+                    return None
+                if len(narrowed[u]) == 1:
+                    forced.append(u)
+    return narrowed
+
+
+def _projector(frm: tuple[int, ...], to: tuple[int, ...]):
+    """Map a state over bag frm to its colors on the vertices of bag to."""
+    at = [frm.index(u) for u in to]
+    if len(at) == 1:
+        return lambda state: (state[at[0]],)
+    return itemgetter(*at) if at else lambda state: ()
+
+
 def list_k_coloring(
     g: SimpleGraph, lists: ColorLists, k: int, d: TreeDecomposition
 ) -> dict[int, int] | None:
     """Proper coloring drawing each vertex's color from its own list, or None.
 
-    Dynamic program over the nice form of d: a state is a proper,
-    list-respecting coloring of the current bag; introduce extends by list
-    colors unused on bag neighbors, forget projects, join keeps assignments
-    present on both sides.  Only forget nodes choose a predecessor, so only
-    their tables store one; the witness walk rebuilds the rest.  The DP stops
-    at the first empty table, as every ancestor's would be empty too.
-    Pre-coloring extension is the special case of singleton lists.
+    The lists are narrowed first (narrow_lists); an emptied list answers
+    None.  A vertex left one color takes it, and no neighbour's list holds
+    that color, so it leaves the bags.  A dynamic program then runs over
+    the nice form of the smaller bags: a state is a proper, list-respecting
+    coloring of a bag that some coloring of the vertices below extends;
+    introduce extends by list colors unused on bag neighbours, forget
+    projects, join keeps the states of both sides.  Tables are dicts, in
+    the order their states are first built, and exist only at leaves,
+    joins and the tops of forget runs:
+
+    - a run of forgets is one projection of the introduce run below it,
+      from each new state to the first full state reaching it; when the
+      run forgets the last vertices that introduce run adds, a new state
+      gets only the first completion of its first prefix;
+    - a join keeps the left states whose projection onto the base bag of
+      the right child's introduce run is in that base's table, so the
+      right run is never built;
+    - a leaf or join table is dropped once read: the witness walk reads
+      only the forget tables.
+
+    The witness is the one the DP over d and the given lists finds: a bag
+    separates the vertices below it from the rest, so a state keeping to
+    the narrowed lists extends within them, every forget keeps the same
+    first state, and a forced vertex adds one fixed color to each state.
+    The DP stops at the first empty table, as every ancestor's would be
+    empty too, and raises SearchLimitExceeded once its introduce steps have
+    built more than STATE_BUDGET states.  Pre-coloring extension is the
+    special case of singleton lists.
     """
     validate_decomposition(g, d)
     _check_lists(g, lists, k)
-    nice = make_nice(d)
+    lists = narrow_lists(g, lists)
+    if lists is None:
+        return None
+    forced = {v for v in range(g.n) if len(lists[v]) == 1}
+    coloring = {v: min(lists[v]) for v in forced}
+    bags = tuple([frozenset(bag) - forced for bag in d.bags])
+    nice = make_nice(TreeDecomposition(bags, d.tree_edges))
+    nodes = nice.nodes
     adj = g.adjacency
+    built = 0
 
+    def run(idx: int, kind: str):
+        """The kind-run of nodes ending at idx, bottom first, and the node below."""
+        seq = []
+        while nodes[idx].kind == kind:
+            seq.append(idx)
+            idx = nodes[idx].children[0]
+        return seq[::-1], idx
+
+    def step(idx: int):
+        # position of v, a reader of its bag neighbours' colors in the
+        # child's states (a lone index is doubled, so it too gives a tuple),
+        # and v's colors
+        nd = nodes[idx]
+        vi = nd.bag.index(nd.vertex)
+        near = [i - (i > vi) for i, u in enumerate(nd.bag) if u in adj[nd.vertex]]
+        pick = itemgetter(*near, *near[:1]) if near else lambda state: ()
+        return vi, pick, sorted(lists[nd.vertex])
+
+    def introduce(states, vi: int, pick, colors: list):
+        nonlocal built
+        for state in states:
+            used = pick(state)
+            for c in colors:
+                if c not in used:
+                    built += 1
+                    if built > STATE_BUDGET:
+                        raise SearchLimitExceeded(
+                            f"list coloring built more than {STATE_BUDGET} DP states"
+                        )
+                    yield state[:vi] + (c,) + state[vi:]
+
+    def grow(states, steps: list) -> list:
+        """Every extension of the states through the steps, in table order."""
+        for vi, pick, colors in steps:
+            states = list(introduce(states, vi, pick, colors))
+        return states
+
+    def first(state: tuple, steps: list):
+        """The first extension of state through the steps in table order, or None.
+
+        Depth first on an explicit stack of lazy introduce steps, so only
+        the states met before it are built.
+        """
+        frames = [iter([state])]
+        while frames:
+            state = next(frames[-1], None)
+            if state is None:
+                frames.pop()
+            elif len(frames) > len(steps):
+                return state
+            else:
+                frames.append(introduce([state], *steps[len(frames) - 1]))
+        return None
+
+    def read(idx: int) -> dict:
+        table = tables[idx]
+        if nodes[idx].kind != "forget":
+            tables[idx] = None
+        return table
+
+    above = {c: nd.kind for nd in nodes for c in nd.children}
     # make_nice adds every node after its children, so index order is a
-    # valid evaluation order; forget tables are dicts, the others lists
-    tables: list = []
-    for nd in nice.nodes:
+    # valid evaluation order
+    tables = [None] * len(nodes)
+    for idx, nd in enumerate(nodes):
         if nd.kind == "leaf":
-            table = [()]
+            table = {(): ()}
         elif nd.kind == "join":
-            left, right = tables[nd.children[0]], set(tables[nd.children[1]])
-            table = [s for s in left if s in right]
-        elif nd.kind == "introduce":
-            (child,) = nd.children
-            v = nd.vertex
-            vi = nd.bag.index(v)
-            # positions of v's bag neighbours in the child's states; pick reads
-            # their colors (a lone index is doubled, so it too gives a tuple)
-            near = [i - (i > vi) for i, u in enumerate(nd.bag) if u in adj[v]]
-            pick = itemgetter(*near, *near[:1]) if near else lambda state: ()
-            colors = sorted(lists[v])
-            table = []
-            for state in tables[child]:
-                used = pick(state)
-                head, tail = state[:vi], state[vi:]
-                for c in colors:
-                    if c not in used:
-                        table.append(head + (c,) + tail)
-        else:  # forget
-            (child,) = nd.children
-            vi = nice.nodes[child].bag.index(nd.vertex)
+            left, right = (run(c, "introduce") for c in nd.children)
+            keys = read(right[1])
+            key = _projector(nd.bag, nodes[right[1]].bag)
+            states = grow(read(left[1]), [step(i) for i in left[0]])
+            table = dict.fromkeys(s for s in states if key(s) in keys)
+        elif nd.kind == "forget" and above.get(idx) != "forget":
+            intros, base = run(run(idx, "forget")[1], "introduce")
+            cut = len(intros)
+            while cut and nodes[intros[cut - 1]].vertex not in nd.bag:
+                cut -= 1
+            key = _projector(nodes[intros[cut - 1] if cut else base].bag, nd.bag)
+            steps = [step(i) for i in intros]
+            rest = steps[cut:]
             table = {}
-            for state in tables[child]:  # the first predecessor wins
-                table.setdefault(state[:vi] + state[vi + 1 :], state)
+            for s in grow(read(base), steps[:cut]):
+                new = key(s)
+                if new not in table:  # the first completion of the first prefix
+                    full = first(s, rest) if rest else s
+                    if full is not None:
+                        table[new] = full
+        else:  # built by the forget run or join above it
+            continue
         if not table:
             return None
-        tables.append(table)
+        tables[idx] = table
 
     # Witness: pre-order from the root (empty bag, non-empty table), left
-    # child before right, each node read at the state its parent chose.
-    coloring: dict[int, int] = {}
+    # child before right, each node read at the state its parent chose; a
+    # forget run's full state colors its whole bottom bag.
     walk = [(nice.root, ())]
     while walk:
         idx, state = walk.pop()
-        nd = nice.nodes[idx]
-        if nd.kind == "forget":
-            (child,) = nd.children
-            cstate = tables[idx][state]
-            coloring[nd.vertex] = cstate[nice.nodes[child].bag.index(nd.vertex)]
-            walk.append((child, cstate))
-        elif nd.kind == "introduce":
-            vi = nd.bag.index(nd.vertex)
-            walk.append((nd.children[0], state[:vi] + state[vi + 1 :]))
+        if nodes[idx].kind == "forget":  # the top of its run
+            state, idx = tables[idx][state], run(idx, "forget")[1]
+            coloring.update(zip(nodes[idx].bag, state))
+        nd = nodes[idx]
+        if nd.kind == "introduce":  # the top of its run
+            base = run(idx, "introduce")[1]
+            walk.append((base, _projector(nd.bag, nodes[base].bag)(state)))
         else:  # join, or a leaf without children
             walk.extend((c, state) for c in reversed(nd.children))
-    # every vertex is forgotten exactly once on the way to the empty root bag
+    # forced vertices are colored up front and every other vertex lies in
+    # the bottom bag of the forget run that leaves it out, on the way to the
+    # empty root bag
     if len(coloring) != g.n:
         raise AssertionError(f"witness colors {len(coloring)} of {g.n} vertices")
     for u, v in g.edges:

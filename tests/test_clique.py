@@ -370,6 +370,20 @@ def test_carc_matches_reference_tuples():
         assert carc_max_clique(model) == carc_reference(model), model
 
 
+def test_carc_interval_model_stops_at_the_largest_point_load():
+    # an interval clique is at most the most arcs over one position (Helly),
+    # and the scan stops at the first candidate that large: the pairs after
+    # it took most of the 6.8 s an 800-arc model needed before
+    model = random_arc_model(800, 800, random.Random(800), kind="path", full_fraction=0.05)
+    spans = {v: model.positions(v) for v in model.arcs}
+    load = max(sum(p in span for span in spans.values()) for p in range(model.length))
+    start = time.perf_counter()
+    got = carc_max_clique(model)
+    assert time.perf_counter() - start < 4
+    assert len(got) == load
+    assert all(spans[u] & spans[v] for u, v in combinations(got, 2))
+
+
 def _random_cactus_representations():
     # clique atoms skip the arc model, so it takes 16 graphs for more than
     # 8 atoms to reach carc_max_clique

@@ -15,6 +15,7 @@ from helpers import (
 )
 from hgraphs import formats
 from hgraphs import cli
+from hgraphs import fpt
 from hgraphs.cli import main
 from hgraphs.core import Multigraph, complete_graph, cycle_graph, path_graph
 from hgraphs.errors import ParseError
@@ -471,6 +472,35 @@ def test_cli_color_unsat_exit_code(capsys):
     )
     assert code == 1
     assert "UNSAT" in capsys.readouterr().out
+
+
+def test_cli_color_answers_pinned_conflict_before_decomposing(monkeypatch, capsys):
+    # path4.lists pins the path's ends to 1; the pins force the middle in
+    # turn, and the last forced color empties an end's list
+    def spy(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"color called fpt.{name} on a decided instance")
+        return refuse
+
+    for name in ("tree_decomposition", "make_nice", "list_k_coloring"):
+        monkeypatch.setattr(fpt, name, spy(name))
+    argv = ["color", "--graph", fixture("path4.gr"), "--lists", fixture("path4.lists")]
+    assert main(argv + ["--k", "2"]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
+
+
+def test_cli_color_stops_at_the_state_budget(tmp_path, capsys):
+    # 3-coloring a 12x12 grid runs the DP through bags of a dozen vertices
+    graph = tmp_path / "grid.gr"
+    graph.write_text(formats.emit_gr(grid_graph(12, 12)))
+    start = time.perf_counter()
+    assert main(["color", "--graph", str(graph), "--k", "3"]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"limit exceeded: list coloring built more than {fpt.STATE_BUDGET} DP states\n"
+    )
 
 
 def test_cli_color_sat_prints_coloring(capsys):

@@ -32,7 +32,8 @@ from hgraphs.core import (
     path_graph,
     petersen_graph,
 )
-from hgraphs.errors import InvalidDecomposition, ListColorOutOfRange
+from hgraphs import fpt
+from hgraphs.errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceeded
 from hgraphs.fpt import (
     TreeDecomposition,
     check_decomposition,
@@ -45,6 +46,7 @@ from hgraphs.fpt import (
     make_nice,
     max_clique_decomposed,
     minfill_order,
+    narrow_lists,
     tree_decomposition,
     validate_decomposition,
 )
@@ -519,18 +521,109 @@ def test_list_coloring_matches_reference():
 
 
 def test_list_coloring_unsat_only_at_join():
-    # c=0 may take 1 or 2, a=1 is pinned to 1 and b=2 to 2; each branch of
-    # the bag tree alone is colorable, so the first empty table is the join's
-    g = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
-    lists = {0: frozenset({1, 2}), 1: frozenset({1}), 2: frozenset({2})}
-    bags = (frozenset({0}), frozenset({0, 1}), frozenset({0, 2}))
+    # C5 with lists {1, 2}: no list is a single color, so narrowing decides
+    # nothing.  The center bag {0, 2} joins the path 0-1-2, which needs
+    # 0 and 2 alike, and the path 2-3-4-0, which needs them apart; each
+    # branch of the bag tree alone is colorable, so the first empty table
+    # is the join's
+    g = cycle_graph(5)
+    lists = full_lists(5, 2)
+    assert narrow_lists(g, lists) == lists
+    bags = (frozenset({0, 2}), frozenset({0, 1, 2}), frozenset({0, 2, 3, 4}))
     d = TreeDecomposition(bags, ((0, 1), (0, 2)))
     assert any(nd.kind == "join" for nd in make_nice(d).nodes)
     assert list_k_coloring(g, lists, 2, d) is None
     assert list_coloring_bruteforce(g, lists) is None
-    for pinned in (1, 2):  # freeing either pin makes it colorable
-        freed = {**lists, pinned: frozenset({1, 2})}
-        assert list_k_coloring(g, freed, 2, d) is not None
+    for cut in g.edges:  # dropping any edge leaves a colorable path
+        path = SimpleGraph.from_edges(5, [e for e in g.edges if e != cut])
+        assert list_k_coloring(path, lists, 2, d) is not None
+
+
+def test_narrowing_conflicting_pins_is_unsat():
+    # 0 and 2 are pinned to 1 and 2; their common neighbour 1 has nothing left
+    g = path_graph(3)
+    lists = {0: frozenset({1}), 1: frozenset({1, 2}), 2: frozenset({2})}
+    assert narrow_lists(g, lists) is None
+    d = decomposition_from_order(g, minfill_order(g))
+    assert list_k_coloring(g, lists, 2, d) is None
+    assert list_k_coloring_reference(g, lists, 2, d) is None
+
+
+def test_narrowing_cascades_along_a_path():
+    # one pin forces every two-color list of the path in turn
+    n = 40
+    g = path_graph(n)
+    lists = {**full_lists(n, 2), 0: frozenset({1})}
+    narrowed = narrow_lists(g, lists)
+    assert narrowed == {v: frozenset({1 + v % 2}) for v in range(n)}
+    assert lists[1] == frozenset({1, 2})  # the caller's lists are left as they were
+    d = decomposition_from_order(g, minfill_order(g))
+    assert list_k_coloring(g, lists, 2, d) == {v: 1 + v % 2 for v in range(n)}
+
+
+def _narrowing_triples(rng):
+    """(graph, lists, k, decomposition) with lists of one or two colors."""
+    for _ in range(800):
+        n = rng.randint(1, 12)
+        g = gnp(n, rng.random() * 0.5, rng) if rng.random() < 0.6 else random_chordal(n, rng)
+        k = rng.randint(2, 4)
+        palette = range(1, k + 1)
+        lists = {v: frozenset(rng.sample(palette, rng.randint(1, 2))) for v in range(n)}
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        decomps = [decomposition_from_order(g, o) for o in (minfill_order(g), shuffled)]
+        if n <= 9:
+            decomps.append(exact_decomposition(g)[1])
+        for d in decomps:
+            yield g, lists, k, d
+
+
+def test_list_coloring_with_cascades_matches_reference():
+    # many pins and forced lists: narrowing and the forced vertices leaving
+    # the bags give the stored-predecessor DP's witness and None
+    outcomes = {True: 0, False: 0}
+    cascades = 0
+    for g, lists, k, d in _narrowing_triples(random.Random(41)):
+        got = list_k_coloring(g, lists, k, d)
+        assert got == list_k_coloring_reference(g, lists, k, d)
+        outcomes[got is not None] += 1
+        narrowed = narrow_lists(g, lists)
+        forced = sum(len(c) == 1 for c in lists.values())
+        if narrowed is None or sum(len(c) == 1 for c in narrowed.values()) > forced:
+            cascades += 1
+    assert sum(outcomes.values()) >= 2000
+    assert min(outcomes.values()) >= 500, outcomes
+    assert cascades >= 1000, cascades
+
+
+def test_list_coloring_stops_at_the_state_budget(monkeypatch):
+    g = grid_graph(4, 4)
+    d = decomposition_from_order(g, minfill_order(g))
+    assert list_k_coloring(g, full_lists(16, 3), 3, d) is not None
+    monkeypatch.setattr(fpt, "STATE_BUDGET", 100)
+    with pytest.raises(SearchLimitExceeded, match="more than 100 DP states"):
+        list_k_coloring(g, full_lists(16, 3), 3, d)
+
+
+def test_forgotten_vertices_take_only_their_first_completion(monkeypatch):
+    # the root's forget run leaves out every vertex of the one bag, so the
+    # empty state needs one completion: 12 states, not all 4096 colorings
+    monkeypatch.setattr(fpt, "STATE_BUDGET", 100)
+    n = 12
+    d = TreeDecomposition((frozenset(range(n)),), ())
+    got = list_k_coloring(empty_graph(n), full_lists(n, 2), 2, d)
+    assert got == dict.fromkeys(range(n), 1)
+
+
+def test_list_coloring_on_a_bag_wider_than_the_recursion_limit():
+    # one bag holds every vertex, so one run introduces 1101 vertices and
+    # the root's run forgets them all: 2 colors close the odd cycle at the
+    # last vertex, and the path takes its first completion
+    n = 1101
+    d = TreeDecomposition((frozenset(range(n)),), ())
+    assert list_k_coloring(cycle_graph(n), full_lists(n, 2), 2, d) is None
+    got = list_k_coloring(path_graph(n), full_lists(n, 2), 2, d)
+    assert got == {v: 1 + v % 2 for v in range(n)}
 
 
 def test_list_coloring_bruteforce_on_long_path():
