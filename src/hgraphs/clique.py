@@ -413,16 +413,16 @@ def model_intersection_graph(model: ArcModel) -> SimpleGraph:
 
 
 def _bipartite_max_independent(
-    left: int, right: int, rows: Mapping[int, int]
+    left: int, right: int, rows: Mapping[int, int] | list[int]
 ) -> int:
     """Maximum independent set of a bipartite conflict graph via matching.
 
-    left and right are disjoint bitmasks; rows[u] is the mask of right
-    vertices in conflict with left vertex u.  Kuhn augmenting paths, left
-    ascending and each row ascending, give a maximum matching; the standard
-    alternating reachability argument turns it into a minimum vertex cover,
-    whose complement is returned as a mask.  The augmenting path search
-    runs on an explicit stack, so a path of any length fits.
+    left and right are disjoint bitmasks; the bits of rows[u] inside right
+    are the right vertices in conflict with left vertex u.  Kuhn augmenting
+    paths, left ascending and each row ascending, give a maximum matching;
+    the standard alternating reachability argument turns it into a minimum
+    vertex cover, whose complement is returned as a mask.  The augmenting
+    path search runs on an explicit stack, so a path of any length fits.
     """
     match_right: dict[int, int] = {}
     taken = 0
@@ -432,7 +432,7 @@ def _bipartite_max_independent(
     # they would only fail through it, and so find the same paths.
     dead = 0
     for root in _bits(left):
-        row = rows[root]
+        row = rows[root] & right
         low = row & -row
         if not low & taken:
             # the search's first try is a free vertex, or there is none
@@ -462,7 +462,7 @@ def _bipartite_max_independent(
                 taken |= low
                 break
             us.append(owner)
-            todo.append(rows[owner])
+            todo.append(rows[owner] & right)
         else:
             dead = visited
     # alternating reachability from unmatched left vertices
@@ -470,7 +470,7 @@ def _bipartite_max_independent(
     reach_right = 0
     frontier = list(_bits(reach_left))
     while frontier:
-        new = rows[frontier.pop()] & ~reach_right
+        new = rows[frontier.pop()] & right & ~reach_right
         reach_right |= new
         for w in _bits(new):
             owner = match_right.get(w)
@@ -478,6 +478,114 @@ def _bipartite_max_independent(
                 reach_left |= 1 << owner
                 frontier.append(owner)
     return reach_left | (right & ~reach_right)
+
+
+def _arc_tables(model: ArcModel):
+    """Bitset tables over the non-full arcs of a model, bit i for others[i].
+
+    Returns others, ends, through and disjoint: ends[i] holds the indices in
+    the sorted endpoint positions of arc i's start and end, through[k] the
+    arcs covering the k-th endpoint, and disjoint[i] the arcs missing arc i.
+    Each arc covers a run of endpoints (two runs when it wraps), so one sweep
+    builds through, and prefix masks of the starts give the arcs starting
+    inside an arc: two arcs meet iff one holds the other's start.
+    """
+    others = [v for v in sorted(model.arcs) if model.arcs[v] is not None]
+    endpoints = sorted({p for v in others for p in model.arcs[v]})
+    index = {p: k for k, p in enumerate(endpoints)}
+    starts, stops = [0] * len(endpoints), [0] * len(endpoints)
+    ends, running = [], 0
+    for i, v in enumerate(others):
+        s, t = model.arcs[v]
+        ends.append((index[s], index[t]))
+        starts[index[s]] |= 1 << i
+        stops[index[t]] |= 1 << i
+        if s > t:
+            if model.kind == "path":
+                raise ValueError("path arcs cannot wrap")
+            # a wrapping arc covers the first endpoint through its end
+            running |= 1 << i
+    through, started = [], [0]
+    for k in range(len(endpoints)):
+        running |= starts[k]
+        through.append(running)
+        running &= ~stops[k]
+        started.append(started[-1] | starts[k])
+    everything = started[-1]
+    disjoint = []
+    for ks, kt in ends:
+        # the arcs starting inside the arc; a wrapping arc holds all but
+        # those starting after its end and before its start
+        inside = started[kt + 1] ^ started[ks]
+        if ks > kt:
+            inside ^= everything
+        disjoint.append(everything & ~(through[ks] | inside))
+    return others, ends, through, disjoint
+
+
+def _may_exceed(left: int, right: int, disjoint: list[int], floor: int) -> bool:
+    """Whether the largest clique of left | right may hold more than floor arcs.
+
+    left and right are each a clique.  By Konig that clique has |left| +
+    |right| minus a maximum matching of the disjointness graph between them,
+    so a greedy matching from the right side answers False once it has
+    matched enough to prove that the clique cannot exceed floor.
+    """
+    unmatched, need = left, left.bit_count() + right.bit_count() - floor
+    while right and need > 0:
+        low = right & -right
+        right ^= low
+        free = disjoint[low.bit_length() - 1] & unmatched
+        if free:
+            unmatched ^= free & -free
+            need -= 1
+    return need > 0
+
+
+def _carc_omega(
+    ends: list[tuple[int, int]], through: list[int], disjoint: list[int]
+) -> int:
+    """The clique number of the non-full arcs, peeling the shortest arc.
+
+    An arc meeting an arc v but covering neither end of v lies strictly
+    inside v and so covers fewer endpoints.  Taking the arcs by the number of
+    endpoints they cover, every clique through v among the arcs still alive
+    lies in those through v's two ends: two cliques, whose union's largest
+    clique is found by matching.  v is then dropped.  Each endpoint's arcs
+    are a clique, so the largest point load starts the search.
+    """
+    omega = max(map(int.bit_count, through))
+    alive = (1 << len(ends)) - 1
+    count = len(through)
+    for i in sorted(range(len(ends)), key=lambda i: (ends[i][1] - ends[i][0]) % count):
+        ks, kt = ends[i]
+        left = through[ks] & alive
+        right = through[kt] & alive & ~left
+        if _may_exceed(left, right, disjoint, omega):
+            clique = _bipartite_max_independent(left, right, disjoint)
+            omega = max(omega, clique.bit_count())
+        alive ^= 1 << i
+    return omega
+
+
+def _first_candidate_above(through: list[int], disjoint: list[int], floor: int) -> int:
+    """The first endpoint pair's candidate with more than floor arcs."""
+    matched: list[int] = []
+    for pi, left in enumerate(through):
+        for right in through[pi:]:
+            right &= ~left
+            if not _may_exceed(left, right, disjoint, floor):
+                continue
+            span = left | right
+            if any(not span & ~seen for seen in reversed(matched)):
+                continue
+            # matched keeps only the inclusion-maximal sets
+            matched = [seen for seen in matched if seen & ~span]
+            matched.append(span)
+            candidate = _bipartite_max_independent(left, right, disjoint)
+            if candidate.bit_count() > floor:
+                return candidate
+    raise AssertionError("no endpoint pair reaches the clique number")
 
 
 def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
@@ -490,83 +598,29 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
     union (arcs through q) for some pair of positions, each side a clique:
     a co-bipartite candidate whose maximum clique is found as a maximum
     independent set of the bipartite disjointness graph between the sides.
-    All endpoint position pairs, including p = q, are tried in order, and
-    the first strictly largest candidate wins.
+    Endpoint position pairs, including p = q, are tried in order, and the
+    first candidate of the clique number ω wins.
 
-    Arcs are bits of Python ints.  The arc set S of a pair holds the arcs
-    through p or q, and its candidate is a maximum clique of S.  A pair's
-    matching is skipped when that candidate cannot beat the best so far:
-    when |S| minus a greedy matching of the disjointness graph is no larger
-    than the best (by Konig the candidate has |S| minus a maximum matching's
-    size), or when S lies inside the S of a pair matched before (an induced
-    subgraph has no larger clique).  On an interval model the scan stops at
-    the first candidate as large as the largest point load, which no clique
-    exceeds, so the answer is the same.
+    ω comes first, by peeling the shortest arc (`_carc_omega`), so the scan
+    starts with ω - 1 as the best so far and stops at the first pair that
+    reaches ω.  Arcs are bits of Python ints.  The arc set S of a pair holds
+    the arcs through p or q, and its candidate is a maximum clique of S.  A
+    pair's matching is skipped when that candidate cannot reach ω: when |S|
+    minus a greedy matching of the disjointness graph is below ω, or when S
+    lies inside the S of a pair matched before (an induced subgraph has no
+    larger clique).  Neither rule skips a pair whose candidate reaches ω, so
+    the answer is the first such pair's, as a scan from nothing would find.
     """
-    verts = sorted(model.arcs.keys())
-    pos = {v: model.positions(v) for v in verts}
-    full = [v for v in verts if model.arcs[v] is None]
-    others = [v for v in verts if model.arcs[v] is not None]
-    if not others:
-        return tuple(full)
-    endpoints = sorted({p for v in others for p in model.arcs[v]})
-    # through[p]: the arcs covering endpoint p, bit i standing for others[i]
-    through = {
-        p: sum(1 << i for i, v in enumerate(others) if p in pos[v])
-        for p in endpoints
-    }
-    # two arcs meet iff one holds the other's start, so the arcs meeting
-    # arc v are those through some endpoint that v covers
-    everything = (1 << len(others)) - 1
-    disjoint = []
-    for v in others:
-        meets = 0
-        for p in endpoints:
-            if p in pos[v]:
-                meets |= through[p]
-        disjoint.append(everything & ~meets)
-    best, best_size = 0, 0
-    # intervals that pairwise meet share a point (Helly), so on a path no
-    # candidate beats the largest point load and the first to reach it wins
-    load = max(map(int.bit_count, through.values())) if model.kind == "path" else -1
-    matched: list[int] = []
-    for pi, p in enumerate(endpoints):
-        left = through[p]
-        left_size = left.bit_count()
-        for q in endpoints[pi:]:
-            right = through[q] & ~left
-            size = left_size + right.bit_count()
-            if size <= best_size:
-                continue
-            # a greedy matching from the right side, stopped once it proves
-            # the candidate cannot win
-            unmatched, rest, need = left, right, size - best_size
-            while rest and need:
-                low = rest & -rest
-                rest ^= low
-                free = disjoint[low.bit_length() - 1] & unmatched
-                if free:
-                    unmatched ^= free & -free
-                    need -= 1
-            if not need:
-                continue
-            span = left | right
-            if any(not span & ~seen for seen in reversed(matched)):
-                continue
-            # matched keeps only the inclusion-maximal sets
-            matched = [seen for seen in matched if seen & ~span]
-            matched.append(span)
-            rows = {u: disjoint[u] & right for u in _bits(left)}
-            candidate = _bipartite_max_independent(left, right, rows)
-            if candidate.bit_count() > best_size:
-                best, best_size = candidate, candidate.bit_count()
-                if best_size == load:
-                    break
-        if best_size == load:
-            break
+    full = [v for v in sorted(model.arcs) if model.arcs[v] is None]
+    others, ends, through, disjoint = _arc_tables(model)
+    best = 0
+    if others:
+        floor = _carc_omega(ends, through, disjoint) - 1
+        best = _first_candidate_above(through, disjoint, floor)
     result = tuple(sorted([others[i] for i in _bits(best)] + full))
+    pos = {v: model.positions(v) for v in result}
     for u, v in combinations(result, 2):
-        if not pos[u] & pos[v]:
+        if pos[u].isdisjoint(pos[v]):
             raise AssertionError("candidate is not a clique")
     return result
 

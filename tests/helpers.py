@@ -11,9 +11,11 @@ import random
 from itertools import combinations
 
 from hgraphs.clique import CliqueEnumeration
+from hgraphs.clique import _bipartite_max_independent as _bitset_max_independent
 from hgraphs.core import (
     Multigraph,
     SimpleGraph,
+    _bits,
     _components,
     _connected,
     complement,
@@ -306,6 +308,100 @@ def carc_reference(model) -> tuple[int, ...]:
     graph_pos = {v: model.positions(v) for v in verts}
     for u, v in combinations(result, 2):
         if not graph_pos[u] & graph_pos[v]:
+            raise AssertionError("candidate is not a clique")
+    return result
+
+
+# The endpoint scan that carc_max_clique ran before it found the clique
+# number first, kept verbatim (renamed) so tests can require identical
+# tuples from it.  It calls the library's bitset matching, as it did.
+def carc_scan_reference(model) -> tuple[int, ...]:
+    """Maximum clique of a circular-arc (or interval) model.
+
+    Full-circle arcs join every clique.  Any other clique either has a common
+    position, or the arcs missing a position p become pairwise-intersecting
+    intervals once the circle is cut at p, and intervals with pairwise
+    intersections share a point q.  So the clique splits as (arcs through p)
+    union (arcs through q) for some pair of positions, each side a clique:
+    a co-bipartite candidate whose maximum clique is found as a maximum
+    independent set of the bipartite disjointness graph between the sides.
+    All endpoint position pairs, including p = q, are tried in order, and
+    the first strictly largest candidate wins.
+
+    Arcs are bits of Python ints.  The arc set S of a pair holds the arcs
+    through p or q, and its candidate is a maximum clique of S.  A pair's
+    matching is skipped when that candidate cannot beat the best so far:
+    when |S| minus a greedy matching of the disjointness graph is no larger
+    than the best (by Konig the candidate has |S| minus a maximum matching's
+    size), or when S lies inside the S of a pair matched before (an induced
+    subgraph has no larger clique).  On an interval model the scan stops at
+    the first candidate as large as the largest point load, which no clique
+    exceeds, so the answer is the same.
+    """
+    verts = sorted(model.arcs.keys())
+    pos = {v: model.positions(v) for v in verts}
+    full = [v for v in verts if model.arcs[v] is None]
+    others = [v for v in verts if model.arcs[v] is not None]
+    if not others:
+        return tuple(full)
+    endpoints = sorted({p for v in others for p in model.arcs[v]})
+    # through[p]: the arcs covering endpoint p, bit i standing for others[i]
+    through = {
+        p: sum(1 << i for i, v in enumerate(others) if p in pos[v])
+        for p in endpoints
+    }
+    # two arcs meet iff one holds the other's start, so the arcs meeting
+    # arc v are those through some endpoint that v covers
+    everything = (1 << len(others)) - 1
+    disjoint = []
+    for v in others:
+        meets = 0
+        for p in endpoints:
+            if p in pos[v]:
+                meets |= through[p]
+        disjoint.append(everything & ~meets)
+    best, best_size = 0, 0
+    # intervals that pairwise meet share a point (Helly), so on a path no
+    # candidate beats the largest point load and the first to reach it wins
+    load = max(map(int.bit_count, through.values())) if model.kind == "path" else -1
+    matched: list[int] = []
+    for pi, p in enumerate(endpoints):
+        left = through[p]
+        left_size = left.bit_count()
+        for q in endpoints[pi:]:
+            right = through[q] & ~left
+            size = left_size + right.bit_count()
+            if size <= best_size:
+                continue
+            # a greedy matching from the right side, stopped once it proves
+            # the candidate cannot win
+            unmatched, rest, need = left, right, size - best_size
+            while rest and need:
+                low = rest & -rest
+                rest ^= low
+                free = disjoint[low.bit_length() - 1] & unmatched
+                if free:
+                    unmatched ^= free & -free
+                    need -= 1
+            if not need:
+                continue
+            span = left | right
+            if any(not span & ~seen for seen in reversed(matched)):
+                continue
+            # matched keeps only the inclusion-maximal sets
+            matched = [seen for seen in matched if seen & ~span]
+            matched.append(span)
+            rows = {u: disjoint[u] & right for u in _bits(left)}
+            candidate = _bitset_max_independent(left, right, rows)
+            if candidate.bit_count() > best_size:
+                best, best_size = candidate, candidate.bit_count()
+                if best_size == load:
+                    break
+        if best_size == load:
+            break
+    result = tuple(sorted([others[i] for i in _bits(best)] + full))
+    for u, v in combinations(result, 2):
+        if not pos[u] & pos[v]:
             raise AssertionError("candidate is not a clique")
     return result
 

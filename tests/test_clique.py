@@ -11,6 +11,7 @@ from helpers import (
     assert_clique,
     atoms_bruteforce,
     carc_reference,
+    carc_scan_reference,
     has_clique_cutset,
     maximal_cliques_capped_reference,
     maximal_cliques_reference,
@@ -20,7 +21,9 @@ from helpers import (
 import hgraphs.clique as clique_module
 from hgraphs.clique import (
     ArcModel,
+    _arc_tables,
     _bipartite_max_independent,
+    _carc_omega,
     _mcs_m,
     cactus_atom_arc_model,
     carc_max_clique,
@@ -382,6 +385,101 @@ def test_carc_interval_model_stops_at_the_largest_point_load():
     assert time.perf_counter() - start < 4
     assert len(got) == load
     assert all(spans[u] & spans[v] for u, v in combinations(got, 2))
+
+
+def _omega(model: ArcModel) -> int:
+    # the clique number found by peeling, full-circle arcs added
+    _, ends, through, disjoint = _arc_tables(model)
+    full = sum(arc is None for arc in model.arcs.values())
+    return full + (_carc_omega(ends, through, disjoint) if ends else 0)
+
+
+def test_carc_matches_the_endpoint_scan():
+    # the scan from nothing returns the first pair reaching omega, and so
+    # must the scan that knows omega first
+    rng = random.Random(30)
+    for trial in range(2000):
+        kind = "path" if trial % 4 == 0 else "cycle"
+        model = random_arc_model(
+            rng.randint(1, 60),
+            rng.randint(1, 60),
+            rng,
+            kind=kind,
+            full_fraction=(0.0, 0.05, 0.3)[trial % 3] if kind == "cycle" else 0.0,
+        )
+        assert carc_max_clique(model) == carc_scan_reference(model), model
+    for n in (100, 110, 120, 135, 150):
+        model = random_arc_model(n, n, rng, kind="path" if n == 120 else "cycle")
+        assert carc_max_clique(model) == carc_scan_reference(model), model
+
+
+def test_carc_omega_matches_bruteforce():
+    rng = random.Random(31)
+    for trial in range(40):
+        kind = "path" if trial % 4 == 0 else "cycle"
+        model = random_arc_model(
+            rng.randint(1, 20),
+            rng.randint(1, 30),
+            rng,
+            kind=kind,
+            full_fraction=0.1 if kind == "cycle" else 0.0,
+        )
+        want = max_clique_bruteforce(model_intersection_graph(model))
+        assert _omega(model) == len(want), model
+
+
+def _edge_case_models(rng):
+    # tied shortest arcs: every arc spans the same number of positions
+    for _ in range(30):
+        length, span = rng.randint(3, 20), rng.randint(0, 6)
+        starts = [rng.randrange(length) for _ in range(rng.randint(2, 14))]
+        arcs = {v: (s, (s + span) % length) for v, s in enumerate(starts)}
+        yield ArcModel("cycle", length, arcs)
+    # one-position arcs, alone and among longer arcs
+    for _ in range(30):
+        length = rng.randint(1, 12)
+        model = random_arc_model(rng.randint(0, 10), length, rng, full_fraction=0.1)
+        arcs = dict(model.arcs)
+        for _ in range(rng.randint(1, 6)):
+            p = rng.randrange(length)
+            arcs[len(arcs)] = (p, p)
+        yield ArcModel("cycle", length, arcs)
+    # arcs that each miss one or two positions, each position missed by
+    # one: from five positions up they pairwise meet, yet share none
+    for _ in range(30):
+        length = rng.randint(3, 10)
+        arcs = {}
+        for v in range(rng.randint(length, 12)):
+            s = (v + 1) % length if v < length else rng.randrange(length)
+            arcs[v] = (s, (s + length - rng.choice((2, 3))) % length)
+        yield ArcModel("cycle", length, arcs)
+    yield ArcModel("cycle", 5, {0: None, 1: None, 2: None})
+    yield ArcModel("cycle", 6, {0: None, 1: (4, 1), 2: None})
+    yield ArcModel("cycle", 6, {0: (3, 3)})
+    yield ArcModel("path", 6, {0: (2, 5)})
+
+
+def test_carc_peel_edge_cases():
+    non_helly = 0
+    for model in _edge_case_models(random.Random(32)):
+        got = carc_max_clique(model)
+        assert got == carc_reference(model), model
+        want = max_clique_bruteforce(model_intersection_graph(model))
+        assert len(got) == _omega(model) == len(want), model
+        spans = [model.positions(v) for v in got]
+        non_helly += bool(got) and not frozenset.intersection(*spans)
+    # the models reach the case the peel exists for: no common position
+    assert non_helly > 20
+
+
+def test_carc_cycle_model_of_300_arcs_within_a_second():
+    # the endpoint scan from nothing took 2.5-4.4 s on this model
+    model = random_arc_model(300, 600, random.Random(7), full_fraction=0.05)
+    start = time.perf_counter()
+    got = carc_max_clique(model)
+    assert time.perf_counter() - start < 1
+    assert len(got) == _omega(model)
+    assert_clique(model_intersection_graph(model), got)
 
 
 def _random_cactus_representations():
