@@ -8,7 +8,6 @@ adjacency before it leaves this module.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -214,8 +213,8 @@ def _mcs_m(g: SimpleGraph):
 
     Vertices are numbered from last to first, each time taking an
     unnumbered vertex of the largest weight, ties toward the smaller index:
-    a heap keyed (-weight, vertex) gets one entry per raise, and entries
-    whose weight is stale are skipped.  Numbering v raises, and joins to v
+    the lowest bit of the highest non-empty level, an int mask of the
+    unnumbered vertices of one weight.  Numbering v raises, and joins to v
     by a fill edge, every unnumbered u that v reaches through unnumbered
     vertices all lighter than u; this fill is minimal (Berry, Blair,
     Heggernes & Peyton 2004).
@@ -229,21 +228,29 @@ def _mcs_m(g: SimpleGraph):
     order, and for each vertex the set of its fill neighbours numbered
     before it, i.e. eliminated after it (Berry, Pogorelcnik & Simonet 2010).
     """
-    # sets, not g.masks: masks took a 2000-vertex path from 1.1 to 3.1 s
+    # The search walks adjacency sets, not g.masks: each OR of a mask costs
+    # n bits, which on long thin graphs made a bitset search 1.5-4x slower
+    # (cycle_graph(5000) 4.2 -> 12.4 s, a 5000-vertex random tree 1.4 ->
+    # 3.6 s, a 2000-vertex ladder 1.5x).
     adj = g.adjacency
     weight = [0] * g.n
     later: list[set[int]] = [set() for _ in range(g.n)]
-    unnumbered = set(range(g.n))
+    # mark[u] is past every step once u is numbered, else the last step
+    # whose search saw u: one list lookup tests "unnumbered and unseen"
+    numbered = g.n + 1
+    mark = [0] * g.n
     count = [g.n] + [0] * g.n  # count[w]: unnumbered vertices of weight w
-    heap = [(0, u) for u in range(g.n)]  # sorted, so already a heap
+    level = [(1 << g.n) - 1] + [0] * g.n  # level[w]: those vertices as a mask
     generators: list[int] = []
     prev = -1
-    while heap:
-        key, v = heapq.heappop(heap)
-        if -key != weight[v]:  # a numbered vertex has only stale entries
-            continue
-        unnumbered.discard(v)
-        top = weight[v]
+    top = 0
+    for step in range(1, g.n + 1):
+        while not level[top]:
+            top -= 1
+        low = level[top] & -level[top]
+        level[top] ^= low
+        v = low.bit_length() - 1
+        mark[v] = numbered
         count[top] -= 1
         if top <= prev:
             generators.append(v)
@@ -252,36 +259,56 @@ def _mcs_m(g: SimpleGraph):
         # no unnumbered vertex outweighs v, so buckets past top stay empty
         # and bucket top itself can raise nothing.
         buckets: list[list[int]] = [[] for _ in range(top + 1)]
-        raised = [u for u in adj[v] if u in unnumbered]
-        seen = set(raised)
+        raised = [u for u in adj[v] if mark[u] < step]
         unseen = count[: top + 1]
         for u in raised:
+            mark[u] = step
             buckets[weight[u]].append(u)
             unseen[weight[u]] -= 1
         heavy = sum(unseen[1:])  # unseen and heavier than level 0
         for j in range(top):
-            stack = buckets[j]
-            while stack and heavy:
-                for z in adj[stack.pop()]:
-                    if z in unnumbered and z not in seen:
-                        seen.add(z)
+            bucket = buckets[j]
+            for x in bucket:  # a list walked while it grows: a queue
+                if not heavy:
+                    break
+                for z in adj[x]:
+                    if mark[z] < step:
+                        mark[z] = step
                         if weight[z] > j:
                             heavy -= 1
                             unseen[weight[z]] -= 1
                             raised.append(z)
                             buckets[weight[z]].append(z)
                         else:
-                            stack.append(z)
+                            bucket.append(z)
             heavy -= unseen[j + 1]
             if not heavy:
                 break
+        up = 0
         for u in raised:
-            count[weight[u]] -= 1
             weight[u] += 1
-            count[weight[u]] += 1
             later[u].add(v)
-            heapq.heappush(heap, (-weight[u], u))
+            up |= 1 << u
+        # from the top, so that no vertex moves up twice
+        for w in range(top, -1, -1):
+            if not up:
+                break
+            moved = level[w] & up
+            if moved:
+                up ^= moved
+                level[w] ^= moved
+                level[w + 1] |= moved
+                k = moved.bit_count()
+                count[w] -= k
+                count[w + 1] += k
+        top += 1  # a raised vertex may now weigh one more than v did
     return generators, later
+
+
+def _is_clique(masks, verts) -> bool:
+    """Whether verts are pairwise adjacent, one mask test per vertex."""
+    whole = sum(1 << v for v in verts)
+    return all(whole & ~masks[v] == 1 << v for v in verts)
 
 
 def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
@@ -301,7 +328,7 @@ def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
     atoms: list[tuple[int, ...]] = []
     for x in reversed(generators):
         sep = later[x]
-        if any(b not in adj[a] for a, b in combinations(sep, 2)):
+        if not _is_clique(g.masks, sep):
             continue
         # take the separator out of remaining for the search and put it
         # back: building remaining - sep costs a pass over remaining
@@ -640,11 +667,9 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
         raise InvalidRepresentation(verdict)
     if g.n == 0:
         return ()
-    masks = g.masks
     best: tuple[int, ...] = ()
     for atom in clique_cutset_decomposition(g).atoms:
-        whole = sum(1 << v for v in atom.vertices)
-        if all(whole & ~masks[v] == 1 << v for v in atom.vertices):
+        if _is_clique(g.masks, atom.vertices):
             c = atom.vertices
         else:
             c = carc_max_clique(cactus_atom_arc_model(atom, r))

@@ -13,8 +13,7 @@ from typing import Mapping
 from .core import (
     Multigraph,
     SimpleGraph,
-    _connected,
-    _meeting_pairs,
+    _bits,
     complement,
     two_subdivision,
 )
@@ -125,25 +124,76 @@ class Verdict:
         return self.kind == "ok"
 
 
+def _meets(r: HRepresentation) -> tuple[dict, list[list[int]], list[int]]:
+    """The pattern's node index in ``nodes()`` order, each vertex's node
+    indices, and for each vertex v the mask of the vertices whose sets meet
+    v's: the OR of the holder masks (bit u for vertex u) of v's nodes.
+
+    The vertices are 0..len(r.sets)-1.  A node outside the pattern gets the
+    next free index, so that sets sharing it still meet.
+    """
+    index = {nd: i for i, nd in enumerate(r.pattern.nodes())}
+    holders = [0] * len(index)
+    members = []
+    for v in range(len(r.sets)):
+        try:
+            ids = [index[nd] for nd in r.sets[v]]
+        except KeyError:
+            ids = [index.setdefault(nd, len(index)) for nd in r.sets[v]]
+            holders += [0] * (len(index) - len(holders))
+        bit = 1 << v
+        for i in ids:
+            holders[i] |= bit
+        members.append(ids)
+    meets = []
+    for ids in members:
+        meet = 0
+        for i in ids:
+            meet |= holders[i]
+        meets.append(meet)
+    return index, members, meets
+
+
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     """Check that r is exactly a representation of g.
 
     Each node set must induce a connected subgraph of the subdivided pattern,
     and two sets must share a node precisely when the vertices are adjacent.
+
+    Sets are int masks of node indices (`_meets`).  Each set is searched one
+    layer at a time inside its own mask.  Then v's set meets exactly the
+    sets of v and its neighbours iff its meet mask is ``g.masks[v] | 1 << v``.
     """
     if set(r.sets.keys()) != set(range(g.n)):
         raise DomainMismatch("representation domain differs from graph vertices")
-    adjacency = r.pattern.adjacency
-    for v in range(g.n):
-        for nd in r.sets[v]:
-            if nd not in adjacency:
-                raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
-        if not _connected(adjacency, r.sets[v]):
+    adjacency = r.pattern.adjacency  # in nodes() order, like the index
+    index, members, meets = _meets(r)
+    nbr = [sum(1 << index[y] for y in ys) for ys in adjacency.values()]
+    for v, ids in enumerate(members):
+        mask = sum(1 << i for i in ids)
+        if mask >> len(nbr):
+            nd = next(nd for nd in r.sets[v] if nd not in adjacency)
+            raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
+        rest = mask & (mask - 1)  # the set's nodes not reached yet
+        frontier = mask ^ rest
+        while frontier and rest:
+            grow = 0
+            for i in _bits(frontier):
+                grow |= nbr[i]
+            frontier = grow & rest
+            rest ^= frontier
+        if rest or not mask:
             return Verdict("disconnected", vertex=v)
-    wrong = sorted(g.edges.symmetric_difference(_meeting_pairs(r.sets)))
-    if wrong:
-        mismatches = tuple([(u, v, (u, v) in g.edges) for u, v in wrong])
-        return Verdict("mismatch", mismatches=mismatches)
+    masks = g.masks
+    # a pair is wrong where meeting and adjacency differ, and it was expected
+    # adjacent iff the sets miss each other
+    mismatches = [
+        (v, u, not meet >> u & 1)
+        for v, meet in enumerate(meets)
+        for u in _bits((meet ^ (masks[v] | 1 << v)) >> v << v)
+    ]
+    if mismatches:
+        return Verdict("mismatch", mismatches=tuple(mismatches))
     return Verdict("ok")
 
 
@@ -152,7 +202,11 @@ def intersection_graph(r: HRepresentation) -> SimpleGraph:
     verts = sorted(r.sets.keys())
     if verts != list(range(len(verts))):
         raise DomainMismatch("representation domain must be dense 0-based")
-    return SimpleGraph.from_edges(len(verts), _meeting_pairs(r.sets))
+    _, _, meets = _meets(r)
+    edges = [
+        (v, u) for v, meet in enumerate(meets) for u in _bits(meet >> v + 1 << v + 1)
+    ]
+    return SimpleGraph.from_edges(len(verts), edges)
 
 
 def generate_hard_instance(

@@ -58,6 +58,7 @@ from hgraphs.representation import (
     SubdividedPattern,
     branch,
     generate_hard_instance,
+    intersection_graph,
     sub,
     verify_representation,
 )
@@ -206,6 +207,15 @@ def test_atoms_long_path_in_time():
     atoms = clique_cutset_decomposition(path_graph(5000)).atoms
     elapsed = time.perf_counter() - start
     assert [a.vertices for a in atoms] == [(i, i + 1) for i in range(4999)]
+    assert elapsed < 2.0, elapsed
+
+
+def test_atoms_long_cycle_in_time():
+    # MCS-M+ walks the whole remaining cycle at each numbering
+    start = time.perf_counter()
+    atoms = clique_cutset_decomposition(cycle_graph(3000)).atoms
+    elapsed = time.perf_counter() - start
+    assert [a.vertices for a in atoms] == [tuple(range(3000))]
     assert elapsed < 2.0, elapsed
 
 
@@ -612,6 +622,40 @@ def test_arc_model_rejects_non_atom():
     fake_atom = Atom((0, 1, 2))
     with pytest.raises(NotAnAtom):
         cactus_atom_arc_model(fake_atom, rep)
+
+
+def _caterpillar_intervals(n: int, rng: random.Random):
+    # a caterpillar on n vertices as intervals of one subdivided edge: each
+    # spine vertex shares one node with each spine neighbour, and each of its
+    # 0 to 2 leaves owns one node inside it
+    positions: list[range] = []
+    edges = []
+    start = spine = 0
+    while len(positions) < n:
+        if positions:
+            edges.append((spine, len(positions)))
+        spine = len(positions)
+        leaves = min(rng.randint(0, 2), n - spine - 1)
+        positions.append(range(start, start + leaves + 2))
+        for k in range(leaves):
+            edges.append((spine, len(positions)))
+            positions.append(range(start + 1 + k, start + 2 + k))
+        start += leaves + 1
+    pattern = SubdividedPattern(Multigraph(2, ((0, 1),)), (start - 1,))
+    order = [branch(0)] + pattern.path_from(0, 0) + [branch(1)]
+    sets = {v: frozenset(order[p] for p in ps) for v, ps in enumerate(positions)}
+    return SimpleGraph.from_edges(n, edges), HRepresentation(pattern, sets)
+
+
+def test_clique_cactus_long_caterpillar_in_time():
+    # 5000 sets, about 12.5 million pairs: no step may test every pair
+    g, rep = _caterpillar_intervals(5000, random.Random(12))
+    assert intersection_graph(rep) == g
+    start = time.perf_counter()
+    best = clique_cactus(g, rep)
+    elapsed = time.perf_counter() - start
+    assert best == (0, 1)
+    assert elapsed < 0.5, elapsed
 
 
 def test_clique_cactus_rejects_non_cactus_pattern():

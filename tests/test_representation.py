@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import generate_hard_instance_reference
+from helpers import generate_hard_instance_reference, verify_representation_reference
 
 from hgraphs.clique import helly_check
 from hgraphs.core import (
@@ -122,6 +122,65 @@ def test_verify_requires_matching_domain():
     rep = HRepresentation(pat, {0: frozenset({branch(0)})})
     with pytest.raises(DomainMismatch):
         verify_representation(path_graph(2), rep)
+
+
+def _with_faults(g, rep, rng):
+    # up to three faults at random vertices: an unknown node, an empty set, a
+    # node far from the set (so it is disconnected), an edge added or removed
+    adjacency = rep.pattern.adjacency
+    sets, edges = dict(rep.sets), set(g.edges)
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randrange(g.n)
+        fault = rng.choice(("unknown", "empty", "far", "edge"))
+        if fault == "unknown":
+            sets[v] = sets[v] | {rng.choice((branch(99), sub(99, 1), ("x", v)))}
+        elif fault == "empty":
+            sets[v] = frozenset()
+        elif fault == "far":
+            near = sets[v].union(*(adjacency.get(nd, ()) for nd in sets[v]))
+            far = [nd for nd in adjacency if nd not in near]
+            if far:
+                sets[v] = sets[v] | {rng.choice(far)}
+        else:
+            u = rng.randrange(g.n)
+            if u != v:
+                edges ^= {(min(u, v), max(u, v))}
+    return SimpleGraph(g.n, frozenset(edges)), HRepresentation(rep.pattern, sets)
+
+
+def _verdict_or_error(verify, g, rep):
+    try:
+        return verify(g, rep)
+    except (ValueError, DomainMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_matches_reference_on_faults():
+    # the whole outcome must agree: the first disconnected vertex, a
+    # disconnected set reported before any mismatch, every mismatch in order,
+    # and the error text of an unknown node
+    rng = random.Random(41)
+    cases = []
+    for i in range(500):
+        h = (random_tree_pattern(rng.randint(1, 6), rng), random_cactus(8, rng),
+             wheel(4), complete_pattern(4))[i % 4]
+        pat = random_subdivision(h, rng, 3)
+        cases.append(random_representation(pat, rng.randint(1, 14), rng, 5))
+    for i in range(20):
+        h = (wheel(4), double_triangle())[i % 2]
+        g = gnm(rng.randint(3, 6), rng.randint(2, 6), rng)
+        cases.append(generate_hard_instance(g, h, find_tripartition(h)))
+    seen = set()
+    for g, rep in cases:
+        g, rep = _with_faults(g, rep, rng)
+        want = _verdict_or_error(verify_representation_reference, g, rep)
+        assert _verdict_or_error(verify_representation, g, rep) == want
+        seen.add(want[0] if isinstance(want, tuple) else want.kind)
+        if rng.random() < 0.1:
+            other = SimpleGraph(g.n + 1, g.edges)
+            want = _verdict_or_error(verify_representation_reference, other, rep)
+            assert _verdict_or_error(verify_representation, other, rep) == want
+    assert seen == {"ok", "disconnected", "mismatch", ValueError}, seen
 
 
 def test_helly_on_tree_patterns():

@@ -83,17 +83,40 @@ def test_script_help_runs(script):
     assert done.returncode == 0, done.stderr
 
 
-def test_benchmark_harness_runs():
-    # one short pass of a benchmark workload, its answers checked against the
-    # harness's oracles: a refactor that breaks the harness fails here
+# The digest of the CLI stdout of one seed-1 pass, which run.py prints: a
+# change that moves one byte of an answer fails here.  A change of output
+# made on purpose updates the pin and says why.
+PINNED_STDOUT_SHA256 = {
+    "hard-clique": "85419c4282e1a1ab453dc8c00f17a79204a12a000378c8546dceeac1a862ef14",
+    "cactus-clique": "03d8414680d790ff2bbf846d8c5cecca68a7fb53c9c2a63a525a0c916d8fa446",
+}
+
+
+def _check_pinned_run(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "hard-clique", "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+         workload, "--seed", "1", "--seconds", "0.01", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    summary = json.loads(done.stdout.splitlines()[-1])
+    lines = done.stdout.splitlines()
+    summary = json.loads(lines[-1])
     assert summary["correct"] is True, summary
+    digests = [ln.split()[1] for ln in lines if ln.startswith("stdout_sha256 ")]
+    assert digests == [PINNED_STDOUT_SHA256[workload]], done.stdout
+
+
+def test_benchmark_harness_runs():
+    # one short pass of a benchmark workload, its answers checked against the
+    # harness's oracles: a refactor that breaks the harness fails here
+    _check_pinned_run("hard-clique")
+
+
+def test_benchmark_harness_pins_cactus_clique_output():
+    # the cactus route's tie-breaks (the smallest of equal cliques across
+    # atoms, the first endpoint pair reaching omega) show in its printed
+    # cliques; MCS-M+'s numbering cannot, as the atoms do not depend on it
+    _check_pinned_run("cactus-clique")
 
 
 def _check_traced_run(workload):
