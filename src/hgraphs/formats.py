@@ -18,33 +18,34 @@ from .fpt import TreeDecomposition
 from .representation import HRepresentation, SubdividedPattern, branch, sub
 
 
-def _lines(text: str):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield no, line
+def _skipped(parts: list[str]) -> bool:
+    """Blank lines and lines starting with c are skipped in every format."""
+    return not parts or parts[0][0] == "c"
 
 
-def _records(text: str, path: str, tag: str, before: str):
-    """(line number, tokens) of each content line of a headed file.
+def _header(rows, tag: str, before: str, path: str) -> tuple[int, list[str]]:
+    """Line number and tokens of the header, the first line of rows (line
+    number, line) not skipped; before is the message when it is not one."""
+    for no, raw in rows:
+        parts = raw.split()
+        if not _skipped(parts):
+            if parts[0] != tag:
+                raise ParseError(path, no, before)
+            return no, parts
+    raise ParseError(path, 1, f"missing {tag} line")
 
-    The header (first token tag) comes first and once; before is the message
-    for content above it."""
-    lines = _lines(text)
-    for no, line in lines:
-        parts = line.split()
-        if parts[0] != tag:
-            raise ParseError(path, no, before)
-        yield no, parts
-        break
-    else:
-        raise ParseError(path, 1, f"missing {tag} line")
-    for no, line in lines:
-        parts = line.split()
-        if parts[0] == tag:
-            raise ParseError(path, no, f"duplicate {tag} line")
-        yield no, parts
+
+def _reject(raw: str, tag: str | None, path: str, no: int, fault, *args) -> None:
+    """The slow path of a line no fast test accepted: pass a skipped line,
+    else raise for a second header, for the first fault that fault(tokens,
+    path, no, *args) names, or for an unrecognized line."""
+    parts = raw.split()
+    if _skipped(parts):
+        return
+    if parts[0] == tag:
+        raise ParseError(path, no, f"duplicate {tag} line")
+    fault(parts, path, no, *args)
+    raise ParseError(path, no, f"unrecognized line {raw.strip()!r}")
 
 
 def _int(tok: str, path: str, no: int, what: str) -> int:
@@ -85,65 +86,66 @@ def _declared(found: int, declared: int, what: str, path: str, no: int) -> None:
 
 
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
-    records = _records(text, path, "p", "edge line before p line")
-    header_line, parts = next(records)
+    rows = enumerate(text.splitlines(), start=1)
+    header_line, parts = _header(rows, "p", "edge line before p line", path)
     if len(parts) != 4 or parts[1] != "tw":
         raise ParseError(path, header_line, "expected 'p tw <n> <m>'")
     n = _count(parts[2], path, header_line, "vertex count")
     m = _count(parts[3], path, header_line, "edge count")
     edges = set()
-    for no, parts in records:
+    for no, raw in rows:
         try:
-            x, y = parts
+            x, y = raw.split()
             a, b = int(x) - 1, int(y) - 1
         except ValueError:
             a = b = -1
         if a > b:
             a, b = b, a
-        # one comparison accepts a well-formed edge; _edge_key names a fault
+        # one comparison accepts a well-formed edge
         if 0 <= a < b < n and (a, b) not in edges:
             edges.add((a, b))
         else:
-            edges.add(_edge_key(parts, n, edges, path, no))
+            _reject(raw, "p", path, no, _edge_fault, n, edges)
     _declared(len(edges), m, "edges", path, header_line)
     return SimpleGraph(n, frozenset(edges))
 
 
-def _edge_key(parts: list[str], n: int, edges: set, path: str, no: int):
-    """The 0-based pair of a .gr edge line, checked in the documented order."""
+def _edge_fault(parts: list[str], path: str, no: int, n: int, edges: set) -> None:
+    """The fault of a .gr edge line, checked in the documented order."""
     u, v = _pair(parts, path, no, "endpoint", n, "vertex", "'<u> <v>'")
     if u == v:
         raise ParseError(path, no, "loops are not allowed in .gr files")
-    key = (min(u, v) - 1, max(u, v) - 1)
-    if key in edges:
+    if (min(u, v) - 1, max(u, v) - 1) in edges:
         raise ParseError(path, no, f"duplicate edge {u} {v}")
-    return key
 
 
 def emit_gr(g: SimpleGraph) -> str:
-    out = [f"p tw {g.n} {g.m}"]
-    out.extend(f"{u + 1} {v + 1}" for u, v in g.sorted_edges())
+    n = g.n
+    out = [f"p tw {n} {g.m}"]
+    # edge (u, v), u < v, sorts as the int u*n + v
+    out += [f"{k // n + 1} {k % n + 1}" for k in sorted([u * n + v for u, v in g.edges])]
     return "\n".join(out) + "\n"
 
 
 def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
-    records = _records(text, path, "h", "edge line before h line")
-    header_line, parts = next(records)
+    rows = enumerate(text.splitlines(), start=1)
+    header_line, parts = _header(rows, "h", "edge line before h line", path)
     if len(parts) != 3:
         raise ParseError(path, header_line, "expected 'h <n> <m>'")
     n = _count(parts[1], path, header_line, "node count")
     m = _count(parts[2], path, header_line, "edge count")
     edges = []
-    for no, parts in records:
+    for no, raw in rows:
         try:
-            x, y = parts
+            x, y = raw.split()
             u, v = int(x), int(y)
         except ValueError:
             u = v = 0
-        # one range test accepts a well-formed edge; _pair names a fault
-        if not (0 < u <= n and 0 < v <= n):
-            u, v = _pair(parts, path, no, "endpoint", n, "node", "'<u> <v>'")
-        edges.append((u - 1, v - 1))
+        # one range test accepts a well-formed edge
+        if 0 < u <= n and 0 < v <= n:
+            edges.append((u - 1, v - 1))
+        else:
+            _reject(raw, "h", path, no, _pair, "endpoint", n, "node", "'<u> <v>'")
     _declared(len(edges), m, "edges", path, header_line)
     return Multigraph(n, tuple(edges))
 
@@ -156,36 +158,53 @@ def emit_hgr(h: Multigraph) -> str:
 
 def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
     """Parse a .td file; returns the decomposition and the declared graph size."""
-    records = _records(text, path, "s", "content before s line")
-    header_line, parts = next(records)
+    rows = enumerate(text.splitlines(), start=1)
+    header_line, parts = _header(rows, "s", "content before s line", path)
     if len(parts) != 5 or parts[1] != "td":
         raise ParseError(path, header_line, "expected 's td <bags> <width+1> <n>'")
     header = tuple(_count(p, path, header_line, "header field") for p in parts[2:])
+    count, _, n = header
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
-    for no, parts in records:
-        if parts[0] == "b":
-            if len(parts) < 2:
-                raise ParseError(path, no, "expected 'b <id> <vertices...>'")
-            idx = _int(parts[1], path, no, "bag id")
-            _within(idx, header[0], "bag id", path, no)
-            if idx in bags:
-                raise ParseError(path, no, f"duplicate bag {idx}")
-            verts = [_int(p, path, no, "bag vertex") for p in parts[2:]]
-            for v in verts:
-                _within(v, header[2], "vertex", path, no)
-            bags[idx] = frozenset(v - 1 for v in verts)
-            continue
-        i, j = _pair(
-            parts, path, no, "bag id", header[0], "bag id", "tree edge '<i> <j>'"
-        )
-        tree_edges.append((i - 1, j - 1))
-    _declared(len(bags), header[0], "bags", path, header_line)
-    ordered = tuple(bags[i + 1] for i in range(header[0]))
+    for no, raw in rows:
+        parts = raw.split()
+        try:
+            if parts[0] == "b":
+                idx = int(parts[1])
+                verts = [int(p) - 1 for p in parts[2:]]
+                fits = all(0 <= v < n for v in verts)
+                if 0 < idx <= count and idx not in bags and fits:
+                    bags[idx] = frozenset(verts)
+                    continue
+            else:
+                x, y = parts
+                i, j = int(x), int(y)
+                if 0 < i <= count and 0 < j <= count:
+                    tree_edges.append((i - 1, j - 1))
+                    continue
+        except (IndexError, ValueError):
+            pass
+        _reject(raw, "s", path, no, _td_fault, header, bags)
+    _declared(len(bags), count, "bags", path, header_line)
+    ordered = tuple(bags[i + 1] for i in range(count))
     d = TreeDecomposition(ordered, tuple(tree_edges))
     if max((len(b) for b in ordered), default=0) != header[1]:
         raise ParseError(path, header_line, "declared width+1 disagrees with bags")
-    return d, header[2]
+    return d, n
+
+
+def _td_fault(parts: list[str], path: str, no: int, header: tuple, bags: dict) -> None:
+    """The fault of a .td bag or tree-edge line, checked in the documented order."""
+    if parts[0] != "b":
+        _pair(parts, path, no, "bag id", header[0], "bag id", "tree edge '<i> <j>'")
+        return
+    if len(parts) < 2:
+        raise ParseError(path, no, "expected 'b <id> <vertices...>'")
+    idx = _within(_int(parts[1], path, no, "bag id"), header[0], "bag id", path, no)
+    if idx in bags:
+        raise ParseError(path, no, f"duplicate bag {idx}")
+    for v in [_int(p, path, no, "bag vertex") for p in parts[2:]]:
+        _within(v, header[2], "vertex", path, no)
 
 
 def emit_td(d: TreeDecomposition, n: int) -> str:
@@ -228,101 +247,141 @@ def parse_rep(
     Returns the representation and the pattern reference recorded in the
     header (the caller resolves that reference to load ``pattern_text``).
     """
-    pattern_base = parse_hgr(pattern_text, pattern_path)
-    records, ref = _rep_records(text, path)
-    counts: list[int | None] = [None] * pattern_base.m  # None: no subdiv line
+    base = parse_hgr(pattern_text, pattern_path)
+    rows = enumerate(text.splitlines(), start=1)
+    ref = _rep_header(rows, path)
+    return _rep_body(rows, base, path), ref
+
+
+def _rep_header(rows, path: str) -> str:
+    """The pattern file that a .rep header names; rows is left after it."""
+    no, parts = _header(rows, "r", "content before r line", path)
+    if len(parts) != 2:
+        raise ParseError(path, no, "expected 'r <pattern-file>'")
+    return parts[1]
+
+
+def _rep_body(rows, base: Multigraph, path: str) -> HRepresentation:
+    """The representation read from the .rep lines after its header."""
+    counts: list[int | None] = [None] * base.m  # None: no subdiv line
     sets: dict[int, frozenset] = {}
-    pattern: SubdividedPattern | None = None
-    for no, parts in records:
-        if parts[0] == "subdiv":
-            if pattern is not None:
-                raise ParseError(path, no, "subdiv line after map lines")
-            if len(parts) != 3:
-                raise ParseError(path, no, "expected 'subdiv <edge> <count>'")
-            e = _int(parts[1], path, no, "edge index")
-            t = _int(parts[2], path, no, "subdivision count")
-            _within(e, pattern_base.m, "edge index", path, no)
-            if t < 0:
-                raise ParseError(path, no, "subdivision count must be >= 0")
-            a, b = pattern_base.edges[e - 1]
-            if a == b and t > 0:
-                raise ParseError(path, no, f"edge {e} is a loop and cannot be subdivided")
-            if counts[e - 1] is not None:
-                raise ParseError(path, no, f"duplicate subdiv line for edge {e}")
-            counts[e - 1] = t
-            continue
-        if parts[0] == "map":
+    pattern: SubdividedPattern | None = None  # fixed by the first map line
+    for no, raw in rows:
+        parts = raw.split()
+        word = parts[0] if parts else ""
+        if word == "map":
             if pattern is None:
-                pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
-                known = {_node_ref(nd): nd for nd in pattern.nodes()}
-            if len(parts) < 3:
-                raise ParseError(path, no, "expected 'map <v> <node>...'")
-            v = _int(parts[1], path, no, "vertex")
-            if v < 1:
-                raise ParseError(path, no, f"vertex {v} must be positive")
-            if v - 1 in sets:
-                raise ParseError(path, no, f"duplicate map line for vertex {v}")
+                pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
+                known = dict(zip(_node_names(pattern), pattern.nodes()))
             try:
-                sets[v - 1] = frozenset([known[tok] for tok in parts[2:]])
-            except KeyError:  # a bad or non-canonical id: the full checks
-                sets[v - 1] = frozenset(
-                    _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
-                )
-            continue
-        line = text.splitlines()[no - 1].strip()
-        raise ParseError(path, no, f"unrecognized line {line!r}")
+                v = int(parts[1]) - 1
+            except (IndexError, ValueError):
+                v = -1
+            if v >= 0 and v not in sets and len(parts) > 2:
+                try:
+                    sets[v] = frozenset([known[tok] for tok in parts[2:]])
+                except KeyError:  # a bad or non-canonical id: the full checks
+                    sets[v] = frozenset(
+                        _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
+                    )
+                continue
+        elif word == "subdiv" and pattern is None:
+            try:
+                _, e, t = parts
+                e, t = int(e) - 1, int(t)
+            except ValueError:
+                e = t = -1
+            # a loop edge takes no subdivision nodes
+            if 0 <= e < base.m and counts[e] is None and (
+                t == 0 or t > 0 and base.edges[e][0] != base.edges[e][1]
+            ):
+                counts[e] = t
+                continue
+        _reject(raw, "r", path, no, _rep_fault, base, counts, pattern, sets)
     if pattern is None:
-        pattern = SubdividedPattern(pattern_base, tuple(c or 0 for c in counts))
+        pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
     if sorted(sets) != list(range(len(sets))):
         missing = next(i for i in range(len(sets) + 1) if i not in sets)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
-    return HRepresentation(pattern, sets), ref
+    return HRepresentation(pattern, sets)
 
 
-def _rep_records(text: str, path: str):
-    """The records of a .rep after its header, and the pattern file it names."""
-    records = _records(text, path, "r", "content before r line")
-    no, parts = next(records)
-    if len(parts) != 2:
-        raise ParseError(path, no, "expected 'r <pattern-file>'")
-    return records, parts[1]
+def _rep_fault(parts, path, no, base, counts, pattern, sets) -> None:
+    """The fault of a .rep subdiv or map line, checked in the documented order."""
+    if parts[0] == "subdiv":
+        if pattern is not None:
+            raise ParseError(path, no, "subdiv line after map lines")
+        if len(parts) != 3:
+            raise ParseError(path, no, "expected 'subdiv <edge> <count>'")
+        e = _int(parts[1], path, no, "edge index")
+        t = _int(parts[2], path, no, "subdivision count")
+        _within(e, base.m, "edge index", path, no)
+        if t < 0:
+            raise ParseError(path, no, "subdivision count must be >= 0")
+        a, b = base.edges[e - 1]
+        if a == b and t > 0:
+            raise ParseError(path, no, f"edge {e} is a loop and cannot be subdivided")
+        if counts[e - 1] is not None:
+            raise ParseError(path, no, f"duplicate subdiv line for edge {e}")
+    elif parts[0] == "map":
+        if len(parts) < 3:
+            raise ParseError(path, no, "expected 'map <v> <node>...'")
+        v = _int(parts[1], path, no, "vertex")
+        if v < 1:
+            raise ParseError(path, no, f"vertex {v} must be positive")
+        if v - 1 in sets:
+            raise ParseError(path, no, f"duplicate map line for vertex {v}")
 
 
-def _node_ref(node) -> str:
-    if node[0] == "b":
-        return f"b:{node[1] + 1}"
-    return f"s:{node[1] + 1}.{node[2]}"
+def _node_names(pattern: SubdividedPattern) -> list[str]:
+    """Each node's id in .rep files, in ``pattern.nodes()`` order: b:<node>
+    for a branch node, s:<edge>.<i> for a subdivision node (1-based)."""
+    names = [f"b:{h}" for h in range(1, pattern.base.n + 1)]
+    counts = enumerate(pattern.counts, start=1)
+    return names + [f"s:{k}.{i}" for k, t in counts for i in range(1, t + 1)]
 
 
 def emit_rep(r: HRepresentation, pattern_ref: str) -> str:
     out = [f"r {pattern_ref}"]
-    for k, t in enumerate(r.pattern.counts):
-        if t > 0:
-            out.append(f"subdiv {k + 1} {t}")
+    out += [f"subdiv {k + 1} {t}" for k, t in enumerate(r.pattern.counts) if t > 0]
+    name = dict(zip(r.pattern.nodes(), _node_names(r.pattern)))
     for v in sorted(r.sets):
-        refs = " ".join(_node_ref(nd) for nd in sorted(r.sets[v]))
-        out.append(f"map {v + 1} {refs}")
+        out.append(f"map {v + 1} " + " ".join([name[nd] for nd in sorted(r.sets[v])]))
     return "\n".join(out) + "\n"
 
 
 def parse_lists(text: str, path: str = "<lists>") -> dict[int, frozenset[int]]:
     lists: dict[int, frozenset[int]] = {}
-    for no, line in _lines(text):
-        if ":" not in line:
-            raise ParseError(path, no, "expected '<v>: <colors>'")
-        head, tail = line.split(":", 1)
-        v = _int(head.strip(), path, no, "vertex")
-        if v < 1:
-            raise ParseError(path, no, f"vertex {v} must be positive")
-        if v - 1 in lists:
-            raise ParseError(path, no, f"duplicate list for vertex {v}")
-        colors = [_int(tok, path, no, "color") for tok in tail.split()]
-        if not colors:
-            raise ParseError(path, no, f"empty color list for vertex {v}")
-        if any(c < 1 for c in colors):
-            raise ParseError(path, no, "colors must be positive")
-        lists[v - 1] = frozenset(colors)
+    for no, raw in enumerate(text.splitlines(), start=1):
+        head, colon, tail = raw.partition(":")
+        try:
+            v = int(head) - 1
+            colors = [int(tok) for tok in tail.split()]
+        except ValueError:
+            v = -1
+        # one test accepts a well-formed entry
+        if colon and v >= 0 and v not in lists and colors and min(colors) > 0:
+            lists[v] = frozenset(colors)
+        else:
+            _reject(raw, None, path, no, _list_fault, raw, lists)
     return lists
+
+
+def _list_fault(parts, path: str, no: int, raw: str, lists: dict) -> None:
+    """The fault of a color-list line, checked in the documented order."""
+    head, colon, tail = raw.partition(":")
+    if not colon:
+        raise ParseError(path, no, "expected '<v>: <colors>'")
+    v = _int(head.strip(), path, no, "vertex")
+    if v < 1:
+        raise ParseError(path, no, f"vertex {v} must be positive")
+    if v - 1 in lists:
+        raise ParseError(path, no, f"duplicate list for vertex {v}")
+    colors = [_int(tok, path, no, "color") for tok in tail.split()]
+    if not colors:
+        raise ParseError(path, no, f"empty color list for vertex {v}")
+    if any(c < 1 for c in colors):
+        raise ParseError(path, no, "colors must be positive")
 
 
 def emit_lists(lists: ColorLists) -> str:
@@ -357,9 +416,10 @@ def load_instance(
         pattern = parse_hgr(_read(pattern_path), pattern_path)
     if rep_path is not None:
         text = _read(rep_path)
-        _, ref = _rep_records(text, rep_path)
+        rows = enumerate(text.splitlines(), start=1)
+        ref = _rep_header(rows, rep_path)
         resolved = os.path.join(os.path.dirname(rep_path) or ".", ref)
-        rep, _ = parse_rep(text, _read(resolved), rep_path, resolved)
+        rep = _rep_body(rows, parse_hgr(_read(resolved), resolved), rep_path)
         if pattern is not None and rep.pattern.base != pattern:
             raise ParseError(
                 rep_path, 1, "representation pattern differs from --pattern file"
@@ -369,8 +429,8 @@ def load_instance(
     if rep is not None and graph is not None:
         if sorted(rep.sets) != list(range(graph.n)):
             # the first map line beyond the graph, else line 1
-            records, _ = _rep_records(text, rep_path)
-            beyond = (no for no, p in records if p[0] == "map" and int(p[1]) > graph.n)
+            rows = enumerate(map(str.split, text.splitlines()), start=1)
+            beyond = (no for no, p in rows if p[:1] == ["map"] and int(p[1]) > graph.n)
             msg = "representation does not map exactly the graph vertices"
             raise ParseError(rep_path, next(beyond, 1), msg)
     if lists is not None and graph is not None:
@@ -383,7 +443,9 @@ def load_instance(
 
 def _list_line(path: str, v: int) -> int:
     """Line of vertex v's entry in a lists file that parse_lists accepted."""
-    return next(no for no, ln in _lines(_read(path)) if int(ln.split(":")[0]) == v + 1)
+    rows = enumerate(_read(path).splitlines(), start=1)
+    heads = ((no, raw.split(":")[0]) for no, raw in rows if not _skipped(raw.split()))
+    return next(no for no, head in heads if int(head) == v + 1)
 
 
 def _read(path: str) -> str:

@@ -119,29 +119,33 @@ def validate_decomposition(g: SimpleGraph, d: TreeDecomposition) -> None:
 def decomposition_from_order(
     g: SimpleGraph, order: list[int] | tuple[int, ...]
 ) -> TreeDecomposition:
-    """Tree decomposition induced by an elimination order.
-
-    Bag i is the i-th eliminated vertex together with its neighbors in the
-    partially filled graph; bag i hangs off the bag of its earliest-eliminated
-    fill neighbor.
-    """
+    """Tree decomposition induced by an elimination order (`_from_elimination`)."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    if g.n == 0:
-        return TreeDecomposition((frozenset(),), ())
-    pos = {v: i for i, v in enumerate(order)}
     nbr = list(g.masks)
+    return _from_elimination(order, [_eliminate(nbr, v) for v in order])
+
+
+def _from_elimination(order, eliminated: list[int]) -> TreeDecomposition:
+    """The decomposition of an elimination game: eliminated[i] is the mask of
+    order[i]'s neighbours in the partially filled graph when it goes.
+
+    Bag i is the i-th eliminated vertex together with those neighbours; bag i
+    hangs off the bag of its earliest-eliminated neighbour, else the next bag.
+    """
+    if not order:
+        return TreeDecomposition((frozenset(),), ())
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
     bags = []
-    elim_nbrs = []
-    for v in order:
-        nb = list(_bits(_eliminate(nbr, v)))
-        bags.append(frozenset([v] + nb))
-        elim_nbrs.append(nb)
     edges = []
-    for i, nb in enumerate(elim_nbrs):
+    for i, (v, nv) in enumerate(zip(order, eliminated)):
+        nb = list(_bits(nv))
+        bags.append(frozenset([v] + nb))
         if nb:
-            edges.append((i, min(pos[w] for w in nb)))
-        elif i + 1 < len(bags):
+            edges.append((i, min([pos[w] for w in nb])))
+        elif i + 1 < len(order):
             edges.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(edges))
 
@@ -156,7 +160,23 @@ def _eliminate(nbr: list[int], v: int) -> int:
 
 
 def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]:
-    """Elimination order picking a minimum-fill vertex at each step.
+    """Elimination order picking a minimum-fill vertex at each step (`_minfill`)."""
+    return _minfill(g, rng)[0]
+
+
+def minfill_decomposition(
+    g: SimpleGraph, rng: random.Random | None = None
+) -> TreeDecomposition:
+    """The decomposition of the min-fill order, read off min-fill's own
+    elimination: equal to ``decomposition_from_order(g, minfill_order(g, rng))``."""
+    return _from_elimination(*_minfill(g, rng))
+
+
+def _minfill(
+    g: SimpleGraph, rng: random.Random | None
+) -> tuple[list[int], list[int]]:
+    """Elimination order picking a minimum-fill vertex at each step, and the
+    mask of each eliminated vertex's neighbours when it goes.
 
     Ties go to the smallest vertex index unless an rng is supplied, in which
     case a uniformly random tied vertex is taken (still deterministic per seed).
@@ -191,6 +211,7 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
         by_fill.setdefault(f, set()).add(v)
     delta = [0] * g.n  # fill changes of the current step, reset once applied
     order = []
+    eliminated = []
     while by_fill:
         least = min(by_fill)
         tied = by_fill[least]
@@ -200,6 +221,7 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
             del by_fill[least]
         order.append(v)
         nv = nbr[v]
+        eliminated.append(nv)
         touched = nv
         if fill[v]:
             # links pair by pair, not by _eliminate: each new edge moves fills
@@ -228,7 +250,7 @@ def minfill_order(g: SimpleGraph, rng: random.Random | None = None) -> list[int]
                 by_fill.setdefault(f, set()).add(w)
                 fill[w] = f
                 delta[w] = 0
-    return order
+    return order, eliminated
 
 
 def degeneracy(g: SimpleGraph) -> int:
@@ -332,7 +354,7 @@ def tree_decomposition(
     if g.n <= exact_limit:
         width, d = exact_decomposition(g)
     else:
-        d = decomposition_from_order(g, minfill_order(g, rng))
+        d = minfill_decomposition(g, rng)
         width = d.width
     return DecompositionAttempt(d, over_target=width > approx_factor * target)
 

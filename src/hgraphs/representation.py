@@ -66,31 +66,30 @@ class SubdividedPattern:
                 raise ValueError(f"loop edge {k} cannot be subdivided")
 
     def nodes(self) -> tuple[Node, ...]:
-        out = [branch(h) for h in range(self.base.n)]
-        for k, t in enumerate(self.counts):
-            out.extend(sub(k, i) for i in range(1, t + 1))
+        # branch() and sub() tuples built inline: verify builds all nodes and
+        # their adjacency for each representation it checks
+        out = [("b", h) for h in range(self.base.n)]
+        out += [("s", k, i) for k, t in enumerate(self.counts) for i in range(1, t + 1)]
         return tuple(out)
 
     @cached_property
     def adjacency(self) -> dict[Node, frozenset[Node]]:
-        nbrs: dict[Node, set[Node]] = {nd: set() for nd in self.nodes()}
-
-        def link(a: Node, b: Node) -> None:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-
+        """Each node's neighbours, in ``nodes()`` order; a subdivision node's
+        are the two nodes next to it on its edge's path."""
+        ends: dict[Node, set[Node]] = {("b", h): set() for h in range(self.base.n)}
+        inner: dict[Node, frozenset[Node]] = {}
         for k, (u, v) in enumerate(self.base.edges):
             if u == v:
                 continue
-            t = self.counts[k]
-            if t == 0:
-                link(branch(u), branch(v))
-                continue
-            link(branch(u), sub(k, 1))
-            for i in range(1, t):
-                link(sub(k, i), sub(k, i + 1))
-            link(sub(k, t), branch(v))
-        return {nd: frozenset(s) for nd, s in nbrs.items()}
+            path = [("b", u)] + [("s", k, i) for i in range(1, self.counts[k] + 1)]
+            path.append(("b", v))
+            ends[path[0]].add(path[1])
+            ends[path[-1]].add(path[-2])
+            for i in range(1, len(path) - 1):
+                inner[path[i]] = frozenset((path[i - 1], path[i + 1]))
+        out = {nd: frozenset(s) for nd, s in ends.items()}
+        out.update(inner)
+        return out
 
     def path_from(self, k: int, endpoint: int) -> list[Node]:
         """Internal nodes of edge k ordered away from the given endpoint."""

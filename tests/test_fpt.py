@@ -191,6 +191,27 @@ def test_minfill_matches_reference_on_dense_and_long_inputs():
     assert [g.n for g in graphs[:4]] == [25, 30, 35, 40]
 
 
+def test_tree_decomposition_is_the_minfill_elimination():
+    # the decomposition read off min-fill's own elimination equals the set-based
+    # elimination game replayed on the reference order, with and without an
+    # rng drawing among tied vertices, on random graphs past the exact limit
+    # and on gen-hard targets; the order itself stays the reference's
+    rng = random.Random(47)
+    graphs = [g for g in _differential_graphs(random.Random(48)) if g.n > 12]
+    for pattern in (wheel(4), double_triangle()):
+        part = find_tripartition(pattern)
+        for n in (5, 6, 7, 8):
+            graphs.append(generate_hard_instance(gnm(n, 2 * n, rng), pattern, part)[0])
+    assert len(graphs) > 100
+    for g in graphs:
+        for seed in (None, 0, 1):
+            rngs = [None if seed is None else random.Random(seed) for _ in range(3)]
+            order = minfill_order_reference(g, rngs[0])
+            d = tree_decomposition(g, g.n - 1, rng=rngs[1]).decomposition
+            assert d == decomposition_from_order_reference(g, order)
+            assert minfill_order(g, rngs[2]) == order
+
+
 def test_elimination_matches_reference():
     # the set-based elimination game and the subset DP with inline bit loops
     # give the same bags and tree edges, so the same widths; g.masks holds

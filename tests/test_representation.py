@@ -85,6 +85,30 @@ def test_verify_detects_disconnected_set():
     assert verdict.kind == "disconnected" and verdict.vertex == 0
 
 
+def test_subdivided_pattern_nodes_and_adjacency():
+    # nodes are branch() then sub() per edge in order, and the adjacency lists
+    # them in that order (verify indexes nodes so) with each edge's path
+    # linked end to end; loops stay inert and parallel pairs link once
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8)))
+        counts = tuple(0 if u == v else rng.choice((0, 0, 1, 2, 4)) for u, v in edges)
+        pattern = SubdividedPattern(Multigraph(n, edges), counts)
+        nodes = [branch(h) for h in range(n)]
+        nodes += [sub(k, i) for k, t in enumerate(counts) for i in range(1, t + 1)]
+        assert pattern.nodes() == tuple(nodes)
+        expected = {nd: set() for nd in nodes}
+        for k, (u, v) in enumerate(edges):
+            path = [branch(u)] + [sub(k, i) for i in range(1, counts[k] + 1)] + [branch(v)]
+            for a, b in zip(path, path[1:]):
+                if a != b:
+                    expected[a].add(b)
+                    expected[b].add(a)
+        assert list(pattern.adjacency) == nodes
+        assert pattern.adjacency == expected
+
+
 def test_verify_reports_adjacency_mismatch():
     pat = _three_node_path_pattern()
     rep = HRepresentation(

@@ -89,6 +89,7 @@ def test_script_help_runs(script):
 PINNED_STDOUT_SHA256 = {
     "hard-clique": "85419c4282e1a1ab453dc8c00f17a79204a12a000378c8546dceeac1a862ef14",
     "cactus-clique": "03d8414680d790ff2bbf846d8c5cecca68a7fb53c9c2a63a525a0c916d8fa446",
+    "list-color": "992c10a3f8707545af76c42866df9dae6a2effb4513a18a21d5d104dc91fee46",
 }
 
 
@@ -117,6 +118,12 @@ def test_benchmark_harness_pins_cactus_clique_output():
     # atoms, the first endpoint pair reaching omega) show in its printed
     # cliques; MCS-M+'s numbering cannot, as the atoms do not depend on it
     _check_pinned_run("cactus-clique")
+
+
+def test_benchmark_harness_pins_list_color_output():
+    # the printed colorings are the DP's first witness, so a change in the
+    # narrowing, the nice form or the order states are kept in shows here
+    _check_pinned_run("list-color")
 
 
 def _check_traced_run(workload):
