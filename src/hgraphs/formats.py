@@ -35,17 +35,24 @@ def _header(rows, tag: str, before: str, path: str) -> tuple[int, list[str]]:
     raise ParseError(path, 1, f"missing {tag} line")
 
 
-def _reject(raw: str, tag: str | None, path: str, no: int, fault, *args) -> None:
+def _content(parts: list[str], tag: str, path: str, no: int) -> bool:
+    """Whether the tokens of line no are content: a skipped line is not, and
+    a second header line is a fault."""
+    if _skipped(parts):
+        return False
+    if parts[0] == tag:
+        raise ParseError(path, no, f"duplicate {tag} line")
+    return True
+
+
+def _reject(raw: str, tag: str, path: str, no: int, fault, *args) -> None:
     """The slow path of a line no fast test accepted: pass a skipped line,
     else raise for a second header, for the first fault that fault(tokens,
     path, no, *args) names, or for an unrecognized line."""
     parts = raw.split()
-    if _skipped(parts):
-        return
-    if parts[0] == tag:
-        raise ParseError(path, no, f"duplicate {tag} line")
-    fault(parts, path, no, *args)
-    raise ParseError(path, no, f"unrecognized line {raw.strip()!r}")
+    if _content(parts, tag, path, no):
+        fault(parts, path, no, *args)
+        raise ParseError(path, no, f"unrecognized line {raw.strip()!r}")
 
 
 def _int(tok: str, path: str, no: int, what: str) -> int:
@@ -123,7 +130,8 @@ def emit_gr(g: SimpleGraph) -> str:
     n = g.n
     out = [f"p tw {n} {g.m}"]
     # edge (u, v), u < v, sorts as the int u*n + v
-    out += [f"{k // n + 1} {k % n + 1}" for k in sorted([u * n + v for u, v in g.edges])]
+    keys = sorted([u * n + v for u, v in g.edges])
+    out += [f"{k // n + 1} {k % n + 1}" for k in keys]
     return "\n".join(out) + "\n"
 
 
@@ -163,48 +171,34 @@ def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
     if len(parts) != 5 or parts[1] != "td":
         raise ParseError(path, header_line, "expected 's td <bags> <width+1> <n>'")
     header = tuple(_count(p, path, header_line, "header field") for p in parts[2:])
-    count, _, n = header
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
     for no, raw in rows:
         parts = raw.split()
-        try:
-            if parts[0] == "b":
-                idx = int(parts[1])
-                verts = [int(p) - 1 for p in parts[2:]]
-                fits = all(0 <= v < n for v in verts)
-                if 0 < idx <= count and idx not in bags and fits:
-                    bags[idx] = frozenset(verts)
-                    continue
-            else:
-                x, y = parts
-                i, j = int(x), int(y)
-                if 0 < i <= count and 0 < j <= count:
-                    tree_edges.append((i - 1, j - 1))
-                    continue
-        except (IndexError, ValueError):
-            pass
-        _reject(raw, "s", path, no, _td_fault, header, bags)
-    _declared(len(bags), count, "bags", path, header_line)
-    ordered = tuple(bags[i + 1] for i in range(count))
+        if not _content(parts, "s", path, no):
+            continue
+        if parts[0] == "b":
+            if len(parts) < 2:
+                raise ParseError(path, no, "expected 'b <id> <vertices...>'")
+            idx = _int(parts[1], path, no, "bag id")
+            _within(idx, header[0], "bag id", path, no)
+            if idx in bags:
+                raise ParseError(path, no, f"duplicate bag {idx}")
+            verts = [_int(p, path, no, "bag vertex") for p in parts[2:]]
+            for v in verts:
+                _within(v, header[2], "vertex", path, no)
+            bags[idx] = frozenset(v - 1 for v in verts)
+            continue
+        i, j = _pair(
+            parts, path, no, "bag id", header[0], "bag id", "tree edge '<i> <j>'"
+        )
+        tree_edges.append((i - 1, j - 1))
+    _declared(len(bags), header[0], "bags", path, header_line)
+    ordered = tuple(bags[i + 1] for i in range(header[0]))
     d = TreeDecomposition(ordered, tuple(tree_edges))
     if max((len(b) for b in ordered), default=0) != header[1]:
         raise ParseError(path, header_line, "declared width+1 disagrees with bags")
-    return d, n
-
-
-def _td_fault(parts: list[str], path: str, no: int, header: tuple, bags: dict) -> None:
-    """The fault of a .td bag or tree-edge line, checked in the documented order."""
-    if parts[0] != "b":
-        _pair(parts, path, no, "bag id", header[0], "bag id", "tree edge '<i> <j>'")
-        return
-    if len(parts) < 2:
-        raise ParseError(path, no, "expected 'b <id> <vertices...>'")
-    idx = _within(_int(parts[1], path, no, "bag id"), header[0], "bag id", path, no)
-    if idx in bags:
-        raise ParseError(path, no, f"duplicate bag {idx}")
-    for v in [_int(p, path, no, "bag vertex") for p in parts[2:]]:
-        _within(v, header[2], "vertex", path, no)
+    return d, header[2]
 
 
 def emit_td(d: TreeDecomposition, n: int) -> str:
@@ -250,7 +244,57 @@ def parse_rep(
     base = parse_hgr(pattern_text, pattern_path)
     rows = enumerate(text.splitlines(), start=1)
     ref = _rep_header(rows, path)
-    return _rep_body(rows, base, path), ref
+    counts: list[int | None] = [None] * base.m  # None: no subdiv line
+    sets: dict[int, frozenset] = {}
+    pattern: SubdividedPattern | None = None  # fixed by the first map line
+    for no, raw in rows:
+        parts = raw.split()
+        if parts and parts[0] == "map":
+            if pattern is None:
+                pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
+                known = dict(zip(pattern.names(), pattern.nodes()))
+            try:
+                v = int(parts[1]) - 1
+            except (IndexError, ValueError):
+                v = -1
+            # one test accepts a well-formed map line; else the first fault
+            if v < 0 or v in sets or len(parts) < 3:
+                if len(parts) < 3:
+                    raise ParseError(path, no, "expected 'map <v> <node>...'")
+                v = _int(parts[1], path, no, "vertex")
+                if v < 1:
+                    raise ParseError(path, no, f"vertex {v} must be positive")
+                raise ParseError(path, no, f"duplicate map line for vertex {v}")
+            try:
+                sets[v] = frozenset([known[tok] for tok in parts[2:]])
+            except KeyError:  # a bad or non-canonical id: the full checks
+                sets[v] = frozenset(
+                    _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
+                )
+        elif _content(parts, "r", path, no):
+            if parts[0] != "subdiv":
+                raise ParseError(path, no, f"unrecognized line {raw.strip()!r}")
+            if pattern is not None:
+                raise ParseError(path, no, "subdiv line after map lines")
+            if len(parts) != 3:
+                raise ParseError(path, no, "expected 'subdiv <edge> <count>'")
+            e = _int(parts[1], path, no, "edge index")
+            t = _int(parts[2], path, no, "subdivision count")
+            _within(e, base.m, "edge index", path, no)
+            if t < 0:
+                raise ParseError(path, no, "subdivision count must be >= 0")
+            a, b = base.edges[e - 1]
+            if a == b and t > 0:
+                raise ParseError(path, no, f"edge {e} is a loop and cannot be subdivided")
+            if counts[e - 1] is not None:
+                raise ParseError(path, no, f"duplicate subdiv line for edge {e}")
+            counts[e - 1] = t
+    if pattern is None:
+        pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
+    if sorted(sets) != list(range(len(sets))):
+        missing = next(i for i in range(len(sets) + 1) if i not in sets)
+        raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
+    return HRepresentation(pattern, sets), ref
 
 
 def _rep_header(rows, path: str) -> str:
@@ -261,127 +305,40 @@ def _rep_header(rows, path: str) -> str:
     return parts[1]
 
 
-def _rep_body(rows, base: Multigraph, path: str) -> HRepresentation:
-    """The representation read from the .rep lines after its header."""
-    counts: list[int | None] = [None] * base.m  # None: no subdiv line
-    sets: dict[int, frozenset] = {}
-    pattern: SubdividedPattern | None = None  # fixed by the first map line
-    for no, raw in rows:
-        parts = raw.split()
-        word = parts[0] if parts else ""
-        if word == "map":
-            if pattern is None:
-                pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
-                known = dict(zip(_node_names(pattern), pattern.nodes()))
-            try:
-                v = int(parts[1]) - 1
-            except (IndexError, ValueError):
-                v = -1
-            if v >= 0 and v not in sets and len(parts) > 2:
-                try:
-                    sets[v] = frozenset([known[tok] for tok in parts[2:]])
-                except KeyError:  # a bad or non-canonical id: the full checks
-                    sets[v] = frozenset(
-                        _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
-                    )
-                continue
-        elif word == "subdiv" and pattern is None:
-            try:
-                _, e, t = parts
-                e, t = int(e) - 1, int(t)
-            except ValueError:
-                e = t = -1
-            # a loop edge takes no subdivision nodes
-            if 0 <= e < base.m and counts[e] is None and (
-                t == 0 or t > 0 and base.edges[e][0] != base.edges[e][1]
-            ):
-                counts[e] = t
-                continue
-        _reject(raw, "r", path, no, _rep_fault, base, counts, pattern, sets)
-    if pattern is None:
-        pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
-    if sorted(sets) != list(range(len(sets))):
-        missing = next(i for i in range(len(sets) + 1) if i not in sets)
-        raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
-    return HRepresentation(pattern, sets)
-
-
-def _rep_fault(parts, path, no, base, counts, pattern, sets) -> None:
-    """The fault of a .rep subdiv or map line, checked in the documented order."""
-    if parts[0] == "subdiv":
-        if pattern is not None:
-            raise ParseError(path, no, "subdiv line after map lines")
-        if len(parts) != 3:
-            raise ParseError(path, no, "expected 'subdiv <edge> <count>'")
-        e = _int(parts[1], path, no, "edge index")
-        t = _int(parts[2], path, no, "subdivision count")
-        _within(e, base.m, "edge index", path, no)
-        if t < 0:
-            raise ParseError(path, no, "subdivision count must be >= 0")
-        a, b = base.edges[e - 1]
-        if a == b and t > 0:
-            raise ParseError(path, no, f"edge {e} is a loop and cannot be subdivided")
-        if counts[e - 1] is not None:
-            raise ParseError(path, no, f"duplicate subdiv line for edge {e}")
-    elif parts[0] == "map":
-        if len(parts) < 3:
-            raise ParseError(path, no, "expected 'map <v> <node>...'")
-        v = _int(parts[1], path, no, "vertex")
-        if v < 1:
-            raise ParseError(path, no, f"vertex {v} must be positive")
-        if v - 1 in sets:
-            raise ParseError(path, no, f"duplicate map line for vertex {v}")
-
-
-def _node_names(pattern: SubdividedPattern) -> list[str]:
-    """Each node's id in .rep files, in ``pattern.nodes()`` order: b:<node>
-    for a branch node, s:<edge>.<i> for a subdivision node (1-based)."""
-    names = [f"b:{h}" for h in range(1, pattern.base.n + 1)]
-    counts = enumerate(pattern.counts, start=1)
-    return names + [f"s:{k}.{i}" for k, t in counts for i in range(1, t + 1)]
-
-
 def emit_rep(r: HRepresentation, pattern_ref: str) -> str:
     out = [f"r {pattern_ref}"]
     out += [f"subdiv {k + 1} {t}" for k, t in enumerate(r.pattern.counts) if t > 0]
-    name = dict(zip(r.pattern.nodes(), _node_names(r.pattern)))
+    name = dict(zip(r.pattern.nodes(), r.pattern.names()))
     for v in sorted(r.sets):
-        out.append(f"map {v + 1} " + " ".join([name[nd] for nd in sorted(r.sets[v])]))
+        try:
+            refs = " ".join([name[nd] for nd in sorted(r.sets[v])])
+        except KeyError:
+            nd = next(nd for nd in r.sets[v] if nd not in name)
+            raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
+        out.append(f"map {v + 1} {refs}")
     return "\n".join(out) + "\n"
 
 
 def parse_lists(text: str, path: str = "<lists>") -> dict[int, frozenset[int]]:
     lists: dict[int, frozenset[int]] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
+        if _skipped(raw.split()):
+            continue
         head, colon, tail = raw.partition(":")
-        try:
-            v = int(head) - 1
-            colors = [int(tok) for tok in tail.split()]
-        except ValueError:
-            v = -1
-        # one test accepts a well-formed entry
-        if colon and v >= 0 and v not in lists and colors and min(colors) > 0:
-            lists[v] = frozenset(colors)
-        else:
-            _reject(raw, None, path, no, _list_fault, raw, lists)
+        if not colon:
+            raise ParseError(path, no, "expected '<v>: <colors>'")
+        v = _int(head.strip(), path, no, "vertex")
+        if v < 1:
+            raise ParseError(path, no, f"vertex {v} must be positive")
+        if v - 1 in lists:
+            raise ParseError(path, no, f"duplicate list for vertex {v}")
+        colors = [_int(tok, path, no, "color") for tok in tail.split()]
+        if not colors:
+            raise ParseError(path, no, f"empty color list for vertex {v}")
+        if any(c < 1 for c in colors):
+            raise ParseError(path, no, "colors must be positive")
+        lists[v - 1] = frozenset(colors)
     return lists
-
-
-def _list_fault(parts, path: str, no: int, raw: str, lists: dict) -> None:
-    """The fault of a color-list line, checked in the documented order."""
-    head, colon, tail = raw.partition(":")
-    if not colon:
-        raise ParseError(path, no, "expected '<v>: <colors>'")
-    v = _int(head.strip(), path, no, "vertex")
-    if v < 1:
-        raise ParseError(path, no, f"vertex {v} must be positive")
-    if v - 1 in lists:
-        raise ParseError(path, no, f"duplicate list for vertex {v}")
-    colors = [_int(tok, path, no, "color") for tok in tail.split()]
-    if not colors:
-        raise ParseError(path, no, f"empty color list for vertex {v}")
-    if any(c < 1 for c in colors):
-        raise ParseError(path, no, "colors must be positive")
 
 
 def emit_lists(lists: ColorLists) -> str:
@@ -416,10 +373,9 @@ def load_instance(
         pattern = parse_hgr(_read(pattern_path), pattern_path)
     if rep_path is not None:
         text = _read(rep_path)
-        rows = enumerate(text.splitlines(), start=1)
-        ref = _rep_header(rows, rep_path)
+        ref = _rep_header(enumerate(text.splitlines(), start=1), rep_path)
         resolved = os.path.join(os.path.dirname(rep_path) or ".", ref)
-        rep = _rep_body(rows, parse_hgr(_read(resolved), resolved), rep_path)
+        rep, _ = parse_rep(text, _read(resolved), rep_path, resolved)
         if pattern is not None and rep.pattern.base != pattern:
             raise ParseError(
                 rep_path, 1, "representation pattern differs from --pattern file"

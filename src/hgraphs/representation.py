@@ -69,7 +69,16 @@ class SubdividedPattern:
         # branch() and sub() tuples built inline: verify builds all nodes and
         # their adjacency for each representation it checks
         out = [("b", h) for h in range(self.base.n)]
-        out += [("s", k, i) for k, t in enumerate(self.counts) for i in range(1, t + 1)]
+        counts = enumerate(self.counts)
+        out += [("s", k, i) for k, t in counts for i in range(1, t + 1)]
+        return tuple(out)
+
+    def names(self) -> tuple[str, ...]:
+        """Each node's id in .rep files, in ``nodes()`` order: b:<node> for a
+        branch node, s:<edge>.<i> for a subdivision node (1-based)."""
+        out = [f"b:{h + 1}" for h in range(self.base.n)]
+        counts = enumerate(self.counts, start=1)
+        out += [f"s:{k}.{i}" for k, t in counts for i in range(1, t + 1)]
         return tuple(out)
 
     @cached_property

@@ -34,7 +34,14 @@ from hgraphs.randgen import (
     random_representation,
     random_subdivision,
 )
-from hgraphs.representation import generate_hard_instance, verify_representation
+from hgraphs.representation import (
+    HRepresentation,
+    SubdividedPattern,
+    branch,
+    generate_hard_instance,
+    sub,
+    verify_representation,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -146,6 +153,15 @@ def test_rep_parser_rejects_missing_vertex():
     with pytest.raises(ParseError) as err:
         formats.parse_rep(bad, pattern_text, "bad.rep")
     assert "no map line" in err.value.message
+
+
+def test_rep_emitter_names_a_node_outside_the_pattern():
+    # HRepresentation does not check its nodes; emit_rep refuses one that its
+    # pattern lacks, as verify_representation does, instead of a KeyError
+    pattern = SubdividedPattern(Multigraph(2, ((0, 1),)), (1,))
+    rep = HRepresentation(pattern, {0: frozenset({branch(0)}), 1: frozenset({sub(0, 2)})})
+    with pytest.raises(ValueError, match=r"vertex 1 uses unknown pattern node \('s', 0, 2\)"):
+        formats.emit_rep(rep, "edge.hgr")
 
 
 def test_td_parser_validates_header():

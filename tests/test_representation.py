@@ -86,9 +86,10 @@ def test_verify_detects_disconnected_set():
 
 
 def test_subdivided_pattern_nodes_and_adjacency():
-    # nodes are branch() then sub() per edge in order, and the adjacency lists
-    # them in that order (verify indexes nodes so) with each edge's path
-    # linked end to end; loops stay inert and parallel pairs link once
+    # nodes are branch() then sub() per edge in order, names() gives their
+    # .rep ids in that order, and the adjacency lists them in that order
+    # (verify indexes nodes so) with each edge's path linked end to end;
+    # loops stay inert and parallel pairs link once
     rng = random.Random(29)
     for _ in range(400):
         n = rng.randint(1, 6)
@@ -98,6 +99,8 @@ def test_subdivided_pattern_nodes_and_adjacency():
         nodes = [branch(h) for h in range(n)]
         nodes += [sub(k, i) for k, t in enumerate(counts) for i in range(1, t + 1)]
         assert pattern.nodes() == tuple(nodes)
+        names = [f"b:{nd[1] + 1}" if nd[0] == "b" else f"s:{nd[1] + 1}.{nd[2]}" for nd in nodes]
+        assert pattern.names() == tuple(names)
         expected = {nd: set() for nd in nodes}
         for k, (u, v) in enumerate(edges):
             path = [branch(u)] + [sub(k, i) for i in range(1, counts[k] + 1)] + [branch(v)]
