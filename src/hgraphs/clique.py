@@ -228,10 +228,10 @@ def _mcs_m(g: SimpleGraph):
     order, and for each vertex the set of its fill neighbours numbered
     before it, i.e. eliminated after it (Berry, Pogorelcnik & Simonet 2010).
     """
-    # The search walks adjacency sets, not g.masks: each OR of a mask costs
-    # n bits, which on long thin graphs made a bitset search 1.5-4x slower
-    # (cycle_graph(5000) 4.2 -> 12.4 s, a 5000-vertex random tree 1.4 ->
-    # 3.6 s, a 2000-vertex ladder 1.5x).
+    # Sparse graphs keep this search on adjacency sets: the mask search
+    # pays one n-bit OR per round, and from each vertex of a cycle it walks
+    # the whole remaining cycle, one round per vertex (cycle_graph(3000)'s
+    # atoms took 7.4 s on masks against 1.0 s here, on one host).
     adj = g.adjacency
     weight = [0] * g.n
     later: list[set[int]] = [set() for _ in range(g.n)]
@@ -305,6 +305,66 @@ def _mcs_m(g: SimpleGraph):
     return generators, later
 
 
+def _dense(g: SimpleGraph) -> bool:
+    """Mean degree >= n/64: an n-bit mask OR costs no more than a neighbour walk."""
+    return 128 * g.m >= g.n * g.n
+
+
+def _mcs_m_masks(g: SimpleGraph):
+    """``_mcs_m`` on the int bitsets of ``g.masks``, with the same result.
+
+    At level j the search ORs the neighbour masks of the reached vertices of
+    weight at most j, raises each heavier vertex it reaches, and stops once
+    no unreached vertex heavier than j is left.
+    """
+    masks = g.masks
+    later: list[set[int]] = [set() for _ in range(g.n)]
+    unnumbered = (1 << g.n) - 1
+    level = [unnumbered] + [0] * g.n  # level[w]: the unnumbered of weight w
+    generators: list[int] = []
+    prev = -1
+    top = 0
+    for _ in range(g.n):
+        while not level[top]:
+            top -= 1
+        low = level[top] & -level[top]
+        level[top] ^= low
+        unnumbered ^= low
+        v = low.bit_length() - 1
+        if top <= prev:
+            generators.append(v)
+        prev = top
+        raised = reached = masks[v] & unnumbered
+        heavy = unnumbered ^ reached  # unreached and heavier than the level
+        for j in range(top):
+            heavy &= ~level[j]
+            frontier = reached & level[j]
+            while frontier and heavy:
+                grow = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    grow |= masks[bit.bit_length() - 1]
+                    frontier ^= bit
+                new = grow & unnumbered & ~reached
+                reached |= new
+                frontier = new & ~heavy
+                raised |= new & heavy
+                heavy &= ~new
+            if not heavy:
+                break
+        for u in _bits(raised):
+            later[u].add(v)
+        for w in range(top, -1, -1):  # from the top, so no vertex moves twice
+            moved = level[w] & raised
+            level[w] ^= moved
+            level[w + 1] |= moved
+            raised ^= moved
+            if not raised:
+                break
+        top += 1  # a raised vertex may now weigh one more than v did
+    return generators, later
+
+
 def _is_clique(masks, verts) -> bool:
     """Whether verts are pairwise adjacent, one mask test per vertex."""
     whole = sum(1 << v for v in verts)
@@ -322,8 +382,16 @@ def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
     (Berry, Pogorelcnik & Simonet 2010).  A later component of a
     disconnected graph starts at a generator with an empty separator.
     """
+    if _dense(g):
+        atoms = _split_masks(g, *_mcs_m_masks(g))
+    else:
+        atoms = _split_sets(g, *_mcs_m(g))
+    return AtomDecomposition(tuple(Atom(vs) for vs in sorted(atoms)))
+
+
+def _split_sets(g: SimpleGraph, generators, later) -> list[tuple[int, ...]]:
+    """The atoms, unsorted, each side searched over adjacency sets."""
     adj = g.adjacency
-    generators, later = _mcs_m(g)
     remaining = set(range(g.n))
     atoms: list[tuple[int, ...]] = []
     for x in reversed(generators):
@@ -340,8 +408,31 @@ def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
         remaining -= side
     if remaining:
         atoms.append(tuple(sorted(remaining)))
-    atoms.sort()
-    return AtomDecomposition(tuple(Atom(vs) for vs in atoms))
+    return atoms
+
+
+def _split_masks(g: SimpleGraph, generators, later) -> list[tuple[int, ...]]:
+    """The atoms, unsorted, each side a frontier search on masks."""
+    masks = g.masks
+    remaining = (1 << g.n) - 1
+    atoms: list[tuple[int, ...]] = []
+    for x in reversed(generators):
+        sep = later[x]
+        if not _is_clique(masks, sep):
+            continue
+        cut = sum(1 << u for u in sep)
+        side = frontier = 1 << x
+        while frontier:
+            grow = 0
+            for y in _bits(frontier):
+                grow |= masks[y]
+            frontier = grow & remaining & ~(cut | side)
+            side |= frontier
+        atoms.append(tuple(_bits(side | cut)))
+        remaining &= ~side
+    if remaining:
+        atoms.append(tuple(_bits(remaining)))
+    return atoms
 
 
 def _classify_shape(nodes: list[Node], adjacency) -> tuple[str, list[Node]] | None:

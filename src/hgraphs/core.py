@@ -161,14 +161,14 @@ def two_subdivision(g: SimpleGraph) -> LabeledTwoSubdivision:
 
 
 def _check_clique(g: SimpleGraph, verts) -> None:
-    """Raise AssertionError unless verts are pairwise adjacent in g.
+    """Raise AssertionError unless verts are pairwise adjacent in g's edge set.
 
     A failure here is a solver bug, not bad input, so it is never caught by
     the CLI; written as a raise so that it also runs under ``python -O``.
     """
-    adj = g.adjacency
-    for u, v in combinations(verts, 2):
-        if v not in adj[u]:
+    edges = g.edges
+    for u, v in combinations(sorted(verts), 2):
+        if (u, v) not in edges:
             raise AssertionError(f"reported set is not a clique: {u},{v}")
 
 

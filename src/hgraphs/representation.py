@@ -186,8 +186,10 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
         frontier = mask ^ rest
         while frontier and rest:
             grow = 0
-            for i in _bits(frontier):
-                grow |= nbr[i]
+            while frontier:
+                bit = frontier & -frontier
+                grow |= nbr[bit.bit_length() - 1]
+                frontier ^= bit
             frontier = grow & rest
             rest ^= frontier
         if rest or not mask:

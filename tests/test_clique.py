@@ -24,7 +24,9 @@ from hgraphs.clique import (
     _arc_tables,
     _bipartite_max_independent,
     _carc_omega,
+    _dense,
     _mcs_m,
+    _mcs_m_masks,
     cactus_atom_arc_model,
     carc_max_clique,
     clique_cactus,
@@ -70,6 +72,7 @@ from hgraphs.randgen import (
     random_representation,
     random_subdivision,
     random_tree_pattern,
+    representation_from_cycle_arcs,
 )
 
 
@@ -227,13 +230,38 @@ def _caterpillar(spine: int) -> SimpleGraph:
 
 
 def test_mcs_m_matches_reference():
+    # both searches; the mask search takes one round per vertex along a
+    # path, so it stops at 300 vertices on the long thin graphs
     rng = random.Random(30)
+    dense = 0
     for _ in range(2000):
         g = gnp(rng.randint(0, 30), rng.choice((0.05, 0.15, 0.3, 0.5, 0.8)), rng)
-        assert _mcs_m(g) == mcs_m_reference(g), g
-    for n in (3, 10, 100, 2000):
+        dense += _dense(g)
+        want = mcs_m_reference(g)
+        assert _mcs_m(g) == want and _mcs_m_masks(g) == want, g
+    assert 0 < dense < 2000
+    for n in (3, 10, 100, 300, 2000):
         for g in (path_graph(n), cycle_graph(n), _caterpillar(n // 2)):
-            assert _mcs_m(g) == mcs_m_reference(g), g.n
+            want = mcs_m_reference(g)
+            assert _mcs_m(g) == want, g.n
+            assert n > 300 or _mcs_m_masks(g) == want, g.n
+    graphs = [gnp(80, p / 10, rng) for p in range(3, 10)]
+    graphs += [model_intersection_graph(random_arc_model(60, 60, rng)) for _ in range(3)]
+    for g in graphs:
+        want = mcs_m_reference(g)
+        assert _dense(g) and _mcs_m(g) == want and _mcs_m_masks(g) == want, g
+
+
+def test_dense_atoms_build_no_adjacency_sets():
+    # on dense graphs the cactus route reads g.masks alone
+    rng = random.Random(32)
+    r = representation_from_cycle_arcs(random_arc_model(40, 40, rng))
+    g = intersection_graph(r)
+    clique_cactus(g, r)
+    assert "adjacency" not in vars(g)
+    g = gnp(60, 0.5, rng)
+    clique_cutset_decomposition(g)
+    assert "adjacency" not in vars(g)
 
 
 def test_atoms_chordless_cycle():

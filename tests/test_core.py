@@ -20,10 +20,18 @@ from hgraphs.core import (
     petersen_graph,
     two_subdivision,
 )
-from hgraphs.core import _components
+from hgraphs.core import _check_clique, _components
 from hgraphs.errors import OracleLimitExceeded
 from hgraphs.pattern import cycle_pattern
 from hgraphs.representation import SubdividedPattern, branch, sub
+
+
+def test_check_clique_reads_the_edge_set():
+    g = cycle_graph(4)
+    _check_clique(g, (2, 1))
+    with pytest.raises(AssertionError, match="not a clique: 0,2"):
+        _check_clique(g, (2, 1, 0))
+    assert "adjacency" not in vars(g) and "masks" not in vars(g)
 
 
 def test_complement_of_complete_is_edgeless():
