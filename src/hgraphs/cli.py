@@ -141,9 +141,7 @@ def cmd_color(args) -> int:
     if coloring is None:
         print("UNSAT")
         return EXIT_NO
-    print("coloring:")
-    for v in range(g.n):
-        print(f"{v + 1} {coloring[v]}")
+    print("\n".join(["coloring:"] + [f"{v + 1} {coloring[v]}" for v in range(g.n)]))
     return EXIT_OK
 
 

@@ -396,7 +396,7 @@ def _split_sets(g: SimpleGraph, generators, later) -> list[tuple[int, ...]]:
     atoms: list[tuple[int, ...]] = []
     for x in reversed(generators):
         sep = later[x]
-        if not _is_clique(g.masks, sep):
+        if any(len(adj[u] & sep) < len(sep) - 1 for u in sep):  # not a clique
             continue
         # take the separator out of remaining for the search and put it
         # back: building remaining - sep costs a pass over remaining

@@ -9,10 +9,11 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import ColorLists, SimpleGraph, _bits, _check_clique, _connected, _reach
+from .core import ColorLists, SimpleGraph, _bits, _check_clique, _reach
 from .errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceeded
 
 # list_k_coloring raises SearchLimitExceeded once its introduce steps have
@@ -88,7 +89,8 @@ def check_decomposition(g: SimpleGraph, d: TreeDecomposition) -> list[str]:
         if not (0 <= i < b and 0 <= j < b):
             return problems + [f"tree edge ({i},{j}) out of range"]
     # the tree really is a tree
-    if len(d.tree_edges) != b - 1:
+    tree = len(d.tree_edges) == b - 1
+    if not tree:
         problems.append(f"{len(d.tree_edges)} tree edges for {b} bags")
     nbrs: list[list[int]] = [[] for _ in range(b)]
     for i, j in d.tree_edges:
@@ -97,11 +99,19 @@ def check_decomposition(g: SimpleGraph, d: TreeDecomposition) -> list[str]:
     if len(_reach(nbrs, 0, range(b))) != b:
         problems.append("bag tree is disconnected")
         return problems
-    # every vertex induces a non-empty connected subtree
+    if not tree:  # a cycle: the count below needs a tree
+        return problems
+    # every vertex induces a non-empty connected subtree: on a tree, iff its
+    # bags are one more than the tree edges holding it at both ends
+    shared = [0] * g.n
+    for i, j in d.tree_edges:
+        for v in d.bags[i] & d.bags[j]:
+            if 0 <= v < g.n:
+                shared[v] += 1
     for v, hold in enumerate(holders):
         if not hold:
             problems.append(f"vertex {v} in no bag")
-        elif not _connected(nbrs, hold):
+        elif len(hold) - shared[v] != 1:
             problems.append(f"bags of vertex {v} are not connected in the tree")
     # every edge is inside some bag
     for u, v in g.edges:
@@ -181,15 +191,21 @@ def _minfill(
     Ties go to the smallest vertex index unless an rng is supplied, in which
     case a uniformly random tied vertex is taken (still deterministic per seed).
 
-    Adjacency is held as int bitsets and each vertex's fill is kept, grouped
-    by value.  Fills are computed once and then kept by deltas (Bodlaender &
-    Koster 2010, "Treewidth computations I. Upper bounds").  Eliminating v
-    first adds its fill edges one at a time: a new edge ab lowers the fill
-    of each common neighbour of a and b by one and raises a's by
-    |N(a) \\ N(b)| and b's by |N(b) \\ N(a)|, read before linking.  Then N(v)
-    is a clique, and dropping v lowers the fill of each w in N(v) by
-    |N(w) \\ N(v)|, with v already gone from N(w).
+    Adjacency is held as int bitsets.  Fills are computed once and then kept
+    by deltas (Bodlaender & Koster 2010, "Treewidth computations I. Upper
+    bounds").  Eliminating v first adds its fill edges one at a time: a new
+    edge ab lowers the fill of each common neighbour of a and b by one and
+    raises a's by |N(a) \\ N(b)| and b's by |N(b) \\ N(a)|, read before
+    linking.  Then N(v) is a clique, and dropping v lowers the fill of each
+    w in N(v) by |N(w) \\ N(v)|, with v already gone from N(w).
+
+    Vertices wait in one heap of int keys fill·n + v.  A fill change pushes
+    a new key, and a popped key that no longer names v's fill is skipped (an
+    eliminated vertex's fill is -1), so the first live key is the least
+    fill's smallest vertex.  With an rng, the live keys at that fill pop in
+    ascending order as the tie list, and go back on the heap.
     """
+    n = g.n
     nbr = list(g.masks)
 
     def fill_of(v: int) -> int:
@@ -205,50 +221,62 @@ def _minfill(
         d = nv.bit_count()
         return d * (d - 1) // 2 - inside // 2
 
-    fill = [fill_of(v) for v in range(g.n)]
-    by_fill: dict[int, set[int]] = {}
-    for v, f in enumerate(fill):
-        by_fill.setdefault(f, set()).add(v)
-    delta = [0] * g.n  # fill changes of the current step, reset once applied
+    fill = [fill_of(v) for v in range(n)]
+    heap = [f * n + v for v, f in enumerate(fill)]
+    heapify(heap)
+    delta = [0] * n  # fill changes of the current step, reset once applied
     order = []
     eliminated = []
-    while by_fill:
-        least = min(by_fill)
-        tied = by_fill[least]
-        v = min(tied) if rng is None else rng.choice(sorted(tied))
-        tied.remove(v)
-        if not tied:
-            del by_fill[least]
+    for _ in range(n):
+        least, v = divmod(heappop(heap), n)
+        while fill[v] != least:
+            least, v = divmod(heappop(heap), n)
+        if rng is not None:
+            tied = [v]
+            low = least * n
+            while heap and heap[0] < low + n:
+                u = heappop(heap) - low
+                if fill[u] == least and u != tied[-1]:  # live, not a repeat
+                    tied.append(u)
+            v = rng.choice(tied)
+            for u in tied:
+                heappush(heap, low + u)
         order.append(v)
         nv = nbr[v]
         eliminated.append(nv)
-        touched = nv
-        if fill[v]:
-            # links pair by pair, not by _eliminate: each new edge moves fills
-            for a in _bits(nv):
-                for b in _bits(nv & ~nbr[a] & ~((2 << a) - 1)):  # b > a, unlinked
-                    na, nb = nbr[a], nbr[b]
-                    common = na & nb
-                    touched |= common
-                    for w in _bits(common):
-                        delta[w] -= 1
-                    delta[a] += (na & ~nb).bit_count()
-                    delta[b] += (nb & ~na).bit_count()
-                    nbr[a] = na | 1 << b
-                    nbr[b] = nb | 1 << a
         nbr[v] = 0
+        fill[v] = -1
+        if not least:
+            # N(v) is a clique already, so nothing is linked and only the
+            # fills in N(v) change, each once: no delta pass is needed
+            for w in _bits(nv):
+                nw = nbr[w] ^ 1 << v
+                nbr[w] = nw
+                drop = (nw & ~nv).bit_count()
+                if drop:
+                    fill[w] -= drop
+                    heappush(heap, fill[w] * n + w)
+            continue
+        # links pair by pair, not by _eliminate: each new edge moves fills
+        touched = nv
+        for a in _bits(nv):
+            for b in _bits(nv & ~nbr[a] & ~((2 << a) - 1)):  # b > a, unlinked
+                na, nb = nbr[a], nbr[b]
+                common = na & nb
+                touched |= common
+                for w in _bits(common):
+                    delta[w] -= 1
+                delta[a] += (na & ~nb).bit_count()
+                delta[b] += (nb & ~na).bit_count()
+                nbr[a] = na | 1 << b
+                nbr[b] = nb | 1 << a
         for w in _bits(nv):
             nbr[w] ^= 1 << v
             delta[w] -= (nbr[w] & ~nv).bit_count()
         for w in _bits(touched & ~(1 << v)):
             if delta[w]:
-                f = fill[w]
-                by_fill[f].remove(w)
-                if not by_fill[f]:
-                    del by_fill[f]
-                f += delta[w]
-                by_fill.setdefault(f, set()).add(w)
-                fill[w] = f
+                fill[w] += delta[w]
+                heappush(heap, fill[w] * n + w)
                 delta[w] = 0
     return order, eliminated
 
@@ -383,6 +411,8 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
         return len(nodes) - 1
 
     def chain(idx: int, frm: frozenset[int], to: frozenset[int]) -> int:
+        if frm == to:
+            return idx
         bag = sorted(frm)
         for v in sorted(frm - to):
             bag.remove(v)

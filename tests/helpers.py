@@ -19,6 +19,7 @@ from hgraphs.core import (
     _components,
     _connected,
     _meeting_pairs,
+    _reach,
     complement,
     connected_components,
     induced_subgraph,
@@ -462,6 +463,48 @@ def degeneracy_reference(g: SimpleGraph) -> int:
     return worst
 
 
+# The validator that tested each vertex's bags with one BFS over the bag
+# tree, replaced by counting and kept verbatim (renamed) so tests can
+# require identical problem lists on tree-shaped decompositions.
+def check_decomposition_reference(g: SimpleGraph, d: TreeDecomposition) -> list[str]:
+    """Return a list of axiom violations; empty means the decomposition is valid."""
+    problems = []
+    b = len(d.bags)
+    if b == 0:
+        return ["decomposition has no bags"]
+    holders: list[set[int]] = [set() for _ in range(g.n)]  # bags holding v
+    for i, bag in enumerate(d.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                holders[v].add(i)
+            else:
+                problems.append(f"bag vertex {v} outside graph")
+    for i, j in d.tree_edges:
+        if not (0 <= i < b and 0 <= j < b):
+            return problems + [f"tree edge ({i},{j}) out of range"]
+    # the tree really is a tree
+    if len(d.tree_edges) != b - 1:
+        problems.append(f"{len(d.tree_edges)} tree edges for {b} bags")
+    nbrs: list[list[int]] = [[] for _ in range(b)]
+    for i, j in d.tree_edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    if len(_reach(nbrs, 0, range(b))) != b:
+        problems.append("bag tree is disconnected")
+        return problems
+    # every vertex induces a non-empty connected subtree
+    for v, hold in enumerate(holders):
+        if not hold:
+            problems.append(f"vertex {v} in no bag")
+        elif not _connected(nbrs, hold):
+            problems.append(f"bags of vertex {v} are not connected in the tree")
+    # every edge is inside some bag
+    for u, v in g.edges:
+        if holders[u].isdisjoint(holders[v]):
+            problems.append(f"edge ({u},{v}) not covered by any bag")
+    return problems
+
+
 # The set-based elimination game and the subset DP with inline bit loops
 # that the shared bitset elimination replaced, kept verbatim (renamed) so
 # tests can require identical bags, tree edges and widths from them.
@@ -697,6 +740,18 @@ def grid_graph(rows: int, cols: int) -> SimpleGraph:
             if r + 1 < rows:
                 edges.append((r * cols + c, (r + 1) * cols + c))
     return SimpleGraph.from_edges(rows * cols, edges)
+
+
+def caterpillar_graph(spine: int, legs: int) -> SimpleGraph:
+    """A path 0..spine-1 with legs leaves hung on each of its vertices."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return SimpleGraph.from_edges(spine * (legs + 1), edges)
+
+
+def random_tree(n: int, rng: random.Random) -> SimpleGraph:
+    """A random tree: vertex v hangs off a uniform earlier vertex."""
+    return SimpleGraph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def random_chordal(n: int, rng: random.Random) -> SimpleGraph:

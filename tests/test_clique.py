@@ -12,6 +12,7 @@ from helpers import (
     atoms_bruteforce,
     carc_reference,
     carc_scan_reference,
+    caterpillar_graph,
     has_clique_cutset,
     maximal_cliques_capped_reference,
     maximal_cliques_reference,
@@ -222,13 +223,6 @@ def test_atoms_long_cycle_in_time():
     assert elapsed < 2.0, elapsed
 
 
-def _caterpillar(spine: int) -> SimpleGraph:
-    # a path 0..spine-1 with one leaf hung on each spine vertex
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    edges += [(i, spine + i) for i in range(spine)]
-    return SimpleGraph.from_edges(2 * spine, edges)
-
-
 def test_mcs_m_matches_reference():
     # both searches; the mask search takes one round per vertex along a
     # path, so it stops at 300 vertices on the long thin graphs
@@ -241,7 +235,7 @@ def test_mcs_m_matches_reference():
         assert _mcs_m(g) == want and _mcs_m_masks(g) == want, g
     assert 0 < dense < 2000
     for n in (3, 10, 100, 300, 2000):
-        for g in (path_graph(n), cycle_graph(n), _caterpillar(n // 2)):
+        for g in (path_graph(n), cycle_graph(n), caterpillar_graph(n // 2, 1)):
             want = mcs_m_reference(g)
             assert _mcs_m(g) == want, g.n
             assert n > 300 or _mcs_m_masks(g) == want, g.n
@@ -262,6 +256,23 @@ def test_dense_atoms_build_no_adjacency_sets():
     g = gnp(60, 0.5, rng)
     clique_cutset_decomposition(g)
     assert "adjacency" not in vars(g)
+
+
+def test_sparse_atoms_build_no_masks():
+    # on sparse graphs the atoms read adjacency sets alone: masks of a long
+    # path would grow with n squared
+    for g in (path_graph(300), caterpillar_graph(150, 1)):
+        clique_cutset_decomposition(g)
+        assert "masks" not in vars(g)
+    g = path_graph(20000)
+    tracemalloc.start()
+    try:
+        atoms = clique_cutset_decomposition(g).atoms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(atoms) == 19999
+    assert peak < 20 * 2**20, peak
 
 
 def test_atoms_chordless_cycle():

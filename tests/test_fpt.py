@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from conftest import simple_graphs
 from helpers import (
     assert_clique,
+    caterpillar_graph,
+    check_decomposition_reference,
     coloring_is_proper,
     decomposition_from_order_reference,
     degeneracy_bruteforce,
@@ -18,6 +20,7 @@ from helpers import (
     maximal_cliques_reference,
     minfill_order_reference,
     random_chordal,
+    random_tree,
 )
 from hgraphs.core import (
     SimpleGraph,
@@ -51,7 +54,14 @@ from hgraphs.fpt import (
     validate_decomposition,
 )
 from hgraphs.pattern import double_triangle, find_tripartition, wheel
-from hgraphs.randgen import gnm, gnp, random_lists
+from hgraphs.randgen import (
+    gnm,
+    gnp,
+    random_lists,
+    random_representation,
+    random_subdivision,
+    random_tree_pattern,
+)
 from hgraphs.representation import generate_hard_instance
 
 
@@ -110,6 +120,38 @@ def test_validator_rejects_bad_decompositions():
     ]
     with pytest.raises(InvalidDecomposition):
         validate_decomposition(g, not_a_tree)
+
+
+def test_validator_counts_like_the_bfs_reference():
+    # on a bag tree, counting bags and tree edges that hold a vertex gives
+    # the problem list of one BFS per vertex, for valid and corrupted bags;
+    # a bag graph that is not a tree is rejected by both
+    rng = random.Random(49)
+    shaped = other = 0
+    for g in _differential_graphs(random.Random(50)):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        d = decomposition_from_order(g, order)
+        bags, edges = list(d.bags), list(d.tree_edges)
+        b = len(bags)
+        trees = [edges, [(i, rng.randrange(i)) for i in range(1, b)]]
+        for _ in range(3):  # move, drop or add a vertex, or one outside g
+            bags = list(bags)
+            i = rng.randrange(b)
+            v = rng.randrange(-1, g.n + 2)
+            bags[i] = bags[i] ^ {v} if rng.random() < 0.7 else bags[i] - {v}
+            for tree in trees:
+                corrupted = TreeDecomposition(tuple(bags), tuple(tree))
+                got = check_decomposition(g, corrupted)
+                assert got == check_decomposition_reference(g, corrupted)
+                shaped += bool(got)
+        assert check_decomposition(g, d) == check_decomposition_reference(g, d) == []
+        if b > 1:
+            for bad in (edges[1:], edges + [edges[0]], edges + [(0, b - 1)]):
+                d = TreeDecomposition(d.bags, tuple(bad))
+                assert check_decomposition(g, d) and check_decomposition_reference(g, d)
+                other += 1
+    assert shaped > 500 and other > 500, (shaped, other)
 
 
 @given(simple_graphs(max_n=8))
@@ -171,9 +213,12 @@ def test_minfill_and_degeneracy_match_reference():
 
 def test_minfill_matches_reference_on_dense_and_long_inputs():
     # fills kept by deltas stay exact where the graphs above do not reach:
-    # gen-hard targets (25-40 vertices, about 92% of pairs, many ties) and
+    # gen-hard targets (25-40 vertices, about 92% of pairs, many ties),
     # sparse graphs of up to 150 vertices, where fill edges pile up over
-    # many steps; each with and without an rng drawing among tied vertices
+    # many steps, and graphs whose every step is simplicial, with long tie
+    # lists: random trees, caterpillars with many leaves, and chordal graphs
+    # of subtrees of a subdivided tree (list-color's inputs); each with and
+    # without an rng drawing among tied vertices
     rng = random.Random(45)
     graphs = []
     for pattern in (wheel(4), double_triangle()):
@@ -182,6 +227,12 @@ def test_minfill_matches_reference_on_dense_and_long_inputs():
             graphs.append(generate_hard_instance(gnm(n, 2 * n, rng), pattern, part)[0])
     for n, p in ((60, 0.15), (100, 0.06), (150, 0.05)):
         graphs.append(gnp(n, p, rng))
+    for n in (150, 200):
+        graphs.append(random_tree(n, rng))
+    graphs += [caterpillar_graph(30, 5), caterpillar_graph(8, 20)]
+    for n in (100, 150):
+        tree = random_subdivision(random_tree_pattern(n, rng), rng)
+        graphs.append(random_representation(tree, n, rng)[0])
     for g in graphs:
         assert minfill_order(g) == minfill_order_reference(g)
         for s in range(3):
@@ -249,6 +300,17 @@ def test_minfill_and_degeneracy_on_long_path():
     g = path_graph(5000)
     assert minfill_order(g) == list(range(5000))
     assert degeneracy(g) == 1
+
+
+def test_minfill_on_a_long_random_tree_in_time():
+    # most leaves tie at fill 0 at every step: a pick that scans the tie
+    # list each step takes seconds here
+    g = random_tree(16000, random.Random(46))
+    start = time.perf_counter()
+    order = minfill_order(g)
+    elapsed = time.perf_counter() - start
+    assert sorted(order) == list(range(16000))
+    assert elapsed < 1.0, elapsed
 
 
 def test_tree_decomposition_attempts():
