@@ -106,9 +106,7 @@ def cmd_clique(args) -> int:
             return EXIT_LIMIT
         best = result.clique
     elif choice.name == "treewidth":
-        attempt = fpt.tree_decomposition(
-            g, max(g.n - 1, 0), approx_factor=args.approx_factor
-        )
+        attempt = fpt.tree_decomposition(g, max(g.n - 1, 0))
         best = fpt.max_clique_decomposed(g, attempt.decomposition)
     else:
         best = max_clique_bruteforce(g, limit=args.oracle_limit)
@@ -134,9 +132,7 @@ def cmd_color(args) -> int:
     lists = fpt.narrow_lists(g, lists)
     coloring = None
     if lists is not None:
-        attempt = fpt.tree_decomposition(
-            g, max(g.n - 1, 0), approx_factor=args.approx_factor
-        )
+        attempt = fpt.tree_decomposition(g, max(g.n - 1, 0))
         coloring = fpt.list_k_coloring(g, lists, k, attempt.decomposition)
     if coloring is None:
         print("UNSAT")

@@ -93,12 +93,7 @@ class Multigraph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            if u != v:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+        return self.simple_graph().adjacency
 
     def simple_graph(self) -> SimpleGraph:
         """Underlying simple graph: loops dropped, parallel edges collapsed."""

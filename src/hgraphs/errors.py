@@ -14,7 +14,8 @@ class ExactLimitExceeded(HgraphsError):
 
 
 class SearchLimitExceeded(HgraphsError):
-    """Exhaustive tripartition search was requested above its node limit."""
+    """A search hit its limit: the tripartition search on a component above
+    its node limit, or list coloring past its DP state budget."""
 
 
 class DomainMismatch(HgraphsError):

@@ -21,6 +21,10 @@ from .errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceed
 # for the witness: at the budget, 3-coloring a 12x12 grid holds about 60 MiB
 STATE_BUDGET = 1_000_000
 
+# The exact subset DP runs on graphs of at most this many vertices: its
+# tables hold 2**n entries
+EXACT_LIMIT = 12
+
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -364,22 +368,21 @@ def tree_decomposition(
     g: SimpleGraph,
     target: int,
     approx_factor: int = 5,
-    exact_limit: int = 12,
     rng: random.Random | None = None,
 ) -> DecompositionAttempt:
     """Try for a decomposition of width at most approx_factor * target.
 
     A certified lower bound above the target wins first and yields a
-    width-exceeded answer.  Otherwise the exact subset DP (small graphs) or
-    the min-fill heuristic produces a decomposition, flagged when its width
-    misses the accepted factor.
+    width-exceeded answer.  Otherwise the exact subset DP (at most
+    EXACT_LIMIT vertices) or the min-fill heuristic produces a decomposition,
+    flagged when its width misses the accepted factor.
     """
     if target < 0:
         raise ValueError("target width must be non-negative")
     lb = degeneracy(g)
     if lb > target:
         return DecompositionAttempt(None, lower_bound=lb, lower_bound_method="degeneracy")
-    if g.n <= exact_limit:
+    if g.n <= EXACT_LIMIT:
         width, d = exact_decomposition(g)
     else:
         d = minfill_decomposition(g, rng)

@@ -1,44 +1,59 @@
 """Structural analysis of pattern multigraphs.
 
 Covers cactus recognition (blocks are edges or cycles, a parallel pair
-counting as a 2-cycle), exact treewidth for small patterns, and the
-exhaustive search for a tripartition into three connected parts with at
-least two connecting edges per part pair.
+counting as a 2-cycle), a pattern's exact treewidth and elimination order,
+and the exhaustive search for a tripartition into three connected parts with
+at least two connecting edges per part pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import fpt
 from .core import Multigraph, _components, _connected
 from .errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
-from .fpt import TreeDecomposition, exact_decomposition, validate_decomposition
 
 PAIR_KEYS = ((0, 1), (0, 2), (1, 2))
+
+# The tripartition search tries about 3**n / 6 labelings of an n-node
+# component, and its labeling recursion is n deep
+TRIPARTITION_LIMIT = 15
 
 
 @dataclass(frozen=True)
 class PatternProfile:
-    """A pattern together with its exact treewidth.
+    """A pattern together with its exact treewidth and elimination order.
 
-    A parallel pair counts as a cycle, so it raises tw to at least 2: once
-    subdivided, the pair is one.  ``bound(omega)`` is the width guarantee
-    (tw+1)*omega - 1 available for any graph represented on any subdivision
-    of the pattern; it is strictly increasing in omega.
+    ``order`` eliminates the pattern's simple graph (loops dropped, parallel
+    edges collapsed) at its exact treewidth.  A parallel pair counts as a
+    cycle, so it raises tw to at least 2: once subdivided, the pair is one.
+    ``bound(omega)`` is the width guarantee (tw+1)*omega - 1 available for any
+    graph represented on any subdivision of the pattern; it is strictly
+    increasing in omega.
     """
 
     pattern: Multigraph
     tw: int
+    order: tuple[int, ...]
 
     def bound(self, omega: int) -> int:
         return (self.tw + 1) * omega - 1
 
     @staticmethod
-    def compute(pattern: Multigraph, limit: int = 12) -> "PatternProfile":
-        width, _ = treewidth_exact_small(pattern, limit)
-        if pattern.simple_graph().m < len(pattern.non_loop_items()):
+    def compute(pattern: Multigraph) -> "PatternProfile":
+        """The profile from the exact subset DP, on at most fpt.EXACT_LIMIT
+        nodes; the order's decomposition is validated before it is kept."""
+        if pattern.n > fpt.EXACT_LIMIT:
+            raise ExactLimitExceeded(
+                f"n={pattern.n} exceeds exact treewidth limit {fpt.EXACT_LIMIT}"
+            )
+        simple = pattern.simple_graph()
+        width, order = fpt._exact_order(simple)
+        fpt.validate_decomposition(simple, fpt.decomposition_from_order(simple, order))
+        if simple.m < len(pattern.non_loop_items()):
             width = max(width, 2)
-        return PatternProfile(pattern, width)
+        return PatternProfile(pattern, width, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -100,22 +115,6 @@ def is_cactus(h: Multigraph) -> bool:
     return True
 
 
-def treewidth_exact_small(
-    h: Multigraph, limit: int = 12
-) -> tuple[int, TreeDecomposition]:
-    """Exact treewidth of the pattern with a witnessing decomposition.
-
-    Parallel edges are collapsed first since treewidth is an invariant of the
-    underlying simple graph.
-    """
-    if h.n > limit:
-        raise ExactLimitExceeded(f"n={h.n} exceeds exact treewidth limit {limit}")
-    simple = h.simple_graph()
-    width, d = exact_decomposition(simple)
-    validate_decomposition(simple, d)
-    return width, d
-
-
 def _connecting_edges(h: Multigraph, parts) -> tuple | None:
     lookup = {}
     for i, part in enumerate(parts):
@@ -174,7 +173,7 @@ def _canonical_labelings(k: int):
     yield from rec(0, 0)
 
 
-def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
+def find_tripartition(h: Multigraph) -> TriPartition | None:
     """Exhaustive search for a valid tripartition, or None.
 
     Each connected component of h is searched independently; the first valid
@@ -183,9 +182,9 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
     parts would leave at least the 3-node, 6-edge multigraph, of rank 4.  A
     cactus has no tripartition at all: contracting the parts leaves a minor of
     it, cacti are closed under minors, and that multigraph is not a cactus.
+    Only a component that is searched must have at most TRIPARTITION_LIMIT
+    nodes; a larger one raises SearchLimitExceeded.
     """
-    if h.n > limit:
-        raise SearchLimitExceeded(f"n={h.n} exceeds tripartition search limit {limit}")
     if is_cactus(h):
         return None
     items = h.non_loop_items()
@@ -194,6 +193,10 @@ def find_tripartition(h: Multigraph, limit: int = 15) -> TriPartition | None:
         rank = sum(u in members for _, (u, _v) in items) - len(comp) + 1
         if rank < 4:
             continue
+        if len(comp) > TRIPARTITION_LIMIT:
+            raise SearchLimitExceeded(
+                f"n={len(comp)} exceeds tripartition search limit {TRIPARTITION_LIMIT}"
+            )
         for labeling in _canonical_labelings(len(comp)):
             parts: tuple[list[int], ...] = ([], [], [])
             for v, lab in zip(comp, labeling):

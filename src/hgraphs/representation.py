@@ -18,12 +18,7 @@ from .core import (
     two_subdivision,
 )
 from .errors import DomainMismatch, InvalidRepresentation
-from .fpt import (
-    TreeDecomposition,
-    _exact_order,
-    decomposition_from_order,
-    minfill_order,
-)
+from .fpt import TreeDecomposition, decomposition_from_order, minfill_order
 from .pattern import (
     PAIR_KEYS,
     PatternProfile,
@@ -277,7 +272,8 @@ def _pattern_order(
     A forest pattern (tw <= 1) stays a forest once subdivided, so min-fill
     eliminates it leaf by leaf without fill.  Otherwise each edge's path is
     eliminated first, walking away from one end, in bags of at most 3 nodes;
-    that leaves the base's simple graph, whose exact order comes next.
+    that leaves the base's simple graph, whose exact order, the profile's,
+    comes next.
     """
     nodes = pattern.nodes()
     index = {nd: i for i, nd in enumerate(nodes)}
@@ -287,9 +283,8 @@ def _pattern_order(
     )
     if profile.tw <= 1:
         return graph, minfill_order(graph)
-    _, base_order = _exact_order(pattern.base.simple_graph())
     # branch(h) is node h; each edge's path follows in order, from its first end
-    return graph, list(range(pattern.base.n, len(nodes))) + base_order
+    return graph, [*range(pattern.base.n, len(nodes)), *profile.order]
 
 
 def td_from_representation(

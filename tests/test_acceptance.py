@@ -64,7 +64,7 @@ from hgraphs.randgen import (
     random_subdivision,
     random_tree_pattern,
 )
-from hgraphs import formats
+from hgraphs import formats, fpt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -203,13 +203,14 @@ def test_ac6_width_bound_from_representations():
     budget.finish()
 
 
-def test_ac7_fpt_solvers_match_oracles():
+def test_ac7_fpt_solvers_match_oracles(monkeypatch):
+    monkeypatch.setattr(fpt, "EXACT_LIMIT", 8)
     budget = _Budget("AC7 decomposition solvers vs oracles", 60)
     rng = random.Random(107)
     for _ in range(300):
         n = rng.randint(1, 14)
         g = gnp(n, rng.uniform(0.1, 0.7), rng)
-        attempt = tree_decomposition(g, max(n - 1, 0), exact_limit=8)
+        attempt = tree_decomposition(g, max(n - 1, 0))
         d = attempt.decomposition
         k = rng.randint(1, 6)
         witness = k_clique(g, k, d)
@@ -231,7 +232,7 @@ def test_ac7_fpt_solvers_match_oracles():
             }
         else:
             lists = random_lists(n, k, rng, singleton_fraction=0.2)
-        d = tree_decomposition(g, max(n - 1, 0), exact_limit=8).decomposition
+        d = tree_decomposition(g, max(n - 1, 0)).decomposition
         got = list_k_coloring(g, lists, k, d)
         want = list_coloring_bruteforce(g, lists)
         assert (got is None) == (want is None)

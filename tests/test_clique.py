@@ -628,6 +628,11 @@ def test_clique_cactus_on_identity_cycle():
     assert len(clique_cactus(g, rep)) == 2
 
 
+def test_clique_cactus_on_empty_graph():
+    rep = HRepresentation(SubdividedPattern(cycle_pattern(5), (0,) * 5), {})
+    assert clique_cactus(empty_graph(0), rep) == ()
+
+
 def test_clique_cactus_random_representations():
     rng = random.Random(26)
     for _ in range(60):

@@ -27,7 +27,7 @@ from hgraphs.fpt import (
     exact_decomposition,
     tree_decomposition,
 )
-from hgraphs.pattern import find_tripartition, path_pattern, wheel
+from hgraphs.pattern import complete_pattern, find_tripartition, path_pattern, wheel
 from hgraphs.randgen import (
     gnm,
     random_cactus,
@@ -501,6 +501,81 @@ def test_cli_clique_helly_on_a_pattern_without_nodes(tmp_path, capsys, mode):
     assert "size: 0" in capsys.readouterr().out
 
 
+def test_cli_clique_without_pattern_or_rep_picks_treewidth(capsys):
+    assert main(["clique", "--graph", fixture("c5.gr")]) == 0
+    assert capsys.readouterr().out == (
+        "strategy: treewidth (no usable representation or pattern)\n"
+        "clique: 1 5\nsize: 2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode,message",
+    [("cactus", "needs --rep"), ("helly", "needs --pattern or --rep")],
+    ids=["cactus", "helly"],
+)
+def test_cli_clique_mode_without_its_input_exit_code(capsys, mode, message):
+    argv = ["clique", "--graph", fixture("c5.gr"), "--mode", mode]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        f"strategy: {mode} (requested explicitly)\n",
+        f"error: {mode} mode {message}\n",
+    )
+
+
+def test_cli_helly_reports_violation(tmp_path, capsys):
+    # three arcs of a subdivided triangle meet pairwise but share no node
+    pat = SubdividedPattern(complete_pattern(3), (1, 1, 1))
+    arcs = [(0, 0, 1), (1, 1, 2), (2, 2, 0)]
+    sets = {k: frozenset({branch(a), sub(k, 1), branch(b)}) for k, a, b in arcs}
+    (tmp_path / "tri.hgr").write_text(formats.emit_hgr(pat.base))
+    rep = formats.emit_rep(HRepresentation(pat, sets), "tri.hgr")
+    (tmp_path / "tri.rep").write_text(rep)
+    assert main(["helly", "--rep", str(tmp_path / "tri.rep")]) == 1
+    assert capsys.readouterr().out == "violation: 1 2 3\n"
+
+
+def test_cli_non_integer_cap_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cap", "x", "helly", "--rep", fixture("p3.rep")])
+    assert exc.value.code == 2
+    assert "argument --cap: expected an integer, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rep_text,lists_text,line,message",
+    [
+        ("r edge.hgr\nmap 1\n", None, 2, "expected 'map <v> <node>...'"),
+        ("r edge.hgr\nmap 1 s:1\n", None, 2, "expected s:<edge>.<i>, got 's:1'"),
+        (None, "1: 1\n0: 1\n", 2, "vertex 0 must be positive"),
+        (None, "c none\n1:\n", 2, "empty color list for vertex 1"),
+    ],
+    ids=["map-without-nodes", "sub-id-without-dot", "lists-vertex-0", "lists-no-colors"],
+)
+def test_cli_input_line_errors(tmp_path, capsys, rep_text, lists_text, line, message):
+    if rep_text is not None:
+        (tmp_path / "edge.hgr").write_text(read(fixture("edge.hgr")))
+        bad = tmp_path / "bad.rep"
+        bad.write_text(rep_text)
+        argv = ["verify", "--graph", fixture("p3.gr"), "--rep", str(bad)]
+    else:
+        bad = tmp_path / "bad.lists"
+        bad.write_text(lists_text)
+        argv = ["color", "--graph", fixture("p3.gr"), "--lists", str(bad), "--k", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{bad}:{line}: {message}\n"
+
+
+def test_cli_rep_pattern_must_match_pattern_file(capsys):
+    rep = fixture("c5.rep")
+    argv = ["clique", "--graph", fixture("c5.gr"), "--rep", rep,
+            "--pattern", fixture("wheel4.hgr")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"{rep}:1: representation pattern differs from --pattern file\n"
+    )
+
+
 def test_cli_color_unsat_exit_code(capsys):
     code = main(
         [
@@ -769,8 +844,9 @@ def test_cli_clique_reports_failed_verification_as_verify(
 
 
 def test_cli_gen_hard_tripartition_search_limit_exit_code(tmp_path, capsys):
-    pattern = tmp_path / "path16.hgr"
-    pattern.write_text(formats.emit_hgr(path_pattern(16)))
+    # 16 nodes of cycle rank 15: the one component must be searched
+    pattern = tmp_path / "wheel15.hgr"
+    pattern.write_text(formats.emit_hgr(wheel(15)))
     out_graph, out_rep = tmp_path / "t.gr", tmp_path / "t.rep"
     argv = ["gen-hard", "--graph", fixture("k3.gr"), "--pattern", str(pattern),
             "--out-graph", str(out_graph), "--out-rep", str(out_rep)]
@@ -793,6 +869,20 @@ def test_cli_gen_hard_without_tripartition_answers_at_search_limit(tmp_path, cap
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == (
         "pattern admits no tripartition with doubled connections\n"
+    )
+    assert not out_graph.exists() and not out_rep.exists()
+
+
+def test_cli_gen_hard_on_a_path_above_the_search_limit_answers_no(tmp_path, capsys):
+    # a path is a cactus, so no search and no search limit applies
+    pattern = tmp_path / "path16.hgr"
+    pattern.write_text(formats.emit_hgr(path_pattern(16)))
+    out_graph, out_rep = tmp_path / "t.gr", tmp_path / "t.rep"
+    argv = ["gen-hard", "--graph", fixture("k3.gr"), "--pattern", str(pattern),
+            "--out-graph", str(out_graph), "--out-rep", str(out_rep)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "pattern admits no tripartition with doubled connections\n", ""
     )
     assert not out_graph.exists() and not out_rep.exists()
 

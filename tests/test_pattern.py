@@ -5,9 +5,14 @@ import pytest
 
 from helpers import find_tripartition_reference
 
+from hgraphs import fpt, pattern
 from hgraphs.core import Multigraph
 from hgraphs.errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
-from hgraphs.fpt import validate_decomposition
+from hgraphs.fpt import (
+    decomposition_from_order,
+    exact_decomposition,
+    validate_decomposition,
+)
 from hgraphs.pattern import (
     PatternProfile,
     TriPartition,
@@ -17,7 +22,6 @@ from hgraphs.pattern import (
     find_tripartition,
     is_cactus,
     path_pattern,
-    treewidth_exact_small,
     validate_tripartition,
     wheel,
 )
@@ -71,29 +75,34 @@ def test_treewidth_known_families():
     rng = random.Random(2)
     for _ in range(10):
         tree = random_tree_pattern(rng.randint(2, 9), rng)
-        assert treewidth_exact_small(tree)[0] == 1
+        assert PatternProfile.compute(tree).tw == 1
     for k in range(3, 9):
-        assert treewidth_exact_small(cycle_pattern(k))[0] == 2
+        assert PatternProfile.compute(cycle_pattern(k)).tw == 2
     for k in range(2, 8):
-        assert treewidth_exact_small(complete_pattern(k))[0] == k - 1
+        assert PatternProfile.compute(complete_pattern(k)).tw == k - 1
 
 
 def test_treewidth_witness_validates():
     for h in [cycle_pattern(5), complete_pattern(4), double_triangle(), wheel(4)]:
-        width, d = treewidth_exact_small(h)
+        profile = PatternProfile.compute(h)
+        d = decomposition_from_order(h.simple_graph(), profile.order)
         validate_decomposition(h.simple_graph(), d)
-        assert d.width == width
+        assert d.width == profile.tw
 
 
 def test_treewidth_collapses_parallel_edges():
-    assert treewidth_exact_small(double_triangle())[0] == 2
-    assert treewidth_exact_small(cycle_pattern(2))[0] == 1
+    # the simple graph's width counts each parallel pair once; the profile
+    # counts a pair as the cycle it becomes once subdivided
+    assert exact_decomposition(double_triangle().simple_graph())[0] == 2
+    assert exact_decomposition(cycle_pattern(2).simple_graph())[0] == 1
+    assert PatternProfile.compute(cycle_pattern(2)).tw == 2
 
 
-def test_treewidth_limit():
+def test_treewidth_limit(monkeypatch):
     with pytest.raises(ExactLimitExceeded):
-        treewidth_exact_small(path_pattern(13))
-    assert treewidth_exact_small(path_pattern(13), limit=13)[0] == 1
+        PatternProfile.compute(path_pattern(13))
+    monkeypatch.setattr(fpt, "EXACT_LIMIT", 13)
+    assert PatternProfile.compute(path_pattern(13)).tw == 1
 
 
 def test_tripartition_double_triangle():
@@ -117,8 +126,24 @@ def test_tripartition_k4_has_none():
 
 
 def test_tripartition_search_limit():
-    with pytest.raises(SearchLimitExceeded):
-        find_tripartition(path_pattern(16))
+    # 16 nodes of cycle rank 15, in one component that must be searched
+    with pytest.raises(SearchLimitExceeded, match="n=16 exceeds"):
+        find_tripartition(wheel(15))
+
+
+def test_tripartition_limit_applies_only_to_searched_components(monkeypatch):
+    # no search is needed on a path (a cactus) or on a component of rank
+    # below 4, whatever its size
+    assert find_tripartition(path_pattern(16)) is None
+    low_rank = Multigraph(17, tuple((i, i + 1) for i in range(16)) + ((0, 16), (3, 9)))
+    assert find_tripartition(low_rank) is None
+    # a far-away long path leaves the double triangle's partition in reach
+    dt = double_triangle()
+    h = Multigraph(19, dt.edges + tuple((i, i + 1) for i in range(3, 18)))
+    assert find_tripartition(h).parts == ((0,), (1,), (2,))
+    monkeypatch.setattr(pattern, "TRIPARTITION_LIMIT", 2)
+    with pytest.raises(SearchLimitExceeded, match="n=3 exceeds .* limit 2"):
+        find_tripartition(h)
 
 
 def test_tripartition_search_does_not_grow_traced_memory():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from hgraphs.core import (
 from hgraphs.errors import DomainMismatch, InvalidPartition
 from hgraphs.formats import emit_gr, emit_rep
 from hgraphs.fpt import (
+    _exact_order,
     check_decomposition,
     decomposition_from_order,
     validate_decomposition,
@@ -437,6 +439,45 @@ def test_td_parallel_pair_counts_as_cycle():
     d = td_from_representation(g, rep, profile)
     validate_decomposition(g, d)
     assert d.width <= profile.bound(1)
+
+
+def test_td_from_representation_reuses_the_profile_order():
+    # the subset DP runs once, in the profile; each decomposition is the one
+    # built from the subdivision paths first, then the base's exact order
+    h = wheel(4)
+    profile = PatternProfile.compute(h)
+    assert profile.tw == 3
+    base_order = _exact_order(h.simple_graph())[1]
+    rng = random.Random(18)
+    cases = []
+    for _ in range(10):
+        pat = random_subdivision(h, rng, 3)
+        cases.append((pat, *random_representation(pat, rng.randint(1, 10), rng, 5)))
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is _exact_order.__code__:
+            calls.append(frame)
+
+    sys.setprofile(profiler)
+    try:
+        got = [td_from_representation(g, rep, profile) for pat, g, rep in cases]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    for d, (pat, g, rep) in zip(got, cases):
+        nodes = pat.nodes()
+        index = {nd: i for i, nd in enumerate(nodes)}
+        graph = SimpleGraph.from_edges(
+            len(nodes), [(index[a], index[b]) for a in nodes for b in pat.adjacency[a]]
+        )
+        order = list(range(h.n, len(nodes))) + base_order
+        node_dec = decomposition_from_order(graph, order)
+        bags = tuple(
+            frozenset(v for v in range(g.n) if rep.sets[v] & {nodes[i] for i in bag})
+            for bag in node_dec.bags
+        )
+        assert d.bags == bags and d.tree_edges == node_dec.tree_edges
 
 
 def _sweep_pattern(rng: random.Random) -> Multigraph:
