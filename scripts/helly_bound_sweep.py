@@ -32,7 +32,7 @@ def main() -> None:
         enum = maximal_cliques_capped(g, bound)
         if not enum.complete:
             raise AssertionError("bound violated: representation was not Helly?")
-        count = len(enum.cliques)
+        count = len(enum.masks)
         ratio = count / bound
         if ratio > worst_ratio:
             worst_ratio = ratio

@@ -58,7 +58,10 @@ def _available_pattern(instance):
 
 
 def choose_strategy(mode: str, instance) -> StrategyChoice:
-    """Dispatch rule: cactus, then helly, then treewidth, then brute."""
+    """Dispatch rule: cactus, then helly, then treewidth.
+
+    Brute force runs only when requested explicitly.
+    """
     if mode != "auto":
         return StrategyChoice(mode, "requested explicitly")
     if instance.representation is not None and is_cactus(

@@ -9,6 +9,7 @@ adjacency before it leaves this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -35,14 +36,23 @@ from .representation import (
 class CliqueEnumeration:
     """Maximal cliques, either all of them or a capped prefix.
 
-    When complete, ``cliques`` holds every maximal clique, distinct and
-    sorted lexicographically.  Otherwise enumeration stopped after emitting
-    cap + 1 cliques, which are kept in emission order.
+    ``masks`` keeps each clique as an int bitset, bit v standing for vertex
+    v, in emission order.  When complete it holds every maximal clique;
+    otherwise enumeration stopped after emitting cap + 1 cliques.
+    ``cliques`` builds the vertex tuples on first read: sorted
+    lexicographically when complete, in emission order when capped.
     """
 
     complete: bool
-    cliques: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     cap: int
+
+    @cached_property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        # built from a list: tuple(generator) grows by resizing, and the
+        # freed tuples pile up in CPython's tuple free lists
+        found = [tuple([*_bits(m)]) for m in self.masks]
+        return tuple(sorted(found) if self.complete else found)
 
 
 @dataclass(frozen=True)
@@ -122,19 +132,25 @@ def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
     the vertex of candidates | used with the most neighbours among the
     candidates, the smallest on ties; the branches are the candidates outside
     the pivot's neighbourhood, taken lowest bit first, so the emission order
-    is deterministic.  Frames live on an explicit stack, so a clique of any
-    size cannot exhaust the recursion limit.
+    is deterministic.  A branch with no candidates left gets no frame: it
+    emits its clique unless a used vertex extends it.  Frames live on an
+    explicit stack, so a clique of any size cannot exhaust the recursion
+    limit.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if g.n == 0:
         return CliqueEnumeration(True, (), cap)
     masks = g.masks
-    found: list[tuple[int, ...]] = []
+    found: list[int] = []
 
     def frame(clique: int, cands: int, used: int) -> list[int]:
         most = -1
-        for u in _bits(cands | used):
+        rest = cands | used
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             count = (cands & masks[u]).bit_count()
             if count > most:
                 most, pivot = count, u
@@ -152,16 +168,13 @@ def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
         low = branches & -branches
         top[1], top[2], top[3] = cands ^ low, used | low, branches ^ low
         nbr = masks[low.bit_length() - 1]
-        grown, sub_cands, sub_used = clique | low, cands & nbr, used & nbr
-        if sub_cands or sub_used:
-            stack.append(frame(grown, sub_cands, sub_used))
-            continue
-        # built from a list: tuple(generator) grows by resizing, and the
-        # freed tuples pile up in CPython's tuple free lists
-        found.append(tuple([*_bits(grown)]))
-        if len(found) > cap:
-            return CliqueEnumeration(False, tuple(found), cap)
-    return CliqueEnumeration(True, tuple(sorted(found)), cap)
+        if cands & nbr:
+            stack.append(frame(clique | low, cands & nbr, used & nbr))
+        elif not used & nbr:
+            found.append(clique | low)
+            if len(found) > cap:
+                return CliqueEnumeration(False, tuple(found), cap)
+    return CliqueEnumeration(True, tuple(found), cap)
 
 
 def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
@@ -177,13 +190,17 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
         return HellyCliqueResult(None, 1, bound)
     enum = maximal_cliques_capped(g, max(bound, 1))
     if not enum.complete:
-        return HellyCliqueResult(None, len(enum.cliques), bound)
-    best: tuple[int, ...] = ()
-    for c in enum.cliques:  # sorted, so first of max size is lex-least
-        if len(c) > len(best):
-            best = c
-    _check_clique(g, best)
-    return HellyCliqueResult(best, len(enum.cliques), bound)
+        return HellyCliqueResult(None, len(enum.masks), bound)
+    # the lex-least of the largest cliques: of two sets of one size, the
+    # lesser holds the lowest bit of their XOR
+    best = size = 0
+    for m in enum.masks:
+        k = m.bit_count()
+        if k > size or k == size and m & (diff := m ^ best) & -diff:
+            best, size = m, k
+    clique = tuple([*_bits(best)])
+    _check_clique(g, clique)
+    return HellyCliqueResult(clique, len(enum.masks), bound)
 
 
 def helly_check(r: HRepresentation, cap: int) -> HellyReport:

@@ -128,7 +128,7 @@ def _connecting_edges(h: Multigraph, parts) -> tuple | None:
         buckets[(min(iu, iv), max(iu, iv))].append(k)
     if any(len(buckets[pk]) < 2 for pk in PAIR_KEYS):
         return None
-    # from a list, as in clique.maximal_cliques_capped: no tuple(generator)
+    # from a list, as in clique.CliqueEnumeration.cliques: no tuple(generator)
     return tuple([tuple(buckets[pk]) for pk in PAIR_KEYS])
 
 

@@ -84,7 +84,8 @@ def maximal_cliques_reference(g: SimpleGraph) -> set[tuple[int, ...]]:
 
 # The set-based maximal-clique enumerator that the bitset
 # maximal_cliques_capped replaced, kept verbatim (renamed) so tests can
-# require identical cliques in identical emission order from it.
+# require identical cliques in identical emission order from it; only its
+# return value changed, to the bitsets of today's CliqueEnumeration.
 def maximal_cliques_capped_reference(g: SimpleGraph, cap: int) -> CliqueEnumeration:
     """Enumerate maximal cliques, stopping once more than cap are seen.
 
@@ -123,8 +124,13 @@ def maximal_cliques_capped_reference(g: SimpleGraph, cap: int) -> CliqueEnumerat
             continue
         found.append(tuple(sorted(grown)))
         if len(found) > cap:
-            return CliqueEnumeration(False, tuple(found), cap)
-    return CliqueEnumeration(True, tuple(sorted(found)), cap)
+            return CliqueEnumeration(False, _as_masks(found), cap)
+    return CliqueEnumeration(True, _as_masks(found), cap)
+
+
+def _as_masks(cliques: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Cliques as the int bitsets CliqueEnumeration keeps, in the same order."""
+    return tuple(sum(1 << v for v in c) for c in cliques)
 
 
 # core.max_clique_bruteforce as it was before its recursion became an explicit

@@ -186,6 +186,51 @@ def test_clique_helly_matches_oracle_on_subtree_graphs():
         assert_clique(g, result.clique)
 
 
+def test_clique_helly_picks_as_the_sorted_reference():
+    # the first largest clique of the reference's sorted list, on graphs
+    # with many maximum cliques of one size
+    rng = random.Random(24)
+    fat = Multigraph(2, ((0, 1),) * 1000)  # bound 2 + 1000n: never overflows
+    graphs = [
+        complete_multipartite([rng.randint(1, 3) for _ in range(rng.randint(1, 6))])
+        for _ in range(50)
+    ]
+    graphs += [cycle_graph(n) for n in range(3, 53)]
+    graphs += [gnp(rng.randint(1, 30), rng.random(), rng) for _ in range(60)]
+    graphs += [random_chordal(rng.randint(1, 60), rng) for _ in range(40)]
+    for g in graphs:
+        expected = maximal_cliques_capped_reference(g, 2 + 1000 * g.n)
+        assert expected.complete
+        top = max(map(len, expected.cliques))
+        first = next(c for c in expected.cliques if len(c) == top)
+        result = clique_helly(g, fat)
+        assert (result.clique, result.count) == (first, len(expected.cliques))
+    g = complete_multipartite([2] * 12)
+    result = clique_helly(g, complete_pattern(3))
+    expected = maximal_cliques_capped_reference(g, result.bound)
+    assert result.exceeded and result.count == len(expected.cliques)
+
+
+def test_enumeration_builds_clique_tuples_only_when_read(monkeypatch):
+    g = complete_multipartite([2] * 12)
+    for cap in (10, 10**5):
+        enum = maximal_cliques_capped(g, cap)
+        assert "cliques" not in vars(enum)
+        assert enum.cliques == maximal_cliques_capped_reference(g, cap).cliques
+    seen = []
+
+    def spy(g, cap):
+        seen.append(maximal_cliques_capped(g, cap))
+        return seen[-1]
+
+    monkeypatch.setattr(clique_module, "maximal_cliques_capped", spy)
+    assert clique_helly(g, complete_pattern(3)).exceeded
+    assert not clique_helly(cycle_graph(6), complete_pattern(3)).exceeded
+    assert all("cliques" not in vars(enum) for enum in seen)
+    expected = maximal_cliques_capped_reference(g, seen[0].cap)
+    assert seen[0].cliques == expected.cliques
+
+
 def test_atoms_two_triangles():
     g = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     atoms = clique_cutset_decomposition(g).atoms
