@@ -131,10 +131,13 @@ def cmd_color(args) -> int:
                 msg = f"vertex {v + 1} lists color {worst} outside 1..{k}"
                 raise ParseError(args.lists, no, msg)
         lists.update(instance.lists)
-    # forced colors alone may empty a list; then no decomposition is needed
+    # forced colors alone may empty a list, or leave every vertex one
+    # color; then no decomposition is needed
     lists = fpt.narrow_lists(g, lists)
     coloring = None
-    if lists is not None:
+    if lists is not None and all(len(lists[v]) == 1 for v in range(g.n)):
+        coloring = fpt.forced_coloring(g, lists)
+    elif lists is not None:
         attempt = fpt.tree_decomposition(g, max(g.n - 1, 0))
         coloring = fpt.list_k_coloring(g, lists, k, attempt.decomposition)
     if coloring is None:

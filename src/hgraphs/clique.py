@@ -328,14 +328,21 @@ def _dense(g: SimpleGraph) -> bool:
 
 
 def _mcs_m_masks(g: SimpleGraph):
-    """``_mcs_m`` on the int bitsets of ``g.masks``, with the same result.
+    """``_mcs_m``'s numbering on the int bitsets of ``g.masks``.
 
     At level j the search ORs the neighbour masks of the reached vertices of
     weight at most j, raises each heavier vertex it reaches, and stops once
     no unreached vertex heavier than j is left.
+
+    Returns (generators, order, raised): ``_mcs_m``'s generators, the
+    vertices in numbering order, and for each step the mask of the vertices
+    it raised.  u's later set in ``_mcs_m`` holds order[i] for each step i
+    whose raised mask has bit u; only ``_split_masks`` reads it, and only
+    at generators.
     """
     masks = g.masks
-    later: list[set[int]] = [set() for _ in range(g.n)]
+    order: list[int] = []
+    raised_at: list[int] = []
     unnumbered = (1 << g.n) - 1
     level = [unnumbered] + [0] * g.n  # level[w]: the unnumbered of weight w
     generators: list[int] = []
@@ -369,8 +376,8 @@ def _mcs_m_masks(g: SimpleGraph):
                 heavy &= ~new
             if not heavy:
                 break
-        for u in _bits(raised):
-            later[u].add(v)
+        order.append(v)
+        raised_at.append(raised)
         for w in range(top, -1, -1):  # from the top, so no vertex moves twice
             moved = level[w] & raised
             level[w] ^= moved
@@ -379,13 +386,15 @@ def _mcs_m_masks(g: SimpleGraph):
             if not raised:
                 break
         top += 1  # a raised vertex may now weigh one more than v did
-    return generators, later
+    return generators, order, raised_at
 
 
-def _is_clique(masks, verts) -> bool:
-    """Whether verts are pairwise adjacent, one mask test per vertex."""
-    whole = sum(1 << v for v in verts)
-    return all(whole & ~masks[v] == 1 << v for v in verts)
+def _is_clique(masks, whole: int) -> bool:
+    """Whether the vertices of mask whole are pairwise adjacent."""
+    for v in _bits(whole):
+        if whole & ~masks[v] != 1 << v:
+            return False
+    return True
 
 
 def clique_cutset_decomposition(g: SimpleGraph) -> AtomDecomposition:
@@ -428,16 +437,29 @@ def _split_sets(g: SimpleGraph, generators, later) -> list[tuple[int, ...]]:
     return atoms
 
 
-def _split_masks(g: SimpleGraph, generators, later) -> list[tuple[int, ...]]:
-    """The atoms, unsorted, each side a frontier search on masks."""
+def _split_masks(g: SimpleGraph, generators, order, raised) -> list[tuple[int, ...]]:
+    """The atoms, unsorted, each side a frontier search on masks.
+
+    A generator's separator, its later set in ``_mcs_m``, is read off the
+    raised masks of ``_mcs_m_masks`` at the generator bits alone.
+    """
     masks = g.masks
+    gens = 0
+    for x in generators:
+        gens |= 1 << x
+    seps = dict.fromkeys(generators, 0)
+    for v, up in zip(order, raised):
+        hit = up & gens
+        if hit:
+            bit = 1 << v
+            for x in _bits(hit):
+                seps[x] |= bit
     remaining = (1 << g.n) - 1
     atoms: list[tuple[int, ...]] = []
     for x in reversed(generators):
-        sep = later[x]
-        if not _is_clique(masks, sep):
+        cut = seps[x]
+        if not _is_clique(masks, cut):
             continue
-        cut = sum(1 << u for u in sep)
         side = frontier = 1 << x
         while frontier:
             grow = 0
@@ -764,9 +786,17 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
     """Maximum clique of a graph represented on a cactus pattern.
 
     The clique-cutset decomposition reduces the problem to atoms, each atom
-    is peeled to an arc model, and the best arc-model clique wins.  An atom
-    whose vertices are pairwise adjacent is its own maximum clique, the one
-    the arc model would give, so it skips the model.
+    is peeled to an arc model, and the best arc-model clique wins: the
+    largest, ties to the lexicographically least, so the order the atoms
+    are read in does not matter.  An atom whose vertices are pairwise
+    adjacent is its own maximum clique, the one the arc model would give, so
+    it skips the model; these atoms come first.  Any other atom is connected
+    and not complete, so its cliques have at most its largest inner degree
+    vertices (a clique one larger would hold every neighbour of each of its
+    vertices, and so be the whole atom).  A sorted k-subset of an atom is
+    never below its first k vertices, so an atom whose bound is below the
+    best size k, or equal to k with its first k vertices above the best
+    clique, cannot win and skips the model too.
     """
     if not is_cactus(r.pattern.base):
         raise NotCactus("pattern base is not a cactus")
@@ -775,13 +805,25 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
         raise InvalidRepresentation(verdict)
     if g.n == 0:
         return ()
+    masks = g.masks
     best: tuple[int, ...] = ()
+    others: list[tuple[int, Atom]] = []  # (clique size bound, atom)
     for atom in clique_cutset_decomposition(g).atoms:
-        if _is_clique(g.masks, atom.vertices):
-            c = atom.vertices
-        else:
-            c = carc_max_clique(cactus_atom_arc_model(atom, r))
-        if len(c) > len(best) or (len(c) == len(best) and c < best):
+        vs = atom.vertices
+        whole = 0
+        for v in vs:
+            whole |= 1 << v
+        degrees = [(masks[v] & whole).bit_count() for v in vs]
+        if min(degrees) < len(vs) - 1:
+            others.append((max(degrees), atom))
+        elif len(vs) > len(best) or (len(vs) == len(best) and vs < best):
+            best = vs
+    for bound, atom in others:
+        k = len(best)
+        if bound < k or (bound == k and atom.vertices[:k] > best):
+            continue
+        c = carc_max_clique(cactus_atom_arc_model(atom, r))
+        if len(c) > k or (len(c) == k and c < best):
             best = c
     _check_clique(g, best)
     return best

@@ -779,6 +779,23 @@ def list_k_coloring(
     # forced vertices are colored up front and every other vertex lies in
     # the bottom bag of the forget run that leaves it out, on the way to the
     # empty root bag
+    _check_witness(g, lists, coloring)
+    return coloring
+
+
+def forced_coloring(g: SimpleGraph, lists: dict[int, frozenset[int]]) -> dict[int, int]:
+    """The coloring of narrowed lists that leave every vertex one color.
+
+    narrow_lists took each forced color from the neighbours' lists, so
+    these colors form a proper list coloring, the one list_k_coloring
+    would give on any decomposition; none is needed.
+    """
+    coloring = {v: min(lists[v]) for v in range(g.n)}
+    _check_witness(g, lists, coloring)
+    return coloring
+
+
+def _check_witness(g: SimpleGraph, lists, coloring: dict[int, int]) -> None:
     if len(coloring) != g.n:
         raise AssertionError(f"witness colors {len(coloring)} of {g.n} vertices")
     for u, v in g.edges:
@@ -787,4 +804,3 @@ def list_k_coloring(
     for v, c in coloring.items():
         if c not in lists[v]:
             raise AssertionError(f"witness color {c} of {v} is not on its list")
-    return coloring

@@ -8,14 +8,21 @@ own algorithms.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
-from hgraphs.clique import CliqueEnumeration
+from hgraphs.clique import (
+    CliqueEnumeration,
+    cactus_atom_arc_model,
+    carc_max_clique,
+    clique_cutset_decomposition,
+)
 from hgraphs.clique import _bipartite_max_independent as _bitset_max_independent
 from hgraphs.core import (
     Multigraph,
     SimpleGraph,
     _bits,
+    _check_clique,
     _components,
     _connected,
     _meeting_pairs,
@@ -27,6 +34,8 @@ from hgraphs.core import (
 )
 from hgraphs.errors import (
     DomainMismatch,
+    InvalidRepresentation,
+    NotCactus,
     OracleLimitExceeded,
     ParseError,
     SearchLimitExceeded,
@@ -41,6 +50,7 @@ from hgraphs.pattern import (
     TriPartition,
     _canonical_labelings,
     _connecting_edges,
+    is_cactus,
     validate_tripartition,
 )
 from hgraphs.representation import (
@@ -50,6 +60,7 @@ from hgraphs.representation import (
     Verdict,
     branch,
     sub,
+    verify_representation,
 )
 
 
@@ -418,6 +429,125 @@ def carc_scan_reference(model) -> tuple[int, ...]:
         if not pos[u] & pos[v]:
             raise AssertionError("candidate is not a clique")
     return result
+
+
+# clique_cactus as it was before it skipped atoms that cannot beat the best
+# clique so far, kept verbatim (renamed, with its clique test inlined) so
+# tests can require identical tuples from it.
+def clique_cactus_reference(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
+    """Maximum clique of a graph represented on a cactus pattern.
+
+    The clique-cutset decomposition reduces the problem to atoms, each atom
+    is peeled to an arc model, and the best arc-model clique wins.  An atom
+    whose vertices are pairwise adjacent is its own maximum clique, the one
+    the arc model would give, so it skips the model.
+    """
+    if not is_cactus(r.pattern.base):
+        raise NotCactus("pattern base is not a cactus")
+    verdict = verify_representation(g, r)
+    if not verdict.is_ok:
+        raise InvalidRepresentation(verdict)
+    if g.n == 0:
+        return ()
+    best: tuple[int, ...] = ()
+    for atom in clique_cutset_decomposition(g).atoms:
+        whole = sum(1 << v for v in atom.vertices)
+        if all(whole & ~g.masks[v] == 1 << v for v in atom.vertices):
+            c = atom.vertices
+        else:
+            c = carc_max_clique(cactus_atom_arc_model(atom, r))
+        if len(c) > len(best) or (len(c) == len(best) and c < best):
+            best = c
+    _check_clique(g, best)
+    return best
+
+
+@dataclass(frozen=True)
+class _BlockArcs:
+    """The arcs of one cycle block, in the shape carc_reference reads."""
+
+    length: int
+    arcs: dict  # vertex -> (first, last) position clockwise, or None: all
+    covered: dict  # vertex -> frozenset of its positions
+
+    def positions(self, v: int) -> frozenset[int]:
+        return self.covered[v]
+
+
+def _pattern_cycles(adjacency) -> list[list[Node]]:
+    """The cycles of a cactus node graph, each in cyclic order.
+
+    A depth-first search on an explicit stack: in a cactus every back edge
+    closes exactly one cycle, the tree path up to its ancestor end.
+    """
+    parent: dict[Node, Node | None] = {}
+    depth: dict[Node, int] = {}
+    cycles = []
+    for root in sorted(adjacency):
+        if root in depth:
+            continue
+        parent[root], depth[root] = None, 0
+        stack = [(root, iter(sorted(adjacency[root])))]
+        while stack:
+            x, todo = stack[-1]
+            y = next(todo, None)
+            if y is None:
+                stack.pop()
+            elif y not in depth:
+                parent[y], depth[y] = x, depth[x] + 1
+                stack.append((y, iter(sorted(adjacency[y]))))
+            elif depth[y] < depth[x] - 1:  # a back edge to an ancestor
+                cycle = [x]
+                while cycle[-1] != y:
+                    cycle.append(parent[cycle[-1]])
+                cycles.append(cycle)
+    return cycles
+
+
+def cactus_omega_reference(r: HRepresentation) -> int:
+    """Clique number of the graph of a representation on a cactus pattern.
+
+    Map each connected node set to the block-cut tree of the pattern; the
+    images of a clique pairwise meet, so they share a cut node, and then the
+    sets do, or a block B.  Two sets meeting outside B both hold the cut
+    node of B on the way there, so the sets' parts in B pairwise meet.  On a
+    bridge or a two-node cycle that gives a common node again; on a longer
+    cycle the parts are arcs (a set's path between two cycle nodes stays on
+    the cycle).  Conversely meeting parts make a clique.  So omega is the
+    larger of the most sets on one node and the clique number of each cycle
+    block's arc model, found by carc_reference.
+    """
+    load: dict[Node, int] = {}
+    for nodes in r.sets.values():
+        for x in nodes:
+            load[x] = load.get(x, 0) + 1
+    best = max(load.values(), default=0)
+    cycles = _pattern_cycles(r.pattern.adjacency)
+    on: dict[Node, list[tuple[int, int]]] = {}  # node -> (cycle, position)
+    for c, cycle in enumerate(cycles):
+        for i, x in enumerate(cycle):
+            on.setdefault(x, []).append((c, i))
+    parts: list[dict[int, set[int]]] = [{} for _ in cycles]
+    for v, nodes in r.sets.items():
+        for x in nodes:
+            for c, i in on.get(x, ()):
+                parts[c].setdefault(v, set()).add(i)
+    for cycle, meeting in zip(cycles, parts):
+        if len(meeting) <= best:  # no more arcs than the best clique
+            continue
+        size = len(cycle)
+        arcs, covered = {}, {}
+        for v, part in meeting.items():
+            starts = [p for p in part if (p - 1) % size not in part]
+            if len(part) == size:
+                arcs[v] = None
+            elif len(starts) == 1:
+                arcs[v] = (starts[0], (starts[0] + len(part) - 1) % size)
+            else:
+                raise AssertionError(f"set {v} meets a cycle in {len(starts)} arcs")
+            covered[v] = frozenset(part)
+        best = max(best, len(carc_reference(_BlockArcs(size, arcs, covered))))
+    return best
 
 
 # The set-based min-fill order and min-degree peeling that the bitset

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,9 +11,11 @@ import pytest
 from helpers import (
     assert_clique,
     atoms_bruteforce,
+    cactus_omega_reference,
     carc_reference,
     carc_scan_reference,
     caterpillar_graph,
+    clique_cactus_reference,
     has_clique_cutset,
     maximal_cliques_capped_reference,
     maximal_cliques_reference,
@@ -268,6 +271,20 @@ def test_atoms_long_cycle_in_time():
     assert elapsed < 2.0, elapsed
 
 
+def _mcs_m_from_masks(g: SimpleGraph):
+    """(generators, later) rebuilt from the mask search's numbering order and
+    raised masks: u's later set holds each vertex whose step raised u."""
+    generators, order, raised = _mcs_m_masks(g)
+    assert sorted(order) == list(range(g.n)) and len(raised) == g.n
+    later = [set() for _ in range(g.n)]
+    for v, up in zip(order, raised):
+        while up:
+            low = up & -up
+            later[low.bit_length() - 1].add(v)
+            up ^= low
+    return generators, later
+
+
 def test_mcs_m_matches_reference():
     # both searches; the mask search takes one round per vertex along a
     # path, so it stops at 300 vertices on the long thin graphs
@@ -277,18 +294,18 @@ def test_mcs_m_matches_reference():
         g = gnp(rng.randint(0, 30), rng.choice((0.05, 0.15, 0.3, 0.5, 0.8)), rng)
         dense += _dense(g)
         want = mcs_m_reference(g)
-        assert _mcs_m(g) == want and _mcs_m_masks(g) == want, g
+        assert _mcs_m(g) == want and _mcs_m_from_masks(g) == want, g
     assert 0 < dense < 2000
     for n in (3, 10, 100, 300, 2000):
         for g in (path_graph(n), cycle_graph(n), caterpillar_graph(n // 2, 1)):
             want = mcs_m_reference(g)
             assert _mcs_m(g) == want, g.n
-            assert n > 300 or _mcs_m_masks(g) == want, g.n
+            assert n > 300 or _mcs_m_from_masks(g) == want, g.n
     graphs = [gnp(80, p / 10, rng) for p in range(3, 10)]
     graphs += [model_intersection_graph(random_arc_model(60, 60, rng)) for _ in range(3)]
     for g in graphs:
         want = mcs_m_reference(g)
-        assert _dense(g) and _mcs_m(g) == want and _mcs_m_masks(g) == want, g
+        assert _dense(g) and _mcs_m(g) == want and _mcs_m_from_masks(g) == want, g
 
 
 def test_dense_atoms_build_no_adjacency_sets():
@@ -576,11 +593,12 @@ def test_carc_cycle_model_of_300_arcs_within_a_second():
     assert_clique(model_intersection_graph(model), got)
 
 
-def _random_cactus_representations():
-    # clique atoms skip the arc model, so it takes 16 graphs for more than
-    # 8 atoms to reach carc_max_clique
+def _random_cactus_representations(count: int = 16):
+    # clique atoms, and atoms whose degree bound cannot beat the best clique
+    # so far, skip the arc model, so it takes the first 24 graphs of this
+    # stream for more than 8 atoms to reach carc_max_clique
     rng = random.Random(28)
-    for _ in range(16):
+    for _ in range(count):
         h = random_cactus(rng.randint(2, 8), rng)
         pat = random_subdivision(h, rng, 3)
         yield random_representation(pat, rng.randint(20, 40), rng, 6)
@@ -596,7 +614,7 @@ def test_carc_matches_reference_inside_clique_cactus(monkeypatch):
         return got
 
     monkeypatch.setattr(clique_module, "carc_max_clique", checked)
-    for g, rep in _random_cactus_representations():
+    for g, rep in _random_cactus_representations(24):
         clique_cactus(g, rep)
     assert len(seen) > 8
 
@@ -687,6 +705,160 @@ def test_clique_cactus_random_representations():
         got = clique_cactus(g, rep)
         assert len(got) == len(max_clique_bruteforce(g))
         assert_clique(g, got)
+
+
+def _cactus_clique_like_inputs(rng: random.Random):
+    # the benchmark's three classes: representations on random subdivided
+    # cacti, circular-arc models on a subdivided triangle, and caterpillars
+    for _ in range(40):
+        size = rng.randint(60, 150)
+        pat = random_subdivision(random_cactus(size // 3, rng), rng)
+        yield random_representation(pat, size, rng, 6)
+    for _ in range(40):
+        size = rng.randint(30, 50)
+        rep = representation_from_cycle_arcs(random_arc_model(size, size, rng))
+        yield intersection_graph(rep), rep
+    for _ in range(10):
+        yield _caterpillar_intervals(rng.randint(150, 200), rng)
+
+
+def _tied_rings(rng: random.Random):
+    # rings hung on one another, each carrying the sets of its consecutive
+    # node pairs (an induced cycle: inner degree 2, clique number 2) or
+    # random arcs, plus pendant nodes each held by two sets (a clique atom
+    # of 2): many atoms tie on size, and the vertices are numbered at random
+    edges, sets, n = [], [], 0
+    for j in range(rng.randint(2, 6)):
+        size = rng.randint(4, 8)
+        ring = list(range(n, n + size))
+        n += size
+        edges += zip(ring, ring[1:] + ring[:1])
+        if j:
+            edges.append((rng.randrange(ring[0]), ring[0]))
+        if rng.random() < 0.5:
+            sets += [frozenset({branch(x), branch(y)}) for x, y in zip(ring, ring[1:] + ring[:1])]
+        else:
+            for _ in range(rng.randint(size - 1, size + 2)):
+                start, span = rng.randrange(size), rng.randint(1, 3)
+                sets.append(frozenset(branch(ring[(start + i) % size]) for i in range(span)))
+        for _ in range(rng.randint(0, 2)):
+            edges.append((rng.choice(ring), n))
+            sets += [frozenset({branch(n)})] * 2
+            n += 1
+    rng.shuffle(sets)
+    pat = SubdividedPattern(Multigraph(n, tuple(edges)), (0,) * len(edges))
+    rep = HRepresentation(pat, dict(enumerate(sets)))
+    return intersection_graph(rep), rep
+
+
+def test_clique_cactus_matches_reference_on_benchmark_like_inputs():
+    # the atom skip must keep the answer, ties included: on the benchmark's
+    # classes a skipped atom rarely ties the best clique, so tied rings are
+    # added, on which a skip of every atom whose bound equals the best size
+    # answers wrong 15 times in 200
+    for g, rep in _cactus_clique_like_inputs(random.Random(33)):
+        assert clique_cactus(g, rep) == clique_cactus_reference(g, rep), rep
+    rng = random.Random(38)
+    for _ in range(200):
+        g, rep = _tied_rings(rng)
+        assert clique_cactus(g, rep) == clique_cactus_reference(g, rep), rep
+
+
+def test_clique_cactus_skips_most_arc_models(monkeypatch):
+    # atoms whose degree bound cannot beat the best clique so far build no
+    # arc model; on the benchmark's cactus class most of them are skipped
+    built = []
+
+    def counted(atom, rep):
+        built.append(atom)
+        return cactus_atom_arc_model(atom, rep)
+
+    monkeypatch.setattr(clique_module, "cactus_atom_arc_model", counted)
+    rng = random.Random(34)
+    others = 0
+    for _ in range(40):
+        size = rng.randint(60, 150)
+        pat = random_subdivision(random_cactus(size // 3, rng), rng)
+        g, rep = random_representation(pat, size, rng, 6)
+        clique_cactus(g, rep)
+        for atom in clique_cutset_decomposition(g).atoms:
+            vs = atom.vertices
+            others += any(v not in g.adjacency[u] for u, v in combinations(vs, 2))
+    assert others > 100
+    assert len(built) < others / 2, (len(built), others)
+
+
+def test_cactus_omega_reference_matches_bruteforce():
+    rng = random.Random(35)
+    beyond_load = 0
+    for _ in range(300):
+        h = random_cactus(rng.randint(1, 8), rng)
+        pat = random_subdivision(h, rng, 3)
+        g, rep = random_representation(pat, rng.randint(1, 16), rng, 6)
+        omega = len(max_clique_bruteforce(g))
+        assert cactus_omega_reference(rep) == omega, rep
+        load = Counter(x for nodes in rep.sets.values() for x in nodes)
+        beyond_load += omega > max(load.values(), default=0)
+    assert beyond_load > 5
+
+
+def _grown_representation(pattern, n: int, rng: random.Random, max_size: int):
+    # random_representation's kind of sets, with the node list sorted once
+    # and the graph built from the nodes' holders, not from every pair
+    adjacency = pattern.adjacency
+    nodes = sorted(adjacency)
+    sets = {}
+    for v in range(n):
+        inside = {rng.choice(nodes)}
+        target = rng.randint(1, max_size)
+        while len(inside) < target:
+            boundary = sorted({y for x in inside for y in adjacency[x]} - inside)
+            if not boundary:
+                break
+            inside.add(rng.choice(boundary))
+        sets[v] = frozenset(inside)
+    rep = HRepresentation(pattern, sets)
+    return intersection_graph(rep), rep
+
+
+def _hub_representation(size: int, rng: random.Random):
+    # a random subdivided cactus with a 12-node ring hung on node 0 that
+    # carries 60 random arcs of 5 to 11 nodes among the grown sets: their
+    # circular-arc cliques often beat every node's load
+    h = random_cactus(size // 3, rng)
+    ring = [0] + list(range(h.n, h.n + 11))
+    edges = h.edges + tuple(zip(ring, ring[1:] + ring[:1]))
+    counts = tuple(rng.randint(0, 3) for _ in h.edges) + (0,) * len(ring)
+    g, rep = _grown_representation(
+        SubdividedPattern(Multigraph(h.n + 11, edges), counts), size - 60, rng, 6
+    )
+    sets = dict(rep.sets)
+    for v in range(size - 60, size):
+        start, span = rng.randrange(12), rng.randint(5, 11)
+        sets[v] = frozenset(branch(ring[(start + i) % 12]) for i in range(span))
+    rep = HRepresentation(rep.pattern, sets)
+    return intersection_graph(rep), rep
+
+
+def test_clique_cactus_matches_cactus_omega_beyond_bruteforce():
+    # omega from the construction: the most sets on one node, or a cycle
+    # block's arc-model clique number
+    rng = random.Random(36)
+    beyond_load = 0
+    for k in range(50):
+        size = 200 + 1800 * k // 49
+        if k % 2:
+            g, rep = _hub_representation(size, rng)
+        else:
+            pat = random_subdivision(random_cactus(size // 3, rng), rng)
+            g, rep = _grown_representation(pat, size, rng, 6)
+        got = clique_cactus(g, rep)
+        omega = cactus_omega_reference(rep)
+        assert len(got) == omega, size
+        assert_clique(g, got)
+        load = Counter(x for nodes in rep.sets.values() for x in nodes)
+        beyond_load += omega > max(load.values())
+    assert beyond_load > 10
 
 
 def test_arc_model_rejects_non_atom():

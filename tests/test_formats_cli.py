@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     grid_graph,
     minfill_order_reference,
+    random_tree,
     parse_gr_reference,
     parse_hgr_reference,
     parse_rep_reference,
@@ -602,6 +603,30 @@ def test_cli_color_answers_pinned_conflict_before_decomposing(monkeypatch, capsy
     argv = ["color", "--graph", fixture("path4.gr"), "--lists", fixture("path4.lists")]
     assert main(argv + ["--k", "2"]) == 1
     assert capsys.readouterr().out == "UNSAT\n"
+
+
+def test_cli_color_prints_a_fully_forced_coloring_without_decomposing(
+    tmp_path, monkeypatch, capsys
+):
+    # lists {1, 2} on a tree with one vertex pinned to 1: narrowing forces
+    # every vertex, so the coloring is determined and is the DP's
+    g = random_tree(60, random.Random(37))
+    lists = {v: frozenset({1, 2}) for v in range(g.n)}
+    lists[17] = frozenset({1})
+    (tmp_path / "t.gr").write_text(formats.emit_gr(g))
+    (tmp_path / "t.lists").write_text(formats.emit_lists(lists))
+    d = tree_decomposition(g, g.n - 1).decomposition
+    want = fpt.list_k_coloring(g, dict(lists), 3, d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("color decomposed a fully forced instance")
+
+    monkeypatch.setattr(fpt, "tree_decomposition", refuse)
+    argv = ["color", "--graph", str(tmp_path / "t.gr"), "--lists", str(tmp_path / "t.lists")]
+    assert main(argv + ["--k", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["coloring:"] + [f"{v + 1} {want[v]}" for v in range(g.n)]
+    assert len(set(want.values())) == 2
 
 
 def test_cli_color_stops_at_the_state_budget(tmp_path, capsys):

@@ -43,6 +43,7 @@ from hgraphs.fpt import (
     decomposition_from_order,
     degeneracy,
     exact_decomposition,
+    forced_coloring,
     k_clique,
     k_clique_bounded,
     list_k_coloring,
@@ -642,6 +643,16 @@ def test_narrowing_cascades_along_a_path():
     assert lists[1] == frozenset({1, 2})  # the caller's lists are left as they were
     d = decomposition_from_order(g, minfill_order(g))
     assert list_k_coloring(g, lists, 2, d) == {v: 1 + v % 2 for v in range(n)}
+
+
+def test_forced_coloring_checks_its_witness():
+    # the colors of narrowed lists are proper; lists that were not narrowed
+    # may clash, and the check says so even under python -O
+    g = path_graph(3)
+    narrowed = narrow_lists(g, {0: frozenset({1}), 1: frozenset({1, 2}), 2: frozenset({1, 2})})
+    assert forced_coloring(g, narrowed) == {0: 1, 1: 2, 2: 1}
+    with pytest.raises(AssertionError, match="same color"):
+        forced_coloring(g, {0: frozenset({1}), 1: frozenset({1}), 2: frozenset({2})})
 
 
 def _narrowing_triples(rng):
