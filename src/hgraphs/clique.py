@@ -18,15 +18,13 @@ from .core import (
     SimpleGraph,
     _bits,
     _check_clique,
-    _components,
-    _meeting_pairs,
+    _grow,
     _reach,
 )
 from .errors import InvalidRepresentation, NotAnAtom, NotCactus
 from .pattern import is_cactus
 from .representation import (
     HRepresentation,
-    Node,
     intersection_graph,
     verify_representation,
 )
@@ -438,7 +436,7 @@ def _split_sets(g: SimpleGraph, generators, later) -> list[tuple[int, ...]]:
 
 
 def _split_masks(g: SimpleGraph, generators, order, raised) -> list[tuple[int, ...]]:
-    """The atoms, unsorted, each side a frontier search on masks.
+    """The atoms, unsorted, each side grown on masks.
 
     A generator's separator, its later set in ``_mcs_m``, is read off the
     raised masks of ``_mcs_m_masks`` at the generator bits alone.
@@ -460,13 +458,7 @@ def _split_masks(g: SimpleGraph, generators, order, raised) -> list[tuple[int, .
         cut = seps[x]
         if not _is_clique(masks, cut):
             continue
-        side = frontier = 1 << x
-        while frontier:
-            grow = 0
-            for y in _bits(frontier):
-                grow |= masks[y]
-            frontier = grow & remaining & ~(cut | side)
-            side |= frontier
+        side = _grow(masks, 1 << x, remaining & ~cut)
         atoms.append(tuple(_bits(side | cut)))
         remaining &= ~side
     if remaining:
@@ -474,30 +466,29 @@ def _split_masks(g: SimpleGraph, generators, order, raised) -> list[tuple[int, .
     return atoms
 
 
-def _classify_shape(nodes: list[Node], adjacency) -> tuple[str, list[Node]] | None:
-    """Recognize the induced subgraph on nodes as a path or cycle.
-
-    Returns ("path", order) or ("cycle", order), or None for anything else.
-    A path is walked from its smaller end, a cycle from its smallest node
-    toward the smaller neighbour, so orders are deterministic.
+def _classify_shape(union: int, masks) -> tuple[str, list[int]] | None:
+    """Recognize the subgraph induced on union as a path or cycle, masks[x]
+    being node x's neighbours: ("path", order) or ("cycle", order), order a
+    list of node numbers, or None for anything else.  A path is walked from
+    its smaller end, a cycle from its smallest node toward the smaller
+    neighbour, so orders are deterministic.
     """
-    present = set(nodes)
-    degree = {nd: len(adjacency[nd] & present) for nd in nodes}
+    nodes = list(_bits(union))
     if len(nodes) == 1:
-        return "path", list(nodes)
-    ends = sorted(nd for nd in nodes if degree[nd] == 1)
-    if len(ends) not in (0, 2) or any(
-        degree[nd] != 2 for nd in nodes if nd not in ends
-    ):
+        return "path", nodes
+    degrees = [(masks[x] & union).bit_count() for x in nodes]
+    ends = [x for x, d in zip(nodes, degrees) if d == 1]
+    if len(ends) not in (0, 2) or not set(degrees) <= {1, 2}:
         return None
-    order = [ends[0] if ends else min(nodes)]
-    prev = None
-    while len(order) < len(nodes):
-        nxt = [x for x in sorted(adjacency[order[-1]] & present) if x != prev]
-        if not nxt or nxt[0] == order[0]:
+    order = [ends[0] if ends else nodes[0]]
+    left = union ^ 1 << order[0]  # with degrees at most 2, the walk's next
+    while left:  # node is its one unvisited neighbour
+        nxt = masks[order[-1]] & left
+        if not nxt:
             return None  # disconnected: the walk closed or stopped early
-        prev = order[-1]
-        order.append(nxt[0])
+        nxt &= -nxt
+        left ^= nxt
+        order.append(nxt.bit_length() - 1)
     return ("path" if ends else "cycle"), order
 
 
@@ -509,38 +500,41 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
     component of the union minus x (otherwise the holders of x form a clique
     cutset of the atom), and truncating every set to that component plus x
     preserves the intersection graph.  The final path or cycle yields integer
-    arc positions in node order.
+    arc positions in node order.  Nodes are numbered by ``pattern.index``,
+    in sorted order, and the union's parts are found by ``_grow`` on masks of
+    the atom's nodes alone, read off ``pattern.graph``.
     """
-    adjacency = r.pattern.adjacency
-    sets = {v: r.sets[v] for v in atom.vertices}
+    index, adjacency = r.pattern.index, r.pattern.graph.adjacency
+    sets = {v: [index[nd] for nd in r.sets[v]] for v in atom.vertices}
+    masks = {x: sum(1 << y for y in adjacency[x]) for x in set().union(*sets.values())}
     while True:
-        union = sorted(set().union(*sets.values())) if sets else []
-        shape = _classify_shape(union, adjacency)
+        union = sum(1 << i for i in set().union(*sets.values()))
+        shape = _classify_shape(union, masks)
         if shape is not None:
             kind, order = shape
-            index = {nd: i for i, nd in enumerate(order)}
+            at = {x: i for i, x in enumerate(order)}
             length = len(order)
             arcs: dict[int, tuple[int, int] | None] = {}
-            for v, nds in sets.items():
-                positions = sorted(index[nd] for nd in nds)
+            for v, ids in sets.items():
+                positions = sorted(map(at.__getitem__, ids))
                 if kind == "cycle" and len(positions) == length:
                     arcs[v] = None
                     continue
                 arcs[v] = _positions_to_arc(positions, length, kind)
             return ArcModel(kind, length, arcs)
-        for x in union:  # the smallest cut node, with the parts it leaves
-            comps = _components(adjacency, set(union) - {x})
-            if len(comps) > 1:
+        for x in _bits(union):  # the smallest cut node
+            rest = union ^ 1 << x
+            if _grow(masks, rest & -rest, rest) != rest:
                 break
         else:
             raise NotAnAtom("union of node sets is neither path, cycle, nor cut")
-        where = {nd: i for i, comp in enumerate(comps) for nd in comp}
-        # a connected set avoiding x lies entirely in one component
-        carriers = {where[min(nds)] for nds in sets.values() if x not in nds}
-        if len(carriers) > 1:
+        # a connected set avoiding x lies in one part of rest: one node tells which
+        starts = [1 << min(ids) for ids in sets.values() if x not in ids]
+        part = _grow(masks, starts[0] if starts else rest & -rest, rest)
+        if any(not start & part for start in starts):
             raise NotAnAtom("holders of the cut node form a clique cutset")
-        keep = set(comps[carriers.pop() if carriers else 0]) | {x}
-        sets = {v: nds & keep for v, nds in sets.items()}
+        keep = part | 1 << x
+        sets = {v: [i for i in ids if keep >> i & 1] for v, ids in sets.items()}
 
 
 def _positions_to_arc(
@@ -566,7 +560,9 @@ def model_intersection_graph(model: ArcModel) -> SimpleGraph:
     if verts != list(range(len(verts))):
         raise ValueError("arc model vertices must be dense 0-based")
     pos = [model.positions(v) for v in verts]
-    return SimpleGraph.from_edges(len(verts), _meeting_pairs(pos))
+    pairs = ((u, v) for u in verts for v in verts[u + 1 :])
+    edges = [(u, v) for u, v in pairs if not pos[u].isdisjoint(pos[v])]
+    return SimpleGraph(len(verts), frozenset(edges))
 
 
 def _bipartite_max_independent(

@@ -54,11 +54,7 @@ class SimpleGraph:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         """Neighbourhoods as int bitsets, bit u standing for vertex u."""
-        nbr = [0] * self.n
-        for u, v in self.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        return tuple(nbr)
+        return _masks(self.n, self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
@@ -242,13 +238,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reach(adjacency, start, allowed) -> set:
-    """Vertices reachable from start through vertices of allowed.
+def _masks(n: int, edges) -> tuple[int, ...]:
+    """The neighbourhoods of vertices 0..n-1 as int bitsets."""
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return tuple(nbr)
 
-    adjacency maps a vertex to its neighbors (a tuple indexed by int
-    vertices, a dict over pattern nodes, or lists of tree neighbors);
-    allowed only needs ``in``.  start is always in the result.
-    """
+
+def _reach(adjacency, start, allowed) -> set:
+    """Vertices reachable from start through vertices of allowed, start
+    included; adjacency[v] lists v's neighbours, allowed only needs ``in``."""
     seen = {start}
     stack = [start]
     while stack:
@@ -257,6 +258,21 @@ def _reach(adjacency, start, allowed) -> set:
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def _grow(masks, start: int, allowed: int) -> int:
+    """The bits reachable from start's through allowed's, start included,
+    one layer at a time while allowed has any left; masks[v] is v's."""
+    frontier, rest = start, allowed & ~start
+    while frontier and rest:
+        grow = 0
+        while frontier:  # _bits inline: verify grows every set of a representation
+            bit = frontier & -frontier
+            grow |= masks[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = grow & rest
+        rest ^= frontier
+    return start | allowed ^ rest
 
 
 def _connected(adjacency, nodes) -> bool:
@@ -277,19 +293,6 @@ def _components(adjacency, vertices) -> list[tuple]:
             seen |= comp
             result.append(tuple(sorted(comp)))
     return result
-
-
-def _meeting_pairs(sets) -> list[tuple[int, int]]:
-    """Pairs u < v whose sets share an element, in ascending order.
-
-    sets is indexed by 0..len(sets)-1: a sequence or a dense int mapping.
-    """
-    return [
-        (u, v)
-        for u in range(len(sets))
-        for v in range(u + 1, len(sets))
-        if not sets[u].isdisjoint(sets[v])
-    ]
 
 
 def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 
 from .clique import ArcModel, _classify_shape
-from .core import SimpleGraph, Multigraph, _meeting_pairs
-from .representation import HRepresentation, Node, SubdividedPattern
+from .core import SimpleGraph, Multigraph, _masks
+from .representation import HRepresentation, Node, SubdividedPattern, intersection_graph
 
 
 def gnp(n: int, p: float, rng: random.Random) -> SimpleGraph:
@@ -67,8 +67,7 @@ def random_connected_set(
 ) -> frozenset[Node]:
     """Random connected node set grown from a uniform seed node."""
     adjacency = pattern.adjacency
-    nodes = sorted(adjacency)
-    current = {rng.choice(nodes)}
+    current = {rng.choice(list(pattern.index))}  # cached: nodes() rebuilds them all
     target = rng.randint(1, max_size)
     while len(current) < target:
         boundary = sorted(
@@ -91,8 +90,8 @@ def random_representation(
         v: random_connected_set(pattern, rng, max_size)
         for v in range(n_vertices)
     }
-    g = SimpleGraph.from_edges(n_vertices, _meeting_pairs(sets))
-    return g, HRepresentation(pattern, sets)
+    r = HRepresentation(pattern, sets)
+    return intersection_graph(r), r
 
 
 def random_lists(
@@ -147,9 +146,10 @@ def representation_from_cycle_arcs(model: ArcModel) -> HRepresentation:
     if model.kind != "cycle":
         raise ValueError("expected a cycle model")
     pattern = cycle_pattern_for_length(model.length)
-    _, order = _classify_shape(sorted(pattern.adjacency), pattern.adjacency)
+    nodes, graph = pattern.nodes(), pattern.graph
+    _, order = _classify_shape((1 << graph.n) - 1, _masks(graph.n, graph.edges))
     sets = {
-        v: frozenset(order[p] for p in model.positions(v))
+        v: frozenset(nodes[order[p]] for p in model.positions(v))
         for v in model.arcs
     }
     return HRepresentation(pattern, sets)

@@ -14,6 +14,8 @@ from .core import (
     Multigraph,
     SimpleGraph,
     _bits,
+    _grow,
+    _masks,
     complement,
     two_subdivision,
 )
@@ -61,8 +63,8 @@ class SubdividedPattern:
                 raise ValueError(f"loop edge {k} cannot be subdivided")
 
     def nodes(self) -> tuple[Node, ...]:
-        # branch() and sub() tuples built inline: verify builds all nodes and
-        # their adjacency for each representation it checks
+        """The branch nodes, then each edge's internal nodes: sorted order."""
+        # branch() and sub() tuples inline: .rep files and index build them all
         out = [("b", h) for h in range(self.base.n)]
         counts = enumerate(self.counts)
         out += [("s", k, i) for k, t in counts for i in range(1, t + 1)]
@@ -77,23 +79,40 @@ class SubdividedPattern:
         return tuple(out)
 
     @cached_property
+    def index(self) -> dict[Node, int]:
+        """Each node's position in ``nodes()``: the one numbering that every
+        mask over pattern nodes uses."""
+        return {nd: i for i, nd in enumerate(self.nodes())}
+
+    def _edges(self) -> list[tuple[int, int]]:
+        """The edges of ``graph``, each pair in order: branch node h is h, and
+        each edge's internal nodes follow in order, from its first end."""
+        edges, at = [], self.base.n
+        for (u, v), t in zip(self.base.edges, self.counts):
+            if t:  # each pair in order, as branch nodes come first
+                edges += zip([u, *range(at, at + t - 1)], range(at, at + t))
+                edges.append((v, at + t - 1))
+                at += t
+            elif u != v:
+                edges.append((min(u, v), max(u, v)))
+        return edges
+
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        """The pattern on node indices; callers build masks with ``_masks`` and
+        drop them, as on a long path they take about n²/2 bits."""
+        return SimpleGraph(self.base.n + sum(self.counts), frozenset(self._edges()))
+
+    @cached_property
     def adjacency(self) -> dict[Node, frozenset[Node]]:
         """Each node's neighbours, in ``nodes()`` order; a subdivision node's
-        are the two nodes next to it on its edge's path."""
-        ends: dict[Node, set[Node]] = {("b", h): set() for h in range(self.base.n)}
-        inner: dict[Node, frozenset[Node]] = {}
-        for k, (u, v) in enumerate(self.base.edges):
-            if u == v:
-                continue
-            path = [("b", u)] + [("s", k, i) for i in range(1, self.counts[k] + 1)]
-            path.append(("b", v))
-            ends[path[0]].add(path[1])
-            ends[path[-1]].add(path[-2])
-            for i in range(1, len(path) - 1):
-                inner[path[i]] = frozenset((path[i - 1], path[i + 1]))
-        out = {nd: frozenset(s) for nd, s in ends.items()}
-        out.update(inner)
-        return out
+        are the two nodes next to it on its edge's path (``_edges``)."""
+        nodes = self.nodes()
+        nbrs: list[list[Node]] = [[] for _ in nodes]
+        for a, b in self._edges():
+            nbrs[a].append(nodes[b])
+            nbrs[b].append(nodes[a])
+        return dict(zip(nodes, map(frozenset, nbrs)))
 
     def path_from(self, k: int, endpoint: int) -> list[Node]:
         """Internal nodes of edge k ordered away from the given endpoint."""
@@ -127,21 +146,22 @@ class Verdict:
         return self.kind == "ok"
 
 
-def _meets(r: HRepresentation) -> tuple[dict, list[list[int]], list[int]]:
-    """The pattern's node index in ``nodes()`` order, each vertex's node
-    indices, and for each vertex v the mask of the vertices whose sets meet
-    v's: the OR of the holder masks (bit u for vertex u) of v's nodes.
+def _meets(r: HRepresentation) -> tuple[list[list[int]], list[int]]:
+    """Each vertex's node indices (``pattern.index``), and for each vertex v
+    the mask of the vertices whose sets meet v's: the OR of the holder masks
+    (bit u for vertex u) of v's nodes.
 
     The vertices are 0..len(r.sets)-1.  A node outside the pattern gets the
-    next free index, so that sets sharing it still meet.
+    next free index of a copy, so that sets sharing it still meet.
     """
-    index = {nd: i for i, nd in enumerate(r.pattern.nodes())}
+    index = r.pattern.index
     holders = [0] * len(index)
     members = []
     for v in range(len(r.sets)):
         try:
             ids = [index[nd] for nd in r.sets[v]]
         except KeyError:
+            index = dict(index)
             ids = [index.setdefault(nd, len(index)) for nd in r.sets[v]]
             holders += [0] * (len(index) - len(holders))
         bit = 1 << v
@@ -154,7 +174,7 @@ def _meets(r: HRepresentation) -> tuple[dict, list[list[int]], list[int]]:
         for i in ids:
             meet |= holders[i]
         meets.append(meet)
-    return index, members, meets
+    return members, meets
 
 
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
@@ -163,31 +183,20 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     Each node set must induce a connected subgraph of the subdivided pattern,
     and two sets must share a node precisely when the vertices are adjacent.
 
-    Sets are int masks of node indices (`_meets`).  Each set is searched one
-    layer at a time inside its own mask.  Then v's set meets exactly the
-    sets of v and its neighbours iff its meet mask is ``g.masks[v] | 1 << v``.
+    Sets are int masks of node indices (`_meets`), each grown inside itself
+    on the pattern's masks.  Then v's set meets exactly the sets of v and its
+    neighbours iff its meet mask is ``g.masks[v] | 1 << v``.
     """
     if set(r.sets.keys()) != set(range(g.n)):
         raise DomainMismatch("representation domain differs from graph vertices")
-    adjacency = r.pattern.adjacency  # in nodes() order, like the index
-    index, members, meets = _meets(r)
-    nbr = [sum(1 << index[y] for y in ys) for ys in adjacency.values()]
+    members, meets = _meets(r)
+    nbr = _masks(len(r.pattern.index), r.pattern._edges())
     for v, ids in enumerate(members):
         mask = sum(1 << i for i in ids)
         if mask >> len(nbr):
-            nd = next(nd for nd in r.sets[v] if nd not in adjacency)
+            nd = next(nd for nd in r.sets[v] if nd not in r.pattern.index)
             raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
-        rest = mask & (mask - 1)  # the set's nodes not reached yet
-        frontier = mask ^ rest
-        while frontier and rest:
-            grow = 0
-            while frontier:
-                bit = frontier & -frontier
-                grow |= nbr[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = grow & rest
-            rest ^= frontier
-        if rest or not mask:
+        if not mask or _grow(nbr, mask & -mask, mask) != mask:
             return Verdict("disconnected", vertex=v)
     masks = g.masks
     # a pair is wrong where meeting and adjacency differ, and it was expected
@@ -207,7 +216,7 @@ def intersection_graph(r: HRepresentation) -> SimpleGraph:
     verts = sorted(r.sets.keys())
     if verts != list(range(len(verts))):
         raise DomainMismatch("representation domain must be dense 0-based")
-    _, _, meets = _meets(r)
+    _, meets = _meets(r)
     edges = [
         (v, u) for v, meet in enumerate(meets) for u in _bits(meet >> v + 1 << v + 1)
     ]
@@ -266,8 +275,8 @@ def generate_hard_instance(
 def _pattern_order(
     pattern: SubdividedPattern, profile: PatternProfile
 ) -> tuple[SimpleGraph, list[int]]:
-    """The subdivided pattern on the indices of ``pattern.nodes()`` and an
-    elimination order of width at most profile.tw.
+    """A copy of ``pattern.graph`` and an elimination order of width at most
+    profile.tw; the decomposition's masks go with the copy.
 
     A forest pattern (tw <= 1) stays a forest once subdivided, so min-fill
     eliminates it leaf by leaf without fill.  Otherwise each edge's path is
@@ -275,16 +284,10 @@ def _pattern_order(
     that leaves the base's simple graph, whose exact order, the profile's,
     comes next.
     """
-    nodes = pattern.nodes()
-    index = {nd: i for i, nd in enumerate(nodes)}
-    graph = SimpleGraph.from_edges(
-        len(nodes),
-        ((index[a], index[b]) for a in nodes for b in pattern.adjacency[a]),
-    )
+    graph = SimpleGraph(pattern.graph.n, pattern.graph.edges)
     if profile.tw <= 1:
         return graph, minfill_order(graph)
-    # branch(h) is node h; each edge's path follows in order, from its first end
-    return graph, [*range(pattern.base.n, len(nodes)), *profile.order]
+    return graph, [*range(pattern.base.n, graph.n), *profile.order]
 
 
 def td_from_representation(
@@ -303,13 +306,10 @@ def td_from_representation(
     if not verdict.is_ok:
         raise InvalidRepresentation(verdict)
     node_dec = decomposition_from_order(*_pattern_order(r.pattern, profile))
-    nodes = r.pattern.nodes()
-    holders: dict[Node, list[int]] = {nd: [] for nd in nodes}
+    index = r.pattern.index
+    holders: list[list[int]] = [[] for _ in index]
     for v in range(g.n):
         for nd in r.sets[v]:
-            holders[nd].append(v)
-    bags = tuple(
-        frozenset(v for i in bag for v in holders[nodes[i]])
-        for bag in node_dec.bags
-    )
+            holders[index[nd]].append(v)
+    bags = tuple(frozenset(v for i in bag for v in holders[i]) for bag in node_dec.bags)
     return TreeDecomposition(bags, node_dec.tree_edges)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from hgraphs.clique import (
+    ArcModel,
     CliqueEnumeration,
+    _positions_to_arc,
     cactus_atom_arc_model,
     carc_max_clique,
     clique_cutset_decomposition,
@@ -25,7 +27,6 @@ from hgraphs.core import (
     _check_clique,
     _components,
     _connected,
-    _meeting_pairs,
     _reach,
     complement,
     connected_components,
@@ -35,6 +36,7 @@ from hgraphs.core import (
 from hgraphs.errors import (
     DomainMismatch,
     InvalidRepresentation,
+    NotAnAtom,
     NotCactus,
     OracleLimitExceeded,
     ParseError,
@@ -460,6 +462,103 @@ def clique_cactus_reference(g: SimpleGraph, r: HRepresentation) -> tuple[int, ..
             best = c
     _check_clique(g, best)
     return best
+
+
+# The tuple-keyed pattern adjacency and the arc-model peel on tuple node
+# sets, from before both were read off the pattern's node-index graph, kept
+# verbatim (renamed) so tests can require identical neighbours and arc
+# models from them.  The peel reads pattern.adjacency, which a test holds
+# equal to the adjacency here.
+def subdivided_adjacency_reference(
+    pattern: SubdividedPattern,
+) -> dict[Node, frozenset[Node]]:
+    """Each node's neighbours, in ``nodes()`` order; a subdivision node's
+    are the two nodes next to it on its edge's path."""
+    ends: dict[Node, set[Node]] = {("b", h): set() for h in range(pattern.base.n)}
+    inner: dict[Node, frozenset[Node]] = {}
+    for k, (u, v) in enumerate(pattern.base.edges):
+        if u == v:
+            continue
+        path = [("b", u)] + [("s", k, i) for i in range(1, pattern.counts[k] + 1)]
+        path.append(("b", v))
+        ends[path[0]].add(path[1])
+        ends[path[-1]].add(path[-2])
+        for i in range(1, len(path) - 1):
+            inner[path[i]] = frozenset((path[i - 1], path[i + 1]))
+    out = {nd: frozenset(s) for nd, s in ends.items()}
+    out.update(inner)
+    return out
+
+
+def _classify_shape_reference(
+    nodes: list[Node], adjacency
+) -> tuple[str, list[Node]] | None:
+    """Recognize the induced subgraph on nodes as a path or cycle.
+
+    Returns ("path", order) or ("cycle", order), or None for anything else.
+    A path is walked from its smaller end, a cycle from its smallest node
+    toward the smaller neighbour, so orders are deterministic.
+    """
+    present = set(nodes)
+    degree = {nd: len(adjacency[nd] & present) for nd in nodes}
+    if len(nodes) == 1:
+        return "path", list(nodes)
+    ends = sorted(nd for nd in nodes if degree[nd] == 1)
+    if len(ends) not in (0, 2) or any(
+        degree[nd] != 2 for nd in nodes if nd not in ends
+    ):
+        return None
+    order = [ends[0] if ends else min(nodes)]
+    prev = None
+    while len(order) < len(nodes):
+        nxt = [x for x in sorted(adjacency[order[-1]] & present) if x != prev]
+        if not nxt or nxt[0] == order[0]:
+            return None  # disconnected: the walk closed or stopped early
+        prev = order[-1]
+        order.append(nxt[0])
+    return ("path" if ends else "cycle"), order
+
+
+def cactus_atom_arc_model_reference(atom, r: HRepresentation) -> ArcModel:
+    """Arc model of an atom represented on a cactus pattern.
+
+    Peeling loop: while the union of the node sets is neither a path nor a
+    cycle, it has a cut node x; all sets avoiding x must live in a single
+    component of the union minus x (otherwise the holders of x form a clique
+    cutset of the atom), and truncating every set to that component plus x
+    preserves the intersection graph.  The final path or cycle yields integer
+    arc positions in node order.
+    """
+    adjacency = r.pattern.adjacency
+    sets = {v: r.sets[v] for v in atom.vertices}
+    while True:
+        union = sorted(set().union(*sets.values())) if sets else []
+        shape = _classify_shape_reference(union, adjacency)
+        if shape is not None:
+            kind, order = shape
+            index = {nd: i for i, nd in enumerate(order)}
+            length = len(order)
+            arcs: dict[int, tuple[int, int] | None] = {}
+            for v, nds in sets.items():
+                positions = sorted(index[nd] for nd in nds)
+                if kind == "cycle" and len(positions) == length:
+                    arcs[v] = None
+                    continue
+                arcs[v] = _positions_to_arc(positions, length, kind)
+            return ArcModel(kind, length, arcs)
+        for x in union:  # the smallest cut node, with the parts it leaves
+            comps = _components(adjacency, set(union) - {x})
+            if len(comps) > 1:
+                break
+        else:
+            raise NotAnAtom("union of node sets is neither path, cycle, nor cut")
+        where = {nd: i for i, comp in enumerate(comps) for nd in comp}
+        # a connected set avoiding x lies entirely in one component
+        carriers = {where[min(nds)] for nds in sets.values() if x not in nds}
+        if len(carriers) > 1:
+            raise NotAnAtom("holders of the cut node form a clique cutset")
+        keep = set(comps[carriers.pop() if carriers else 0]) | {x}
+        sets = {v: nds & keep for v, nds in sets.items()}
 
 
 @dataclass(frozen=True)
@@ -1258,6 +1357,19 @@ def generate_hard_instance_reference(
             path_23_b[m - p :],
         )
     return target, HRepresentation(pattern, sets)
+
+
+def _meeting_pairs(sets) -> list[tuple[int, int]]:
+    """Pairs u < v whose sets share an element, in ascending order.
+
+    sets is indexed by 0..len(sets)-1: a sequence or a dense int mapping.
+    """
+    return [
+        (u, v)
+        for u in range(len(sets))
+        for v in range(u + 1, len(sets))
+        if not sets[u].isdisjoint(sets[v])
+    ]
 
 
 # The pairwise verification that the holder-mask one replaced, kept verbatim

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     assert_clique,
     atoms_bruteforce,
+    cactus_atom_arc_model_reference,
     cactus_omega_reference,
     carc_reference,
     carc_scan_reference,
@@ -24,6 +25,7 @@ from helpers import (
 )
 import hgraphs.clique as clique_module
 from hgraphs.clique import (
+    Atom,
     ArcModel,
     _arc_tables,
     _bipartite_max_independent,
@@ -50,8 +52,9 @@ from hgraphs.core import (
     max_clique_bruteforce,
     path_graph,
 )
-from hgraphs.errors import InvalidRepresentation, NotCactus
+from hgraphs.errors import InvalidRepresentation, NotAnAtom, NotCactus
 from hgraphs.pattern import (
+    PatternProfile,
     complete_pattern,
     cycle_pattern,
     double_triangle,
@@ -66,6 +69,7 @@ from hgraphs.representation import (
     generate_hard_instance,
     intersection_graph,
     sub,
+    td_from_representation,
     verify_representation,
 )
 from hgraphs.randgen import (
@@ -802,25 +806,6 @@ def test_cactus_omega_reference_matches_bruteforce():
     assert beyond_load > 5
 
 
-def _grown_representation(pattern, n: int, rng: random.Random, max_size: int):
-    # random_representation's kind of sets, with the node list sorted once
-    # and the graph built from the nodes' holders, not from every pair
-    adjacency = pattern.adjacency
-    nodes = sorted(adjacency)
-    sets = {}
-    for v in range(n):
-        inside = {rng.choice(nodes)}
-        target = rng.randint(1, max_size)
-        while len(inside) < target:
-            boundary = sorted({y for x in inside for y in adjacency[x]} - inside)
-            if not boundary:
-                break
-            inside.add(rng.choice(boundary))
-        sets[v] = frozenset(inside)
-    rep = HRepresentation(pattern, sets)
-    return intersection_graph(rep), rep
-
-
 def _hub_representation(size: int, rng: random.Random):
     # a random subdivided cactus with a 12-node ring hung on node 0 that
     # carries 60 random arcs of 5 to 11 nodes among the grown sets: their
@@ -829,7 +814,7 @@ def _hub_representation(size: int, rng: random.Random):
     ring = [0] + list(range(h.n, h.n + 11))
     edges = h.edges + tuple(zip(ring, ring[1:] + ring[:1]))
     counts = tuple(rng.randint(0, 3) for _ in h.edges) + (0,) * len(ring)
-    g, rep = _grown_representation(
+    g, rep = random_representation(
         SubdividedPattern(Multigraph(h.n + 11, edges), counts), size - 60, rng, 6
     )
     sets = dict(rep.sets)
@@ -851,7 +836,7 @@ def test_clique_cactus_matches_cactus_omega_beyond_bruteforce():
             g, rep = _hub_representation(size, rng)
         else:
             pat = random_subdivision(random_cactus(size // 3, rng), rng)
-            g, rep = _grown_representation(pat, size, rng, 6)
+            g, rep = random_representation(pat, size, rng, 6)
         got = clique_cactus(g, rep)
         omega = cactus_omega_reference(rep)
         assert len(got) == omega, size
@@ -861,11 +846,8 @@ def test_clique_cactus_matches_cactus_omega_beyond_bruteforce():
     assert beyond_load > 10
 
 
-def test_arc_model_rejects_non_atom():
-    from hgraphs.clique import Atom
-    from hgraphs.errors import NotAnAtom
-
-    # two cycles at a shared branch node; the middle vertex holds the cut
+def _non_atom_fixtures():
+    # (graph, representation, whether verify accepts it).  Two cycles at a shared branch node; the middle vertex holds the cut
     # node while its neighbors fill different cycles, so the union peels at
     # the cut node with carriers on both sides: a clique cutset in disguise
     h = Multigraph(3, ((0, 1), (0, 1), (0, 2), (0, 2)))
@@ -877,12 +859,77 @@ def test_arc_model_rejects_non_atom():
         1: frozenset({sub(0, 1), branch(0), sub(2, 1)}),
         2: frozenset(cycle_two_rest),
     }
-    g = path_graph(3)
-    rep = HRepresentation(pat, sets)
-    assert verify_representation(g, rep).is_ok
-    fake_atom = Atom((0, 1, 2))
-    with pytest.raises(NotAnAtom):
-        cactus_atom_arc_model(fake_atom, rep)
+    yield path_graph(3), HRepresentation(pat, sets), True
+    # a union with no cut node that is neither a path nor a cycle: the four
+    # branch nodes of K4, each pair held by one set
+    pat = SubdividedPattern(complete_pattern(4), (0,) * 6)
+    pairs = enumerate(combinations(range(4), 2))
+    rep = HRepresentation(pat, {v: frozenset(map(branch, e)) for v, e in pairs})
+    yield intersection_graph(rep), rep, True
+    # sets that are not connected: two ends of a path, and two arcs of a cycle
+    pat = SubdividedPattern(path_pattern(2), (3,))
+    ends = {0: frozenset({branch(0), sub(0, 2)}), 1: frozenset({sub(0, 1)})}
+    yield complete_graph(2), HRepresentation(pat, ends), False
+    pat = SubdividedPattern(cycle_pattern(3), (1, 1, 1))
+    ring = [branch(0), sub(0, 1), branch(1), sub(1, 1), branch(2), sub(2, 1)]
+    arcs = [ring[:2] + ring[3:5], ring[1:3], ring[4:]]
+    rep = HRepresentation(pat, dict(enumerate(map(frozenset, arcs))))
+    yield complete_graph(3), rep, False
+
+
+def test_arc_model_rejects_non_atom():
+    # where verify accepts the representation, the NotAnAtom comes from the
+    # peel's cut logic and not from an invalid input
+    for g, rep, valid in _non_atom_fixtures():
+        assert verify_representation(g, rep).is_ok == valid
+        with pytest.raises(NotAnAtom):
+            cactus_atom_arc_model(Atom(tuple(range(g.n))), rep)
+
+
+def test_arc_models_match_the_tuple_peel():
+    # node-index masks peel as tuple sets did: the same smallest cut node,
+    # the same part kept and the same walk, so every arc is where it was;
+    # carc_max_clique breaks ties by arc position, so sizes alone would not
+    # show a moved arc.  Clique atoms, which clique_cactus does not peel,
+    # are compared too: only they peel to paths, and only a clique's union
+    # can leave no set avoiding the cut node
+    rng = random.Random(45)
+    cases = list(_random_cactus_representations(24))
+    cases += [_tied_rings(rng) for _ in range(200)]
+    cases += [_hub_representation(size, rng) for size in range(200, 1201, 200)]
+    kinds = Counter()
+    for g, rep in cases:
+        for atom in clique_cutset_decomposition(g).atoms:
+            vs = atom.vertices
+            clique = all(v in g.adjacency[u] for u, v in combinations(vs, 2))
+            want = cactus_atom_arc_model_reference(atom, rep)
+            assert cactus_atom_arc_model(atom, rep) == want, (atom, rep)
+            kinds[clique, want.kind] += 1
+    assert kinds[False, "cycle"] > 400 and kinds[True, "path"] > 400, kinds
+    for g, rep, _ in _non_atom_fixtures():
+        atom = Atom(tuple(range(g.n)))
+        with pytest.raises(NotAnAtom) as want:
+            cactus_atom_arc_model_reference(atom, rep)
+        with pytest.raises(NotAnAtom) as got:
+            cactus_atom_arc_model(atom, rep)
+        assert str(got.value) == str(want.value)
+
+
+def test_pattern_graph_keeps_no_masks():
+    # int masks on a long path take about n²/2 bits, so verify, the peel, the
+    # width certificate and the cycle re-encoding each build their own and
+    # let them go: a pattern keeps only its graph's edges
+    reps = []
+    for g, rep in _random_cactus_representations(4):
+        assert verify_representation(g, rep).is_ok
+        for atom in clique_cutset_decomposition(g).atoms:
+            cactus_atom_arc_model(atom, rep)
+        td_from_representation(g, rep, PatternProfile.compute(rep.pattern.base))
+        reps.append(rep)
+    model = random_arc_model(12, 9, random.Random(3))
+    reps.append(representation_from_cycle_arcs(model))
+    for rep in reps:
+        assert rep.pattern.graph.n and "masks" not in vars(rep.pattern.graph)
 
 
 def _caterpillar_intervals(n: int, rng: random.Random):

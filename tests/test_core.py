@@ -20,9 +20,10 @@ from hgraphs.core import (
     petersen_graph,
     two_subdivision,
 )
-from hgraphs.core import _check_clique, _components
+from hgraphs.core import _bits, _check_clique, _components, _grow, _reach
 from hgraphs.errors import OracleLimitExceeded
 from hgraphs.pattern import cycle_pattern
+from hgraphs.randgen import gnp
 from hgraphs.representation import SubdividedPattern, branch, sub
 
 
@@ -212,3 +213,24 @@ def test_components_on_pattern_nodes():
         (branch(2), sub(1, 1), sub(2, 1)),
         (sub(0, 1),),
     ]
+
+
+def test_grow_reaches_what_reach_reaches():
+    # _grow on masks against the set search _reach, from every bit of start
+    # (start is always in both), with an empty allowed and starts outside it
+    rng = random.Random(44)
+    for i in range(600):
+        n = rng.randint(1, 14)
+        g = gnp(n, rng.choice((0.1, 0.25, 0.5)), rng)
+        full = (1 << n) - 1
+        allowed = (0, full, rng.getrandbits(n))[i % 3]
+        if rng.random() < 0.5:  # start inside allowed
+            start = rng.getrandbits(n) & allowed or (allowed & -allowed)
+        else:
+            start = rng.getrandbits(n) or 1
+        members = set(_bits(allowed))
+        want = set()
+        for v in _bits(start):
+            want |= _reach(g.adjacency, v, members)
+        assert set(_bits(_grow(g.masks, start, allowed))) == want, (g, start, allowed)
+    assert _grow((), 0, 0) == 0 and _grow((0,), 1, 0) == 1

@@ -3,7 +3,11 @@ import sys
 
 import pytest
 
-from helpers import generate_hard_instance_reference, verify_representation_reference
+from helpers import (
+    generate_hard_instance_reference,
+    subdivided_adjacency_reference,
+    verify_representation_reference,
+)
 
 from hgraphs.clique import helly_check
 from hgraphs.core import (
@@ -112,6 +116,31 @@ def test_subdivided_pattern_nodes_and_adjacency():
                     expected[b].add(a)
         assert list(pattern.adjacency) == nodes
         assert pattern.adjacency == expected
+        # the index numbers the nodes in sorted order, the order every
+        # tie-break on nodes follows, and graph is the builder's adjacency
+        # on those numbers
+        assert list(pattern.index) == sorted(pattern.index) == nodes
+        assert list(pattern.index.values()) == list(range(len(nodes)))
+        assert subdivided_adjacency_reference(pattern) == expected
+        mapped = {nd: set() for nd in nodes}
+        for a, b in pattern.graph.edges:
+            mapped[nodes[a]].add(nodes[b])
+            mapped[nodes[b]].add(nodes[a])
+        assert pattern.graph.n == len(nodes) and mapped == expected
+
+
+def test_unknown_nodes_leave_the_pattern_index_alone():
+    # an unknown node gets the next free index in a copy, so two sets sharing
+    # it still meet, and the pattern's cached numbering stays as it was
+    pat = _three_node_path_pattern()
+    index = dict(pat.index)
+    stray = ("x", 0)
+    sets = {0: {branch(0), stray}, 1: {stray}, 2: {branch(1)}}
+    rep = HRepresentation(pat, {v: frozenset(nds) for v, nds in sets.items()})
+    assert intersection_graph(rep) == SimpleGraph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError, match="unknown pattern node"):
+        verify_representation(path_graph(3), rep)
+    assert pat.index == index and pat.graph.n == 3
 
 
 def test_verify_reports_adjacency_mismatch():

@@ -72,6 +72,59 @@ def test_reference_helpers_share_no_private_code_with_formats():
     assert not shared, f"tests/helpers.py imports from hgraphs.formats: {shared}"
 
 
+def _numbers_pattern_nodes(tree) -> list[int]:
+    """Lines that enumerate() a nodes() call or a name bound to one."""
+    def is_nodes(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "nodes"
+
+    named = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_nodes(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "enumerate"
+        and any(is_nodes(a) or getattr(a, "id", None) in named for a in node.args)
+    ]
+
+
+def test_only_the_pattern_numbers_its_nodes():
+    # SubdividedPattern.index is the one node numbering that masks over
+    # pattern nodes use; a second map built elsewhere could number them
+    # another way, and masks read through two numberings disagree silently
+    found = []
+    for path in sorted(ROOT.glob("src/hgraphs/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "SubdividedPattern":
+                cls.body = [
+                    f for f in cls.body if getattr(f, "name", None) != "index"
+                ]
+        found += [f"{path.relative_to(ROOT)}:{no}" for no in _numbers_pattern_nodes(tree)]
+    assert not found, f"node numberings outside SubdividedPattern.index: {found}"
+
+
+def test_node_numbering_check_sees_each_form():
+    # the check above must see the forms that numbered nodes before the
+    # pattern owned its index, and pass reads of nodes() that number nothing
+    flagged = [
+        "index = {nd: i for i, nd in enumerate(r.pattern.nodes())}",
+        "nodes = pattern.nodes()\nindex = {nd: i for i, nd in enumerate(nodes)}",
+    ]
+    passed = [
+        "name = dict(zip(r.pattern.nodes(), r.pattern.names()))",
+        "at = {x: i for i, x in enumerate(order)}",
+        "nodes = pattern.nodes()\nfirst = nodes[0]",
+    ]
+    assert all(_numbers_pattern_nodes(ast.parse(src)) for src in flagged)
+    assert not any(_numbers_pattern_nodes(ast.parse(src)) for src in passed)
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in ROOT.glob("scripts/*.py")))
 def test_script_help_runs(script):
     # a script whose imports broke in a refactor of the package fails here
