@@ -216,9 +216,9 @@ def helly_check(r: HRepresentation, cap: int) -> HellyReport:
     enum = maximal_cliques_capped(g, cap)
     if not enum.complete:
         return HellyReport("exceeded", cap=cap)
+    numbers = r.numbers
     for clique in enum.cliques:
-        common = frozenset.intersection(*(r.sets[v] for v in clique))
-        if not common:
+        if not frozenset.intersection(*[numbers[v] for v in clique]):
             return HellyReport("violation", witness=clique)
     return HellyReport("helly")
 
@@ -500,12 +500,12 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
     component of the union minus x (otherwise the holders of x form a clique
     cutset of the atom), and truncating every set to that component plus x
     preserves the intersection graph.  The final path or cycle yields integer
-    arc positions in node order.  Nodes are numbered by ``pattern.index``,
+    arc positions in node order.  Nodes are numbered as in ``r.numbers``,
     in sorted order, and the union's parts are found by ``_grow`` on masks of
     the atom's nodes alone, read off ``pattern.graph``.
     """
-    index, adjacency = r.pattern.index, r.pattern.graph.adjacency
-    sets = {v: [index[nd] for nd in r.sets[v]] for v in atom.vertices}
+    numbers, adjacency = r.numbers, r.pattern.graph.adjacency
+    sets = {v: numbers[v] for v in atom.vertices}
     masks = {x: sum(1 << y for y in adjacency[x]) for x in set().union(*sets.values())}
     while True:
         union = sum(1 << i for i in set().union(*sets.values()))

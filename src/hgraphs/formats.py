@@ -245,20 +245,20 @@ def parse_rep(
     rows = enumerate(text.splitlines(), start=1)
     ref = _rep_header(rows, path)
     counts: list[int | None] = [None] * base.m  # None: no subdiv line
-    sets: dict[int, frozenset] = {}
+    numbers: dict[int, frozenset[int]] = {}  # each vertex's node numbers
     pattern: SubdividedPattern | None = None  # fixed by the first map line
     for no, raw in rows:
         parts = raw.split()
         if parts and parts[0] == "map":
             if pattern is None:
                 pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
-                known = dict(zip(pattern.names(), pattern.nodes()))
+                known = pattern.name_index
             try:
                 v = int(parts[1]) - 1
             except (IndexError, ValueError):
                 v = -1
             # one test accepts a well-formed map line; else the first fault
-            if v < 0 or v in sets or len(parts) < 3:
+            if v < 0 or v in numbers or len(parts) < 3:
                 if len(parts) < 3:
                     raise ParseError(path, no, "expected 'map <v> <node>...'")
                 v = _int(parts[1], path, no, "vertex")
@@ -266,11 +266,12 @@ def parse_rep(
                     raise ParseError(path, no, f"vertex {v} must be positive")
                 raise ParseError(path, no, f"duplicate map line for vertex {v}")
             try:
-                sets[v] = frozenset([known[tok] for tok in parts[2:]])
+                numbers[v] = frozenset(map(known.__getitem__, parts[2:]))
             except KeyError:  # a bad or non-canonical id: the full checks
-                sets[v] = frozenset(
-                    _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
-                )
+                numbers[v] = frozenset([
+                    pattern.index[_parse_node_ref(tok, pattern, path, no)]
+                    for tok in parts[2:]
+                ])
         elif _content(parts, "r", path, no):
             if parts[0] != "subdiv":
                 raise ParseError(path, no, f"unrecognized line {raw.strip()!r}")
@@ -291,10 +292,10 @@ def parse_rep(
             counts[e - 1] = t
     if pattern is None:
         pattern = SubdividedPattern(base, tuple(c or 0 for c in counts))
-    if sorted(sets) != list(range(len(sets))):
-        missing = next(i for i in range(len(sets) + 1) if i not in sets)
+    if sorted(numbers) != list(range(len(numbers))):
+        missing = next(i for i in range(len(numbers) + 1) if i not in numbers)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
-    return HRepresentation(pattern, sets), ref
+    return HRepresentation.from_numbers(pattern, numbers), ref
 
 
 def _rep_header(rows, path: str) -> str:

@@ -373,14 +373,15 @@ def tree_decomposition(
     """Try for a decomposition of width at most approx_factor * target.
 
     A certified lower bound above the target wins first and yields a
-    width-exceeded answer.  Otherwise the exact subset DP (at most
-    EXACT_LIMIT vertices) or the min-fill heuristic produces a decomposition,
-    flagged when its width misses the accepted factor.
+    width-exceeded answer; the degeneracy is at most the largest degree, at
+    most n - 1, so it is computed only for a target below that.  Otherwise
+    the exact subset DP (at most EXACT_LIMIT vertices) or the min-fill
+    heuristic produces a decomposition, flagged when its width misses the
+    accepted factor.
     """
     if target < 0:
         raise ValueError("target width must be non-negative")
-    lb = degeneracy(g)
-    if lb > target:
+    if target < g.n - 1 and (lb := degeneracy(g)) > target:
         return DecompositionAttempt(None, lower_bound=lb, lower_bound_method="degeneracy")
     if g.n <= EXACT_LIMIT:
         width, d = exact_decomposition(g)

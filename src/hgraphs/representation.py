@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import (
     Multigraph,
@@ -84,6 +84,12 @@ class SubdividedPattern:
         mask over pattern nodes uses."""
         return {nd: i for i, nd in enumerate(self.nodes())}
 
+    @cached_property
+    def name_index(self) -> dict[str, int]:
+        """Each node's .rep id (``names()``) to its number in ``index``: a
+        parsed map line numbers its nodes without building them."""
+        return {name: i for i, name in enumerate(self.names())}
+
     def _edges(self) -> list[tuple[int, int]]:
         """The edges of ``graph``, each pair in order: branch node h is h, and
         each edge's internal nodes follow in order, from its first end."""
@@ -126,10 +132,72 @@ class SubdividedPattern:
 
 @dataclass(frozen=True)
 class HRepresentation:
-    """Map from graph vertices to non-empty connected node sets of a pattern."""
+    """Map from graph vertices to non-empty connected node sets of a pattern.
+
+    ``numbers`` holds each vertex's set as node numbers (``pattern.index``).
+    Built from node sets, a representation derives them on first read; built
+    by ``from_numbers``, as a parsed one is, it keeps them, and its ``sets``
+    builds each vertex's node set only when it is read.
+    """
 
     pattern: SubdividedPattern
     sets: Mapping[int, frozenset[Node]]
+
+    @staticmethod
+    def from_numbers(
+        pattern: SubdividedPattern, numbers: dict[int, frozenset[int]]
+    ) -> HRepresentation:
+        """The representation whose vertex v has the nodes numbered numbers[v]."""
+        return HRepresentation(pattern, _NumberedSets(pattern, numbers))
+
+    @cached_property
+    def numbers(self) -> Mapping[int, frozenset[int]]:
+        """Each vertex's node numbers, keyed as ``sets``.  A node outside the
+        pattern gets the next free number of a copy of the index, so that
+        sets sharing it still meet."""
+        if isinstance(self.sets, _NumberedSets):
+            return self.sets.numbers
+        index = self.pattern.index
+        numbers = {}
+        for v, nds in self.sets.items():
+            try:
+                numbers[v] = frozenset(map(index.__getitem__, nds))
+            except KeyError:
+                index = dict(index)
+                numbers[v] = frozenset([index.setdefault(nd, len(index)) for nd in nds])
+        return numbers
+
+
+class _NumberedSets(Mapping):
+    """A read-only vertex -> node set map over node numbers, each set built
+    on its first read and kept."""
+
+    def __init__(self, pattern: SubdividedPattern, numbers: dict[int, frozenset[int]]):
+        self.pattern, self.numbers = pattern, numbers
+        self._sets: dict[int, frozenset[Node]] = {}
+
+    @cached_property
+    def _nodes(self) -> tuple[Node, ...]:
+        return self.pattern.nodes()
+
+    def __getitem__(self, v: int) -> frozenset[Node]:
+        nds = self._sets.get(v)
+        if nds is None:
+            nds = frozenset(map(self._nodes.__getitem__, self.numbers[v]))
+            self._sets[v] = nds
+        return nds
+
+    def __contains__(self, v) -> bool:
+        return v in self.numbers
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.numbers)
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -146,35 +214,31 @@ class Verdict:
         return self.kind == "ok"
 
 
-def _meets(r: HRepresentation) -> tuple[list[list[int]], list[int]]:
-    """Each vertex's node indices (``pattern.index``), and for each vertex v
-    the mask of the vertices whose sets meet v's: the OR of the holder masks
-    (bit u for vertex u) of v's nodes.
+def _meets(r: HRepresentation) -> list[int]:
+    """For each vertex v the mask of the vertices whose sets meet v's: the OR
+    of the holder masks (bit u for vertex u) of v's node numbers.
 
-    The vertices are 0..len(r.sets)-1.  A node outside the pattern gets the
-    next free index of a copy, so that sets sharing it still meet.
+    The vertices are 0..len(r.sets)-1.  A node outside the pattern has a
+    number past the pattern's nodes (``numbers``), so sets sharing it meet.
     """
-    index = r.pattern.index
-    holders = [0] * len(index)
-    members = []
-    for v in range(len(r.sets)):
+    numbers = r.numbers
+    holders = [0] * (r.pattern.base.n + sum(r.pattern.counts))
+    for v in range(len(numbers)):
+        bit, ids = 1 << v, numbers[v]
         try:
-            ids = [index[nd] for nd in r.sets[v]]
-        except KeyError:
-            index = dict(index)
-            ids = [index.setdefault(nd, len(index)) for nd in r.sets[v]]
-            holders += [0] * (len(index) - len(holders))
-        bit = 1 << v
-        for i in ids:
-            holders[i] |= bit
-        members.append(ids)
+            for i in ids:
+                holders[i] |= bit
+        except IndexError:  # a node outside the pattern; or-ing again is harmless
+            holders += [0] * (max(ids) + 1 - len(holders))
+            for i in ids:
+                holders[i] |= bit
     meets = []
-    for ids in members:
+    for v in range(len(numbers)):
         meet = 0
-        for i in ids:
+        for i in numbers[v]:
             meet |= holders[i]
         meets.append(meet)
-    return members, meets
+    return meets
 
 
 def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
@@ -183,21 +247,24 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     Each node set must induce a connected subgraph of the subdivided pattern,
     and two sets must share a node precisely when the vertices are adjacent.
 
-    Sets are int masks of node indices (`_meets`), each grown inside itself
-    on the pattern's masks.  Then v's set meets exactly the sets of v and its
-    neighbours iff its meet mask is ``g.masks[v] | 1 << v``.
+    Sets are int masks of node numbers (``r.numbers``), each grown inside
+    itself on the pattern's masks.  Then v's set meets exactly the sets of v
+    and its neighbours iff its meet mask (`_meets`) is ``g.masks[v] | 1 << v``.
     """
     if set(r.sets.keys()) != set(range(g.n)):
         raise DomainMismatch("representation domain differs from graph vertices")
-    members, meets = _meets(r)
-    nbr = _masks(len(r.pattern.index), r.pattern._edges())
-    for v, ids in enumerate(members):
-        mask = sum(1 << i for i in ids)
-        if mask >> len(nbr):
-            nd = next(nd for nd in r.sets[v] if nd not in r.pattern.index)
+    pattern, numbers = r.pattern, r.numbers
+    size = pattern.base.n + sum(pattern.counts)
+    nbr = _masks(size, pattern._edges())
+    for v in range(g.n):
+        mask = sum(map((1).__lshift__, numbers[v]))
+        if mask >> size:
+            nd = next(nd for nd in r.sets[v] if nd not in pattern.index)
             raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
         if not mask or _grow(nbr, mask & -mask, mask) != mask:
             return Verdict("disconnected", vertex=v)
+    del nbr  # the node masks and the meet masks each take about n²/2 bits on a path
+    meets = _meets(r)
     masks = g.masks
     # a pair is wrong where meeting and adjacency differ, and it was expected
     # adjacent iff the sets miss each other
@@ -216,7 +283,7 @@ def intersection_graph(r: HRepresentation) -> SimpleGraph:
     verts = sorted(r.sets.keys())
     if verts != list(range(len(verts))):
         raise DomainMismatch("representation domain must be dense 0-based")
-    _, meets = _meets(r)
+    meets = _meets(r)
     edges = [
         (v, u) for v, meet in enumerate(meets) for u in _bits(meet >> v + 1 << v + 1)
     ]
@@ -305,11 +372,11 @@ def td_from_representation(
     verdict = verify_representation(g, r)
     if not verdict.is_ok:
         raise InvalidRepresentation(verdict)
-    node_dec = decomposition_from_order(*_pattern_order(r.pattern, profile))
-    index = r.pattern.index
-    holders: list[list[int]] = [[] for _ in index]
+    graph, order = _pattern_order(r.pattern, profile)
+    node_dec = decomposition_from_order(graph, order)
+    holders: list[list[int]] = [[] for _ in range(graph.n)]
     for v in range(g.n):
-        for nd in r.sets[v]:
-            holders[index[nd]].append(v)
+        for i in r.numbers[v]:
+            holders[i].append(v)
     bags = tuple(frozenset(v for i in bag for v in holders[i]) for bag in node_dec.bags)
     return TreeDecomposition(bags, node_dec.tree_edges)

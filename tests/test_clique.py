@@ -38,6 +38,7 @@ from hgraphs.clique import (
     clique_cactus,
     clique_cutset_decomposition,
     clique_helly,
+    helly_check,
     maximal_cliques_capped,
     model_intersection_graph,
 )
@@ -53,6 +54,7 @@ from hgraphs.core import (
     path_graph,
 )
 from hgraphs.errors import InvalidRepresentation, NotAnAtom, NotCactus
+from hgraphs.formats import emit_hgr, emit_rep, parse_rep
 from hgraphs.pattern import (
     PatternProfile,
     complete_pattern,
@@ -606,6 +608,46 @@ def _random_cactus_representations(count: int = 16):
         h = random_cactus(rng.randint(2, 8), rng)
         pat = random_subdivision(h, rng, 3)
         yield random_representation(pat, rng.randint(20, 40), rng, 6)
+
+
+def test_parsed_representations_never_build_node_tuples(monkeypatch):
+    # a parsed .rep keeps node numbers, and verify, the cactus route, the
+    # intersection graph, the Helly check and the decomposition read those
+    # alone: none of them may build the pattern's node tuples
+    cases = []
+    for g, rep in _random_cactus_representations(24):
+        text, pattern_text = emit_rep(rep, "p.hgr"), emit_hgr(rep.pattern.base)
+        expected = (clique_cactus(g, rep), helly_check(rep, 10_000))
+        cases.append((g, text, pattern_text, expected))
+
+    def refuse(self):
+        raise AssertionError("SubdividedPattern.nodes() called")
+
+    monkeypatch.setattr(SubdividedPattern, "nodes", refuse)
+    models = []
+    monkeypatch.setattr(
+        clique_module, "carc_max_clique",
+        lambda model: models.append(model) or carc_max_clique(model),
+    )
+    for g, text, pattern_text, expected in cases:
+        rep, _ = parse_rep(text, pattern_text)
+        assert verify_representation(g, rep).is_ok
+        assert (clique_cactus(g, rep), helly_check(rep, 10_000)) == expected
+        assert intersection_graph(rep) == g
+        td_from_representation(g, rep, PatternProfile.compute(rep.pattern.base))
+    assert len(models) > 8
+    # built in code, a representation may hold a node outside its pattern:
+    # verify still names it, and sets sharing it still meet
+    monkeypatch.undo()
+    pat = SubdividedPattern(Multigraph(2, ((0, 1),)), (1,))
+    x, y = ("x", 0), ("y", 0)
+    rep = HRepresentation(pat, {
+        0: frozenset({branch(0), x}), 1: frozenset({x, y}), 2: frozenset({y}),
+        3: frozenset({sub(0, 1), branch(1)}),
+    })
+    assert intersection_graph(rep) == SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"vertex 0 uses unknown pattern node \('x', 0\)"):
+        verify_representation(path_graph(4), rep)
 
 
 def test_carc_matches_reference_inside_clique_cactus(monkeypatch):

@@ -40,6 +40,7 @@ from hgraphs.representation import (
     SubdividedPattern,
     branch,
     generate_hard_instance,
+    intersection_graph,
     sub,
     verify_representation,
 )
@@ -379,6 +380,63 @@ def test_parsers_match_reference_on_noncanonical_and_out_of_range_ids():
             assert got == _outcome(reference, mutated_text), mutated_text
             seen.add((text.split()[0], got[0]))
     assert seen == {("p", "value"), ("p", "error"), ("r", "value"), ("r", "error")}
+
+
+def _rep_texts(rng: random.Random):
+    """(rep text, pattern text) pairs: random representations, on patterns
+    with loops, parallel pairs and zero counts, emitted; and each .rep
+    fixture with non-canonical ids and a repeated id on some map lines."""
+    for i in range(150):
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
+        if i % 3 == 0:
+            edges += [(0, 0)] + edges[:1] * 2
+        h = Multigraph(n, tuple(edges))
+        _, rep = random_representation(random_subdivision(h, rng, 3), rng.randint(1, 12), rng, 5)
+        yield formats.emit_rep(rep, "p.hgr"), formats.emit_hgr(h)
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".rep"):
+            text = read(fixture(name))
+            for _ in range(20):
+                lines = []
+                for line in text.splitlines():
+                    tokens = line.split()
+                    if tokens[0] == "map":
+                        tokens[2:] = [
+                            _noncanonical(tok, rng) if rng.random() < 0.5 else tok
+                            for tok in tokens[2:]
+                        ]
+                        tokens += tokens[-1:] * rng.randint(0, 1)
+                    lines.append(" ".join(tokens))
+                yield "\n".join(lines) + "\n", read(fixture(text.split()[1]))
+
+
+def test_parsed_numbers_match_the_node_sets():
+    # a parsed representation keeps node numbers and builds its node sets on
+    # read: those equal the reference parser's, in the same key order, and
+    # the numbers equal those a representation built from the node sets
+    # derives, whether an id took the fast path or the full checks; a
+    # repeated id is one node, so verify and the intersection graph agree
+    rng = random.Random(30)
+    seen = 0
+    for text, pattern_text in _rep_texts(rng):
+        rep, ref = formats.parse_rep(text, pattern_text)
+        expected, _ = parse_rep_reference(text, pattern_text)
+        derived = HRepresentation(rep.pattern, dict(rep.sets))
+        assert len(rep.sets) == len(expected.sets)
+        assert list(rep.sets) == list(expected.sets) == list(rep.numbers)
+        assert dict(rep.sets) == expected.sets and rep == expected
+        for v in rep.sets:
+            assert set(rep.numbers[v]) == set(derived.numbers[v])
+        used = set().union(*rep.numbers.values())
+        assert len(used) == len(set().union(*derived.numbers.values()))
+        g = intersection_graph(expected)
+        assert intersection_graph(rep) == g and verify_representation(g, rep).is_ok
+        emitted = formats.emit_rep(rep, ref)
+        assert emitted == formats.emit_rep(expected, ref)
+        assert formats.emit_rep(formats.parse_rep(emitted, pattern_text)[0], ref) == emitted
+        seen += text != emitted
+    assert seen >= 30  # the fixtures' variants took the full checks
 
 
 # -- CLI -------------------------------------------------------------------

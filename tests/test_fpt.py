@@ -331,6 +331,25 @@ def test_tree_decomposition_attempts():
         tree_decomposition(tree, -1)
 
 
+def test_tree_decomposition_skips_degeneracy_it_cannot_use(monkeypatch):
+    # the degeneracy is at most n - 1, so from that target on it cannot
+    # certify a width above the target and is not computed
+    calls = []
+
+    def spy(g):
+        calls.append(g.n)
+        return degeneracy(g)
+
+    monkeypatch.setattr(fpt, "degeneracy", spy)
+    for g in (complete_graph(5), path_graph(7), empty_graph(0), empty_graph(1)):
+        for target in (max(g.n - 1, 0), g.n + 3):
+            assert tree_decomposition(g, target).found
+    assert calls == []
+    attempt = tree_decomposition(complete_graph(5), 3)
+    assert not attempt.found and attempt.lower_bound == 4
+    assert calls == [5]
+
+
 def test_tree_decomposition_heuristic_path():
     rng = random.Random(31)
     g = gnp(16, 0.3, rng)

@@ -73,53 +73,71 @@ def test_reference_helpers_share_no_private_code_with_formats():
 
 
 def _numbers_pattern_nodes(tree) -> list[int]:
-    """Lines that enumerate() a nodes() call or a name bound to one."""
-    def is_nodes(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "nodes"
+    """Lines that number a pattern's nodes or their names: an enumerate() of
+    a nodes() or names() call or of a name bound to one, or a zip() of one
+    with a range()."""
+    def is_listing(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "nodes", "names",
+        )
 
     named = {
         target.id
         for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and is_nodes(node.value)
+        if isinstance(node, ast.Assign) and is_listing(node.value)
         for target in node.targets
         if isinstance(target, ast.Name)
     }
+
+    def numbers(call):
+        name = getattr(call.func, "id", None)
+        listed = any(is_listing(a) or getattr(a, "id", None) in named for a in call.args)
+        counted = any(getattr(getattr(a, "func", None), "id", None) == "range" for a in call.args)
+        return listed and (name == "enumerate" or name == "zip" and counted)
+
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "enumerate"
-        and any(is_nodes(a) or getattr(a, "id", None) in named for a in node.args)
+        if isinstance(node, ast.Call) and numbers(node)
     ]
 
 
 def test_only_the_pattern_numbers_its_nodes():
     # SubdividedPattern.index is the one node numbering that masks over
-    # pattern nodes use; a second map built elsewhere could number them
-    # another way, and masks read through two numberings disagree silently
+    # pattern nodes use, and name_index reads .rep ids into it; a second map
+    # built elsewhere could number them another way, and masks read through
+    # two numberings disagree silently
     found = []
     for path in sorted(ROOT.glob("src/hgraphs/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef) and cls.name == "SubdividedPattern":
                 cls.body = [
-                    f for f in cls.body if getattr(f, "name", None) != "index"
+                    f for f in cls.body
+                    if getattr(f, "name", None) not in ("index", "name_index")
                 ]
         found += [f"{path.relative_to(ROOT)}:{no}" for no in _numbers_pattern_nodes(tree)]
     assert not found, f"node numberings outside SubdividedPattern.index: {found}"
 
 
 def test_node_numbering_check_sees_each_form():
-    # the check above must see the forms that numbered nodes before the
-    # pattern owned its index, and pass reads of nodes() that number nothing
+    # the check above must see the forms that numbered nodes or their names
+    # before the pattern owned both tables, and pass reads of nodes() and
+    # names() that number nothing
     flagged = [
         "index = {nd: i for i, nd in enumerate(r.pattern.nodes())}",
         "nodes = pattern.nodes()\nindex = {nd: i for i, nd in enumerate(nodes)}",
+        "known = {name: i for i, name in enumerate(p.names())}",
+        "names = p.names()\nknown = dict(zip(names, range(len(names))))",
+        "known = dict(zip(range(n), p.names()))",
     ]
     passed = [
         "name = dict(zip(r.pattern.nodes(), r.pattern.names()))",
+        "known = dict(zip(p.names(), p.nodes()))",
         "at = {x: i for i, x in enumerate(order)}",
+        "pairs = zip(order, range(n))",
         "nodes = pattern.nodes()\nfirst = nodes[0]",
+        "names = p.names()\nref = names[3]",
     ]
     assert all(_numbers_pattern_nodes(ast.parse(src)) for src in flagged)
     assert not any(_numbers_pattern_nodes(ast.parse(src)) for src in passed)
