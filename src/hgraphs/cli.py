@@ -32,7 +32,7 @@ from .formats import (
     emit_td,
     load_instance,
 )
-from .pattern import find_tripartition, is_cactus
+from .pattern import find_tripartition
 from .representation import generate_hard_instance, verify_representation
 from .core import complement as complement_graph
 from .core import two_subdivision
@@ -64,9 +64,8 @@ def choose_strategy(mode: str, instance) -> StrategyChoice:
     """
     if mode != "auto":
         return StrategyChoice(mode, "requested explicitly")
-    if instance.representation is not None and is_cactus(
-        instance.representation.pattern.base
-    ):
+    rep = instance.representation
+    if rep is not None and rep.pattern.cactus:
         return StrategyChoice("cactus", "representation on a cactus pattern given")
     if _available_pattern(instance) is not None:
         return StrategyChoice("helly", "pattern given, trying the Helly clique bound")

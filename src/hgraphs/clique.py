@@ -22,7 +22,6 @@ from .core import (
     _reach,
 )
 from .errors import InvalidRepresentation, NotAnAtom, NotCactus
-from .pattern import is_cactus
 from .representation import (
     HRepresentation,
     intersection_graph,
@@ -794,7 +793,7 @@ def clique_cactus(g: SimpleGraph, r: HRepresentation) -> tuple[int, ...]:
     best size k, or equal to k with its first k vertices above the best
     clique, cannot win and skips the model too.
     """
-    if not is_cactus(r.pattern.base):
+    if not r.pattern.cactus:
         raise NotCactus("pattern base is not a cactus")
     verdict = verify_representation(g, r)
     if not verdict.is_ok:

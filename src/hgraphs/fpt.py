@@ -197,17 +197,37 @@ def _minfill(
 
     Adjacency is held as int bitsets.  Fills are computed once and then kept
     by deltas (Bodlaender & Koster 2010, "Treewidth computations I. Upper
-    bounds").  Eliminating v first adds its fill edges one at a time: a new
-    edge ab lowers the fill of each common neighbour of a and b by one and
-    raises a's by |N(a) \\ N(b)| and b's by |N(b) \\ N(a)|, read before
-    linking.  Then N(v) is a clique, and dropping v lowers the fill of each
-    w in N(v) by |N(w) \\ N(v)|, with v already gone from N(w).
+    bounds").  Eliminating v first adds its fill edges one at a time
+    (`_link`): a new edge ab lowers the fill of each common neighbour of a
+    and b by one and raises a's by |N(a) \\ N(b)| and b's by |N(b) \\ N(a)|,
+    read before linking.  Then N(v) is a clique, and dropping v lowers the
+    fill of each w in N(v) by |N(w) \\ N(v)|, with v already gone from N(w).
+    A dense graph (`_dense_fill`) keeps every fill in bit planes
+    (`_minfill_planes`), a sparse one in a heap (`_minfill_heap`).
+    """
+    return (_minfill_planes if _dense_fill(g) else _minfill_heap)(g, rng)
+
+
+def _dense_fill(g: SimpleGraph) -> bool:
+    """Mean degree >= n/2: on G(n, p) with n from 25 to 300, min-fill on bit
+    planes takes 0.98-1.01 of the heap's time at p = 0.5, 0.38-0.47 at 0.9
+    and 1.1-1.9 at 0.15."""
+    return 4 * g.m >= g.n * g.n
+
+
+def _minfill_heap(
+    g: SimpleGraph, rng: random.Random | None
+) -> tuple[list[int], list[int]]:
+    """``_minfill`` on a sparse graph, with the fills in a list.
 
     Vertices wait in one heap of int keys fill·n + v.  A fill change pushes
     a new key, and a popped key that no longer names v's fill is skipped (an
     eliminated vertex's fill is -1), so the first live key is the least
     fill's smallest vertex.  With an rng, the live keys at that fill pop in
-    ascending order as the tie list, and go back on the heap.
+    ascending order as the tie list, and go back on the heap.  A step's
+    common-neighbour drops come from `_link` as bit planes, applied once
+    after linking; a step at fill 0 is simplicial, links nothing, and lowers
+    each neighbour's fill at once.
     """
     n = g.n
     nbr = list(g.masks)
@@ -261,19 +281,12 @@ def _minfill(
                     fill[w] -= drop
                     heappush(heap, fill[w] * n + w)
             continue
-        # links pair by pair, not by _eliminate: each new edge moves fills
         touched = nv
-        for a in _bits(nv):
-            for b in _bits(nv & ~nbr[a] & ~((2 << a) - 1)):  # b > a, unlinked
-                na, nb = nbr[a], nbr[b]
-                common = na & nb
-                touched |= common
-                for w in _bits(common):
-                    delta[w] -= 1
-                delta[a] += (na & ~nb).bit_count()
-                delta[b] += (nb & ~na).bit_count()
-                nbr[a] = na | 1 << b
-                nbr[b] = nb | 1 << a
+        drops = _link(nbr, nv, least, -1, delta)[0]  # -1: nbr holds no dead vertex
+        for i, plane in enumerate(drops):
+            touched |= plane
+            for w in _bits(plane):
+                delta[w] -= 1 << i
         for w in _bits(nv):
             nbr[w] ^= 1 << v
             delta[w] -= (nbr[w] & ~nv).bit_count()
@@ -283,6 +296,120 @@ def _minfill(
                 heappush(heap, fill[w] * n + w)
                 delta[w] = 0
     return order, eliminated
+
+
+def _minfill_planes(
+    g: SimpleGraph, rng: random.Random | None
+) -> tuple[list[int], list[int]]:
+    """``_minfill`` on a dense graph, with every fill a vertical counter:
+    plane i holds bit i of every vertex's fill (bit-sliced counting; Knuth,
+    TAOCP 4A §7.1.3), so one int operation moves a whole vertex mask.
+
+    The initial fills count the non-edges: each raises the fill of its ends'
+    common neighbours by one.  The least fill's vertices are the alive ones
+    left by an argmin from the top plane down, which keeps those with bit i
+    clear whenever some have it, and v's fill is the bits it could not clear;
+    the tied bits, ascending, are the draw list.  A step first adds the
+    fill edges' gains at their ends, then subtracts the common-neighbour
+    drops of ``_link`` and the drops of v's neighbours, counted over v's
+    alive non-neighbours (each lowers its neighbours in N(v) by one), so no
+    counter goes below zero.  Neighbour masks keep eliminated vertices, and
+    so do the planes: every read masks them off with ``alive``.
+    """
+    n = g.n
+    nbr = list(g.masks)
+    planes: list[int] = []
+    alive = (1 << n) - 1
+    for a in range(n):
+        na = nbr[a]
+        for b in _bits(alive & ~na & ~((2 << a) - 1)):  # b > a, no edge ab
+            _count(planes, na & nbr[b])
+    gain = [0] * n
+    order = []
+    eliminated = []
+    for _ in range(n):
+        tied = alive
+        least = 0
+        for i in range(len(planes) - 1, -1, -1):
+            if tied & ~planes[i]:
+                tied &= ~planes[i]
+            else:
+                least |= 1 << i
+        if rng is None:
+            v = (tied & -tied).bit_length() - 1
+        else:
+            v = rng.choice(list(_bits(tied)))
+        order.append(v)
+        alive ^= 1 << v
+        nv = nbr[v] & alive
+        eliminated.append(nv)
+        drops = []
+        if least:
+            drops, ends = _link(nbr, nv, least, alive, gain)
+            for w in _bits(ends):
+                for i in _bits(gain[w]):
+                    _count(planes, 1 << w, i)
+                gain[w] = 0
+        for u in _bits(alive & ~nv):
+            _count(drops, nbr[u] & nv)
+        for i, plane in enumerate(drops):
+            _uncount(planes, plane & alive, i)
+    return order, eliminated
+
+
+def _link(
+    nbr: list[int], nv: int, fill: int, alive: int, gain: list[int]
+) -> tuple[list[int], int]:
+    """Make N(v) = nv, with ``fill`` non-edges, a clique in nbr one fill edge
+    ab at a time, raising gain[a] by |N(a) \\ N(b)| and gain[b] by
+    |N(b) \\ N(a)|, read before linking; nbr may hold vertices outside
+    ``alive``.  Returns the common-neighbour drops as bit planes (plane i
+    holds bit i of the number of fill edges whose ends each vertex is next
+    to) and the mask of the fill edges' ends.
+    """
+    drops: list[int] = []
+    ends = 0
+    later = nv
+    while fill:
+        low = later & -later
+        later ^= low
+        a = low.bit_length() - 1
+        na = nbr[a]
+        unlinked = later & ~na  # b > a
+        if unlinked:
+            fill -= unlinked.bit_count()
+            ends |= low | unlinked
+            for b in _bits(unlinked):
+                nb = nbr[b]
+                _count(drops, na & nb)
+                gain[a] += (na & ~nb & alive).bit_count()
+                gain[b] += (nb & ~na & alive).bit_count()
+                na |= 1 << b
+                nbr[b] = nb | low
+            nbr[a] = na
+    return drops, ends
+
+
+def _count(planes: list[int], m: int, i: int = 0) -> None:
+    """Add 2**i to the bit-sliced counters of planes at each vertex of m,
+    rippling the carry up the planes."""
+    while m:
+        if i == len(planes):
+            planes.append(0)
+        plane = planes[i]
+        planes[i] = plane ^ m
+        m &= plane
+        i += 1
+
+
+def _uncount(planes: list[int], m: int, i: int) -> None:
+    """Subtract 2**i from the counters of planes at each vertex of m, none of
+    which may go below zero, rippling the borrow up the planes."""
+    while m:
+        plane = planes[i]
+        planes[i] = plane ^ m
+        m &= ~plane
+        i += 1
 
 
 def degeneracy(g: SimpleGraph) -> int:

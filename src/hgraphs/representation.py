@@ -25,6 +25,7 @@ from .pattern import (
     PAIR_KEYS,
     PatternProfile,
     TriPartition,
+    is_cactus,
     validate_tripartition,
 )
 
@@ -108,6 +109,12 @@ class SubdividedPattern:
         """The pattern on node indices; callers build masks with ``_masks`` and
         drop them, as on a long path they take about n²/2 bits."""
         return SimpleGraph(self.base.n + sum(self.counts), frozenset(self._edges()))
+
+    @cached_property
+    def cactus(self) -> bool:
+        """Whether the base pattern is a cactus (``is_cactus``), found once
+        for the strategy choice and the cactus route to share."""
+        return is_cactus(self.base)
 
     @cached_property
     def adjacency(self) -> dict[Node, frozenset[Node]]:

@@ -2,6 +2,7 @@ import argparse
 import os
 import random
 import re
+import sys
 import time
 import tracemalloc
 
@@ -19,6 +20,7 @@ from helpers import (
 from hgraphs import formats
 from hgraphs import cli
 from hgraphs import fpt
+from hgraphs import pattern as pattern_module
 from hgraphs.cli import main
 from hgraphs.core import Multigraph, complete_graph, cycle_graph, path_graph
 from hgraphs.errors import ParseError
@@ -486,6 +488,26 @@ def test_cli_clique_auto_prefers_cactus(capsys):
     out = capsys.readouterr().out
     assert "strategy: cactus" in out
     assert "size: 2" in out
+
+
+def test_cli_clique_rep_tests_the_cactus_once(monkeypatch, capsys):
+    # the strategy choice and the cactus route read the pattern's one cached
+    # answer, so a clique --rep op runs is_cactus once
+    calls = []
+    real = pattern_module.is_cactus
+
+    def spy(h):
+        calls.append(h)
+        return real(h)
+
+    for name, module in list(sys.modules.items()):  # every module's binding
+        if name.startswith("hgraphs") and getattr(module, "is_cactus", None) is real:
+            monkeypatch.setattr(module, "is_cactus", spy)
+    for _ in range(3):
+        argv = ["clique", "--graph", fixture("c5.gr"), "--rep", fixture("c5.rep")]
+        assert main(argv) == 0
+        assert "strategy: cactus" in capsys.readouterr().out
+    assert len(calls) == 3
 
 
 def test_cli_clique_helly_and_brute_agree(capsys):

@@ -18,6 +18,7 @@ from helpers import (
     list_coloring_bruteforce_reference,
     list_k_coloring_reference,
     maximal_cliques_reference,
+    minfill_heap_reference,
     minfill_order_reference,
     random_chordal,
     random_tree,
@@ -26,6 +27,7 @@ from hgraphs.core import (
     SimpleGraph,
     complement,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     empty_graph,
     full_lists,
@@ -243,6 +245,34 @@ def test_minfill_matches_reference_on_dense_and_long_inputs():
     assert [g.n for g in graphs[:4]] == [25, 30, 35, 40]
 
 
+def test_minfill_paths_match_heap_reference():
+    # both min-fill paths, bit planes and heap, give the heap they replaced
+    # the same order and elimination masks, with and without an rng drawing
+    # among tied vertices: G(n, p) up to 200 vertices from sparse to nearly
+    # complete, G(n, m) just below, at and just above the density rule,
+    # gen-hard targets, and complete, complete multipartite and empty graphs
+    rng = random.Random(49)
+    graphs = [empty_graph(0), empty_graph(1), empty_graph(30), complete_graph(40)]
+    for sizes in ((1, 1), (3, 4, 5), (2,) * 12, (10, 1, 7, 1)):
+        graphs.append(complete_multipartite(sizes))
+    for n in (40, 200):
+        graphs += [gnp(n, p, rng) for p in (0.05, 0.1, 0.3, 0.5, 0.9, 0.97)]
+    for n in (30, 41):
+        at = -(-n * n // 4)  # the fewest edges the density rule calls dense
+        graphs += [gnm(n, m, rng) for m in (at - 1, at, at + 1)]
+        assert [fpt._dense_fill(g) for g in graphs[-3:]] == [False, True, True]
+    for pattern in (wheel(4), double_triangle()):
+        part = find_tripartition(pattern)
+        for n in (5, 6, 7, 8):
+            graphs.append(generate_hard_instance(gnm(n, 2 * n, rng), pattern, part)[0])
+    for g in graphs:
+        for seed in (None, 0, 1):
+            rngs = [None if seed is None else random.Random(seed) for _ in range(3)]
+            expected = minfill_heap_reference(g, rngs[0])
+            assert fpt._minfill_planes(g, rngs[1]) == expected
+            assert fpt._minfill_heap(g, rngs[2]) == expected
+
+
 def test_tree_decomposition_is_the_minfill_elimination():
     # the decomposition read off min-fill's own elimination equals the set-based
     # elimination game replayed on the reference order, with and without an
@@ -312,6 +342,21 @@ def test_minfill_on_a_long_random_tree_in_time():
     elapsed = time.perf_counter() - start
     assert sorted(order) == list(range(16000))
     assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, bound", [(400, 0.1, 3, 1.0), (500, 0.9, 4, 0.5)]
+)
+def test_minfill_on_large_random_graphs_in_time(n, p, seed, bound):
+    # a fill step that walks each fill edge's common neighbours one by one
+    # takes about 1.6 s on G(400, 0.1), with 51 368 fill edges, and fills
+    # kept in a heap take about 1.4 s on G(500, 0.9)
+    g = gnp(n, p, random.Random(seed))
+    start = time.perf_counter()
+    order = minfill_order(g)
+    elapsed = time.perf_counter() - start
+    assert sorted(order) == list(range(n))
+    assert elapsed < bound, elapsed
 
 
 def test_tree_decomposition_attempts():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -164,12 +165,28 @@ PINNED_STDOUT_SHA256 = {
 }
 
 
-def _check_pinned_run(workload):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", "1", "--seconds", "0.01", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
+@pytest.fixture(scope="module")
+def harness_runs():
+    """One short seed-1 pass of each workload, untraced and traced, keyed by
+    (workload, trace).  The six runs share the processors, one per available
+    CPU at a time: more at once would stall a traced run inside its ops, and
+    its self-check would then find the self times off by more than 10%."""
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        futures = {
+            (workload, trace): pool.submit(
+                subprocess.run,
+                [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+                 workload, "--seed", "1", "--seconds", "0.01", "--trace", str(trace)],
+                cwd=ROOT, capture_output=True, text=True, timeout=300,
+            )
+            for trace in (0, 1)
+            for workload in PINNED_STDOUT_SHA256
+        }
+        return {key: future.result() for key, future in futures.items()}
+
+
+def _check_pinned_run(harness_runs, workload):
+    done = harness_runs[workload, 0]
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     summary = json.loads(lines[-1])
@@ -178,31 +195,27 @@ def _check_pinned_run(workload):
     assert digests == [PINNED_STDOUT_SHA256[workload]], done.stdout
 
 
-def test_benchmark_harness_runs():
+def test_benchmark_harness_runs(harness_runs):
     # one short pass of a benchmark workload, its answers checked against the
     # harness's oracles: a refactor that breaks the harness fails here
-    _check_pinned_run("hard-clique")
+    _check_pinned_run(harness_runs, "hard-clique")
 
 
-def test_benchmark_harness_pins_cactus_clique_output():
+def test_benchmark_harness_pins_cactus_clique_output(harness_runs):
     # the cactus route's tie-breaks (the smallest of equal cliques across
     # atoms, the first endpoint pair reaching omega) show in its printed
     # cliques; MCS-M+'s numbering cannot, as the atoms do not depend on it
-    _check_pinned_run("cactus-clique")
+    _check_pinned_run(harness_runs, "cactus-clique")
 
 
-def test_benchmark_harness_pins_list_color_output():
+def test_benchmark_harness_pins_list_color_output(harness_runs):
     # the printed colorings are the DP's first witness, so a change in the
     # narrowing, the nice form or the order states are kept in shows here
-    _check_pinned_run("list-color")
+    _check_pinned_run(harness_runs, "list-color")
 
 
-def _check_traced_run(workload):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", "1", "--seconds", "0.01", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
+def _check_traced_run(harness_runs, workload):
+    done = harness_runs[workload, 1]
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert any(ln.startswith("tracer self-check: ok") for ln in lines), done.stdout
@@ -210,20 +223,20 @@ def _check_traced_run(workload):
     assert summary["correct"] is True, summary
 
 
-def test_benchmark_harness_traces_list_color():
+def test_benchmark_harness_traces_list_color(harness_runs):
     # a traced pass of list-color: the tracer's self-check pins the nice-node
     # count it reads off make_nice calls, which list_k_coloring must make by
     # the public name, and the harness's oracles check every SAT/UNSAT answer
-    _check_traced_run("list-color")
+    _check_traced_run(harness_runs, "list-color")
 
 
-def test_benchmark_harness_traces_cactus_clique():
+def test_benchmark_harness_traces_cactus_clique(harness_runs):
     # a traced pass of cactus-clique: its branch-and-bound clique oracle and
     # the tracer's pinned atom count catch a wrong peel or a wrong arc model
-    _check_traced_run("cactus-clique")
+    _check_traced_run(harness_runs, "cactus-clique")
 
 
-def test_benchmark_harness_traces_hard_clique():
+def test_benchmark_harness_traces_hard_clique(harness_runs):
     # a traced pass of hard-clique: only the traced run checks that the Helly
     # route stops at exactly bound + 1 maximal cliques
-    _check_traced_run("hard-clique")
+    _check_traced_run(harness_runs, "hard-clique")
