@@ -10,6 +10,7 @@ byte.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 from .core import ColorLists, Multigraph, SimpleGraph
@@ -92,7 +93,57 @@ def _declared(found: int, declared: int, what: str, path: str, no: int) -> None:
         raise ParseError(path, no, f"declared {declared} {what} but found {found}")
 
 
+# a canonical edge body: emission's lines and nothing else
+_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_GR_HEADER = re.compile(r"p tw ([0-9]+) ([0-9]+)")
+_HGR_HEADER = re.compile(r"h ([0-9]+) ([0-9]+)")
+
+
+def _canonical_ids(text: str, header: re.Pattern) -> tuple[int, int, list[int]] | None:
+    """n, m and the 0-based ids of a canonical file, in file order, read by
+    whole-body string operations rather than line by line; None when the
+    file is not canonical.
+
+    Canonical: the first line is the header, the body is exactly m lines of
+    two ids in 1..n written as emission writes them, and n <= 2m.  Each id is
+    looked up in a table of the strings "1".."n", which stands in for int()
+    and the range test.  Every other file, valid or not, is left to the
+    checked line loop, the one source of values and errors for it.
+    """
+    first, _, body = text.partition("\n")
+    head = header.fullmatch(first)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    if body.count("\n") != m or not _EDGE_LINES.fullmatch(body):
+        return None
+    names = _id_names(n, m)  # only now that the m lines are known to be there
+    if names is None:
+        return None
+    table = dict(zip(names, range(n)))
+    try:
+        return n, m, list(map(table.__getitem__, body.split()))
+    except KeyError:  # 0, n + 1 or a leading zero
+        return None
+
+
+def _id_names(n: int, m: int) -> list[str] | None:
+    """The ids "1".."n" as a file of n vertices and m edges writes them, or
+    None when n > 2m: the list would then be longer than the 2m ids it
+    serves, and a header alone must never size it (`p tw 5000000 0` would
+    take seconds)."""
+    return list(map(str, range(1, n + 1))) if n <= 2 * m else None
+
+
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
+    canonical = _canonical_ids(text, _GR_HEADER)
+    if canonical is not None:
+        n, m, ids = canonical
+        ends = iter(ids)
+        edges = {(a, b) if a < b else (b, a) for a, b in zip(ends, ends) if a != b}
+        # fewer than m: a loop or a repeated pair, which the line loop names
+        if len(edges) == m:
+            return SimpleGraph(n, frozenset(edges))
     rows = enumerate(text.splitlines(), start=1)
     header_line, parts = _header(rows, "p", "edge line before p line", path)
     if len(parts) != 4 or parts[1] != "tw":
@@ -131,11 +182,20 @@ def emit_gr(g: SimpleGraph) -> str:
     out = [f"p tw {n} {g.m}"]
     # edge (u, v), u < v, sorts as the int u*n + v
     keys = sorted([u * n + v for u, v in g.edges])
-    out += [f"{k // n + 1} {k % n + 1}" for k in keys]
+    names = _id_names(n, g.m)
+    if names is None:
+        out += [f"{k // n + 1} {k % n + 1}" for k in keys]
+    else:
+        out += [f"{names[k // n]} {names[k % n]}" for k in keys]
     return "\n".join(out) + "\n"
 
 
 def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
+    canonical = _canonical_ids(text, _HGR_HEADER)
+    if canonical is not None:  # loops and parallel edges are kept
+        n, _, ids = canonical
+        ends = iter(ids)
+        return Multigraph(n, tuple(zip(ends, ends)))
     rows = enumerate(text.splitlines(), start=1)
     header_line, parts = _header(rows, "h", "edge line before h line", path)
     if len(parts) != 3:

@@ -384,6 +384,119 @@ def test_parsers_match_reference_on_noncanonical_and_out_of_range_ids():
     assert seen == {("p", "value"), ("p", "error"), ("r", "value"), ("r", "error")}
 
 
+def _gate_cases(text: str) -> list[str]:
+    """text, a canonical .gr or .hgr file whose first edge is not a loop,
+    and files just past the edge of the canonical id-table gate: each other
+    case leaves it to the checked line loop."""
+    header, first, *rest = text.splitlines()
+    tag, *counts = header.split()
+    head = " ".join([tag] + counts[:-2])
+    n, m = int(counts[-2]), int(counts[-1])
+    u, v = first.split()
+
+    def with_header(n_, m_, edges):
+        return "\n".join([f"{head} {n_} {m_}", *edges]) + "\n"
+
+    cases = [
+        text,
+        text.replace("\n", "\r\n"),
+        text[:-1],
+        "c before\n" + text,
+        "\n" + text,
+        with_header(n, m, [first, "c inside", *rest]),
+        with_header(n, m, [first, "", *rest]),
+        with_header(n, m, [f"{u}\t{v}", *rest]),
+        with_header(n, m, [f"{u}  {v}", *rest]),
+        with_header(n, m - 1, [first, *rest]),
+        with_header(n, m + 1, [first, *rest]),
+        with_header(n, m + 1, [first, first, *rest]),
+        with_header(n, m + 1, [first, f"{v} {u}", *rest]),
+        with_header(n, m, [f"{u} {u}", *rest]),
+        with_header(2 * m, m, [first, *rest]),
+        with_header(2 * m + 1, m, [first, *rest]),
+    ]
+    for tok in ("01", "+1", "0", str(n + 1)):
+        cases.append(with_header(n, m, [f"{tok} {v}", *rest]))
+    return cases
+
+
+def test_parsers_match_reference_at_the_canonical_gate_boundary():
+    # canonical bodies take the id table, the cases around them the line
+    # loop: both give the reference's value, or its (line, message)
+    rng = random.Random(13)
+    pattern = wheel(4)
+    graph = gnm(6, 12, rng)
+    target, _ = generate_hard_instance(graph, pattern, find_tripartition(pattern))
+    corpus = [
+        (formats.emit_gr(target), formats.parse_gr, parse_gr_reference),
+        (formats.emit_gr(path_graph(3)), formats.parse_gr, parse_gr_reference),
+        ("h 3 4\n1 2\n2 2\n1 2\n3 1\n", formats.parse_hgr, parse_hgr_reference),
+        (formats.emit_hgr(pattern), formats.parse_hgr, parse_hgr_reference),
+    ]
+    seen = set()
+    for text, parse, reference in corpus:
+        for case in _gate_cases(text):
+            got = _outcome(parse, case)
+            assert got == _outcome(reference, case), case
+            seen.add((text[0], got[0]))
+    assert seen == {("p", "value"), ("p", "error"), ("h", "value"), ("h", "error")}
+
+
+@pytest.mark.parametrize(
+    "parse, text, n, m",
+    [
+        (formats.parse_gr, "p tw 1000000000 0\n", 10**9, 0),
+        (formats.parse_hgr, "h 1000000000 0\n", 10**9, 0),
+        (formats.parse_gr, "p tw 1000000000 1\n1 2\n", 10**9, 1),
+        (formats.parse_hgr, "h 1000000000 1\n1 2\n", 10**9, 1),
+    ],
+)
+def test_a_large_header_alone_never_sizes_the_id_table(parse, text, n, m):
+    # the gate builds its table of n ids only when n <= 2m and the body has
+    # m lines; a table sized by this header would take minutes
+    start = time.perf_counter()
+    g = parse(text)
+    assert (g.n, g.m) == (n, m)
+    with pytest.raises(ParseError, match="declared 500000000 edges but found 0"):
+        parse(text.split("\n")[0].rsplit(" ", 1)[0] + " 500000000\n")
+    if parse is formats.parse_gr:
+        assert formats.emit_gr(g) == text
+    assert time.perf_counter() - start < 0.25
+
+
+def test_canonical_files_never_enter_the_line_loop(monkeypatch):
+    # gen-hard targets, their .rep files' patterns and the pattern fixtures
+    # all take the id table; one comment line sends a target to the line
+    # loop, which reads the same graph
+    headers = []
+    line_loop_header = formats._header
+
+    def spy(rows, tag, before, path):
+        headers.append(tag)
+        return line_loop_header(rows, tag, before, path)
+
+    monkeypatch.setattr(formats, "_header", spy)
+    rng = random.Random(11)
+    targets = []
+    for name in ("wheel4.hgr", "double_triangle.hgr"):
+        pattern_text = read(fixture(name))
+        pattern = formats.parse_hgr(pattern_text)
+        for n in range(5, 9):
+            target, rep = generate_hard_instance(
+                gnm(n, 2 * n, rng), pattern, find_tripartition(pattern)
+            )
+            text = formats.emit_gr(target)
+            assert formats.parse_gr(text) == target
+            parsed, _ = formats.parse_rep(formats.emit_rep(rep, name), pattern_text)
+            assert parsed.pattern.base == pattern
+            targets.append((text, target))
+    assert set(headers) <= {"r"}, headers
+    for text, target in targets:
+        header, body = text.split("\n", 1)
+        assert formats.parse_gr(f"{header}\nc a comment\n{body}") == target
+    assert headers.count("p") == len(targets)
+
+
 def _rep_texts(rng: random.Random):
     """(rep text, pattern text) pairs: random representations, on patterns
     with loops, parallel pairs and zero counts, emitted; and each .rep
