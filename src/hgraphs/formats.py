@@ -93,10 +93,12 @@ def _declared(found: int, declared: int, what: str, path: str, no: int) -> None:
         raise ParseError(path, no, f"declared {declared} {what} but found {found}")
 
 
-# a canonical edge body: emission's lines and nothing else
+# a canonical edge body: emission's lines and nothing else; header counts
+# of at most 18 digits, so int() always converts them (a longer count, such
+# as one past Python's digit limit, is left to the line loop's checks)
 _EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
-_GR_HEADER = re.compile(r"p tw ([0-9]+) ([0-9]+)")
-_HGR_HEADER = re.compile(r"h ([0-9]+) ([0-9]+)")
+_GR_HEADER = re.compile(r"p tw ([0-9]{1,18}) ([0-9]{1,18})")
+_HGR_HEADER = re.compile(r"h ([0-9]{1,18}) ([0-9]{1,18})")
 
 
 def _canonical_ids(text: str, header: re.Pattern) -> tuple[int, int, list[int]] | None:
@@ -107,32 +109,24 @@ def _canonical_ids(text: str, header: re.Pattern) -> tuple[int, int, list[int]] 
     Canonical: the first line is the header, the body is exactly m lines of
     two ids in 1..n written as emission writes them, and n <= 2m.  Each id is
     looked up in a table of the strings "1".."n", which stands in for int()
-    and the range test.  Every other file, valid or not, is left to the
-    checked line loop, the one source of values and errors for it.
+    and the range test.  n <= 2m keeps that table no longer than the 2m ids
+    it serves, and it is built only once the m lines are known to be there,
+    so a header alone never sizes it (`p tw 5000000 0` would take seconds).
+    Every other file, valid or not, is left to the checked line loop, the
+    one source of values and errors for it.
     """
     first, _, body = text.partition("\n")
     head = header.fullmatch(first)
     if head is None:
         return None
     n, m = int(head[1]), int(head[2])
-    if body.count("\n") != m or not _EDGE_LINES.fullmatch(body):
+    if n > 2 * m or body.count("\n") != m or not _EDGE_LINES.fullmatch(body):
         return None
-    names = _id_names(n, m)  # only now that the m lines are known to be there
-    if names is None:
-        return None
-    table = dict(zip(names, range(n)))
+    table = dict(zip(map(str, range(1, n + 1)), range(n)))
     try:
         return n, m, list(map(table.__getitem__, body.split()))
     except KeyError:  # 0, n + 1 or a leading zero
         return None
-
-
-def _id_names(n: int, m: int) -> list[str] | None:
-    """The ids "1".."n" as a file of n vertices and m edges writes them, or
-    None when n > 2m: the list would then be longer than the 2m ids it
-    serves, and a header alone must never size it (`p tw 5000000 0` would
-    take seconds)."""
-    return list(map(str, range(1, n + 1))) if n <= 2 * m else None
 
 
 def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
@@ -182,11 +176,7 @@ def emit_gr(g: SimpleGraph) -> str:
     out = [f"p tw {n} {g.m}"]
     # edge (u, v), u < v, sorts as the int u*n + v
     keys = sorted([u * n + v for u, v in g.edges])
-    names = _id_names(n, g.m)
-    if names is None:
-        out += [f"{k // n + 1} {k % n + 1}" for k in keys]
-    else:
-        out += [f"{names[k // n]} {names[k % n]}" for k in keys]
+    out += [f"{k // n + 1} {k % n + 1}" for k in keys]
     return "\n".join(out) + "\n"
 
 

@@ -155,12 +155,8 @@ def _from_elimination(order, eliminated: list[int]) -> TreeDecomposition:
     bags = []
     edges = []
     for i, (v, nv) in enumerate(zip(order, eliminated)):
-        nb = []
-        while nv:
-            low = nv & -nv
-            nb.append(low.bit_length() - 1)
-            nv ^= low
-        bags.append(frozenset([v, *nb]))
+        nb = list(_bits(nv))
+        bags.append(frozenset([v] + nb))
         if nb:
             edges.append((i, min(map(pos.__getitem__, nb))))
         elif i + 1 < len(order):

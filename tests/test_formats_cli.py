@@ -414,6 +414,11 @@ def _gate_cases(text: str) -> list[str]:
         with_header(n, m, [f"{u} {u}", *rest]),
         with_header(2 * m, m, [first, *rest]),
         with_header(2 * m + 1, m, [first, *rest]),
+        # counts past the header regex's 18 digits: a valid one with leading
+        # zeros, and ones past Python's int() digit limit
+        with_header("0" * 18 + str(n), m, [first, *rest]),
+        with_header("9" * 4301, m, [first, *rest]),
+        with_header(n, "9" * 4301, [first, *rest]),
     ]
     for tok in ("01", "+1", "0", str(n + 1)):
         cases.append(with_header(n, m, [f"{tok} {v}", *rest]))
