@@ -359,13 +359,10 @@ def _rep_header(rows, path: str) -> str:
 def emit_rep(r: HRepresentation, pattern_ref: str) -> str:
     out = [f"r {pattern_ref}"]
     out += [f"subdiv {k + 1} {t}" for k, t in enumerate(r.pattern.counts) if t > 0]
-    name = dict(zip(r.pattern.nodes(), r.pattern.names()))
-    for v in sorted(r.sets):
-        try:
-            refs = " ".join([name[nd] for nd in sorted(r.sets[v])])
-        except KeyError:
-            nd = next(nd for nd in r.sets[v] if nd not in name)
-            raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
+    # node numbers sort as the nodes do (``SubdividedPattern.index``)
+    names, numbers = r.pattern.names(), r.numbers
+    for v in sorted(numbers):
+        refs = " ".join([names[i] for i in sorted(numbers[v])])
         out.append(f"map {v + 1} {refs}")
     return "\n".join(out) + "\n"
 
@@ -434,7 +431,7 @@ def load_instance(
     if lists_path is not None:
         lists = parse_lists(_read(lists_path), lists_path)
     if rep is not None and graph is not None:
-        if sorted(rep.sets) != list(range(graph.n)):
+        if sorted(rep.numbers) != list(range(graph.n)):
             # the first map line beyond the graph, else line 1
             rows = enumerate(map(str.split, text.splitlines()), start=1)
             beyond = (no for no, p in rows if p[:1] == ["map"] and int(p[1]) > graph.n)

@@ -146,10 +146,7 @@ def representation_from_cycle_arcs(model: ArcModel) -> HRepresentation:
     if model.kind != "cycle":
         raise ValueError("expected a cycle model")
     pattern = cycle_pattern_for_length(model.length)
-    nodes, graph = pattern.nodes(), pattern.graph
+    graph = pattern.graph
     _, order = _classify_shape((1 << graph.n) - 1, _masks(graph.n, graph.edges))
-    sets = {
-        v: frozenset(nodes[order[p]] for p in model.positions(v))
-        for v in model.arcs
-    }
-    return HRepresentation(pattern, sets)
+    numbers = {v: frozenset(order[p] for p in model.positions(v)) for v in model.arcs}
+    return HRepresentation.from_numbers(pattern, numbers)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import (
     Multigraph,
@@ -137,74 +138,52 @@ class SubdividedPattern:
         return forward if endpoint == u else forward[::-1]
 
 
-@dataclass(frozen=True)
 class HRepresentation:
     """Map from graph vertices to non-empty connected node sets of a pattern.
 
-    ``numbers`` holds each vertex's set as node numbers (``pattern.index``).
-    Built from node sets, a representation derives them on first read; built
-    by ``from_numbers``, as a parsed one is, it keeps them, and its ``sets``
-    builds each vertex's node set only when it is read.
+    ``numbers`` is the one stored form: each vertex's set as node numbers
+    (``pattern.index``), fixed at construction, where a node outside the
+    pattern is refused.  ``sets`` is the read-only node-set view: the
+    mapping given, for a representation built from node sets; for one built
+    by ``from_numbers``, as a parsed one is, it is built on its first read.
     """
 
-    pattern: SubdividedPattern
-    sets: Mapping[int, frozenset[Node]]
+    def __init__(self, pattern: SubdividedPattern, sets: Mapping[int, frozenset[Node]]):
+        index = pattern.index
+        number = index.__getitem__
+        try:
+            numbers = {v: frozenset(map(number, nds)) for v, nds in sets.items()}
+        except KeyError:  # name the least vertex with a node outside the pattern
+            v = min(v for v, nds in sets.items() if any(nd not in index for nd in nds))
+            nd = next(nd for nd in sets[v] if nd not in index)
+            raise ValueError(f"vertex {v} uses unknown pattern node {nd}") from None
+        self.pattern, self.numbers = pattern, numbers
+        self._sets = MappingProxyType(dict(sets))
 
     @staticmethod
     def from_numbers(
         pattern: SubdividedPattern, numbers: dict[int, frozenset[int]]
     ) -> HRepresentation:
         """The representation whose vertex v has the nodes numbered numbers[v]."""
-        return HRepresentation(pattern, _NumberedSets(pattern, numbers))
+        r = object.__new__(HRepresentation)
+        r.pattern, r.numbers, r._sets = pattern, numbers, None
+        return r
 
-    @cached_property
-    def numbers(self) -> Mapping[int, frozenset[int]]:
-        """Each vertex's node numbers, keyed as ``sets``.  A node outside the
-        pattern gets the next free number of a copy of the index, so that
-        sets sharing it still meet."""
-        if isinstance(self.sets, _NumberedSets):
-            return self.sets.numbers
-        index = self.pattern.index
-        numbers = {}
-        for v, nds in self.sets.items():
-            try:
-                numbers[v] = frozenset(map(index.__getitem__, nds))
-            except KeyError:
-                index = dict(index)
-                numbers[v] = frozenset([index.setdefault(nd, len(index)) for nd in nds])
-        return numbers
+    @property
+    def sets(self) -> Mapping[int, frozenset[Node]]:
+        if self._sets is None:
+            node = self.pattern.nodes().__getitem__
+            sets = {v: frozenset(map(node, ids)) for v, ids in self.numbers.items()}
+            self._sets = MappingProxyType(sets)
+        return self._sets
 
-
-class _NumberedSets(Mapping):
-    """A read-only vertex -> node set map over node numbers, each set built
-    on its first read and kept."""
-
-    def __init__(self, pattern: SubdividedPattern, numbers: dict[int, frozenset[int]]):
-        self.pattern, self.numbers = pattern, numbers
-        self._sets: dict[int, frozenset[Node]] = {}
-
-    @cached_property
-    def _nodes(self) -> tuple[Node, ...]:
-        return self.pattern.nodes()
-
-    def __getitem__(self, v: int) -> frozenset[Node]:
-        nds = self._sets.get(v)
-        if nds is None:
-            nds = frozenset(map(self._nodes.__getitem__, self.numbers[v]))
-            self._sets[v] = nds
-        return nds
-
-    def __contains__(self, v) -> bool:
-        return v in self.numbers
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.numbers)
-
-    def __len__(self) -> int:
-        return len(self.numbers)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HRepresentation):
+            return NotImplemented
+        return (self.pattern, self.numbers) == (other.pattern, other.numbers)
 
     def __repr__(self) -> str:
-        return repr(dict(self))
+        return f"HRepresentation.from_numbers({self.pattern!r}, {self.numbers!r})"
 
 
 @dataclass(frozen=True)
@@ -225,20 +204,14 @@ def _meets(r: HRepresentation) -> list[int]:
     """For each vertex v the mask of the vertices whose sets meet v's: the OR
     of the holder masks (bit u for vertex u) of v's node numbers.
 
-    The vertices are 0..len(r.sets)-1.  A node outside the pattern has a
-    number past the pattern's nodes (``numbers``), so sets sharing it meet.
+    The vertices are 0..len(r.numbers)-1.
     """
     numbers = r.numbers
     holders = [0] * (r.pattern.base.n + sum(r.pattern.counts))
     for v in range(len(numbers)):
-        bit, ids = 1 << v, numbers[v]
-        try:
-            for i in ids:
-                holders[i] |= bit
-        except IndexError:  # a node outside the pattern; or-ing again is harmless
-            holders += [0] * (max(ids) + 1 - len(holders))
-            for i in ids:
-                holders[i] |= bit
+        bit = 1 << v
+        for i in numbers[v]:
+            holders[i] |= bit
     meets = []
     for v in range(len(numbers)):
         meet = 0
@@ -258,16 +231,12 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     itself on the pattern's masks.  Then v's set meets exactly the sets of v
     and its neighbours iff its meet mask (`_meets`) is ``g.masks[v] | 1 << v``.
     """
-    if set(r.sets.keys()) != set(range(g.n)):
+    if set(r.numbers) != set(range(g.n)):
         raise DomainMismatch("representation domain differs from graph vertices")
     pattern, numbers = r.pattern, r.numbers
-    size = pattern.base.n + sum(pattern.counts)
-    nbr = _masks(size, pattern._edges())
+    nbr = _masks(pattern.base.n + sum(pattern.counts), pattern._edges())
     for v in range(g.n):
         mask = sum(map((1).__lshift__, numbers[v]))
-        if mask >> size:
-            nd = next(nd for nd in r.sets[v] if nd not in pattern.index)
-            raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
         if not mask or _grow(nbr, mask & -mask, mask) != mask:
             return Verdict("disconnected", vertex=v)
     del nbr  # the node masks and the meet masks each take about n²/2 bits on a path
@@ -287,7 +256,7 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
 
 def intersection_graph(r: HRepresentation) -> SimpleGraph:
     """The graph encoded by node sharing; domain must be dense 0..n-1."""
-    verts = sorted(r.sets.keys())
+    verts = sorted(r.numbers)
     if verts != list(range(len(verts))):
         raise DomainMismatch("representation domain must be dense 0-based")
     meets = _meets(r)

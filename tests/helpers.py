@@ -1377,6 +1377,23 @@ def parse_rep_reference(
     return HRepresentation(pattern, sets), ref
 
 
+# The emitter that wrote each vertex's node tuples through a node -> id map,
+# from before it read node numbers, kept verbatim (renamed) so tests can
+# require byte-identical files from both.
+def emit_rep_reference(r: HRepresentation, pattern_ref: str) -> str:
+    out = [f"r {pattern_ref}"]
+    out += [f"subdiv {k + 1} {t}" for k, t in enumerate(r.pattern.counts) if t > 0]
+    name = dict(zip(r.pattern.nodes(), r.pattern.names()))
+    for v in sorted(r.sets):
+        try:
+            refs = " ".join([name[nd] for nd in sorted(r.sets[v])])
+        except KeyError:
+            nd = next(nd for nd in r.sets[v] if nd not in name)
+            raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
+        out.append(f"map {v + 1} {refs}")
+    return "\n".join(out) + "\n"
+
+
 # The six-path construction that the head/tail rule of generate_hard_instance
 # replaced, kept verbatim (renamed) so tests can require identical targets,
 # representations and emitted files from both.

@@ -636,18 +636,16 @@ def test_parsed_representations_never_build_node_tuples(monkeypatch):
         assert intersection_graph(rep) == g
         td_from_representation(g, rep, PatternProfile.compute(rep.pattern.base))
     assert len(models) > 8
-    # built in code, a representation may hold a node outside its pattern:
-    # verify still names it, and sets sharing it still meet
+    # built in code, a representation refuses a node outside its pattern
     monkeypatch.undo()
     pat = SubdividedPattern(Multigraph(2, ((0, 1),)), (1,))
     x, y = ("x", 0), ("y", 0)
-    rep = HRepresentation(pat, {
+    sets = {
         0: frozenset({branch(0), x}), 1: frozenset({x, y}), 2: frozenset({y}),
         3: frozenset({sub(0, 1), branch(1)}),
-    })
-    assert intersection_graph(rep) == SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
+    }
     with pytest.raises(ValueError, match=r"vertex 0 uses unknown pattern node \('x', 0\)"):
-        verify_representation(path_graph(4), rep)
+        HRepresentation(pat, sets)
 
 
 def test_carc_matches_reference_inside_clique_cactus(monkeypatch):

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    emit_rep_reference,
     grid_graph,
     minfill_order_reference,
     random_tree,
@@ -30,7 +31,13 @@ from hgraphs.fpt import (
     exact_decomposition,
     tree_decomposition,
 )
-from hgraphs.pattern import complete_pattern, find_tripartition, path_pattern, wheel
+from hgraphs.pattern import (
+    complete_pattern,
+    double_triangle,
+    find_tripartition,
+    path_pattern,
+    wheel,
+)
 from hgraphs.randgen import (
     gnm,
     random_cactus,
@@ -160,12 +167,82 @@ def test_rep_parser_rejects_missing_vertex():
 
 
 def test_rep_emitter_names_a_node_outside_the_pattern():
-    # HRepresentation does not check its nodes; emit_rep refuses one that its
-    # pattern lacks, as verify_representation does, instead of a KeyError
+    # a node that the pattern lacks is refused when the representation is
+    # built, so emit_rep never meets one; the error names it, not a KeyError
     pattern = SubdividedPattern(Multigraph(2, ((0, 1),)), (1,))
-    rep = HRepresentation(pattern, {0: frozenset({branch(0)}), 1: frozenset({sub(0, 2)})})
+    sets = {0: frozenset({branch(0)}), 1: frozenset({sub(0, 2)})}
     with pytest.raises(ValueError, match=r"vertex 1 uses unknown pattern node \('s', 0, 2\)"):
-        formats.emit_rep(rep, "edge.hgr")
+        HRepresentation(pattern, sets)
+
+
+def _cactus_representations(count: int):
+    rng = random.Random(28)
+    for _ in range(count):
+        h = random_cactus(rng.randint(2, 8), rng)
+        pat = random_subdivision(h, rng, 3)
+        yield random_representation(pat, rng.randint(20, 40), rng, 6)
+
+
+def test_rep_emitter_matches_the_node_tuple_reference():
+    # emit_rep writes each vertex's sorted node numbers by name; number order
+    # is the nodes' sorted order, so its files equal the node-tuple
+    # emitter's byte for byte, for a representation built from node sets,
+    # built by the generator, or parsed
+    rng = random.Random(35)
+    reps = [rep for _, rep in _cactus_representations(24)]
+    for i in range(40):
+        h = (wheel(4), double_triangle())[i % 2]
+        g = gnm(rng.randint(5, 8), rng.randint(5, 16), rng)
+        reps.append(generate_hard_instance(g, h, find_tripartition(h))[1])
+    for rep in reps:
+        text = formats.emit_rep(rep, "p.hgr")
+        assert text == emit_rep_reference(rep, "p.hgr")
+        parsed, _ = formats.parse_rep(text, formats.emit_hgr(rep.pattern.base))
+        assert parsed == rep
+        assert formats.emit_rep(parsed, "p.hgr") == emit_rep_reference(parsed, "p.hgr")
+
+
+def test_cli_never_builds_node_tuples_of_a_parsed_rep(tmp_path, capsys, monkeypatch):
+    # verify, clique (auto on a cactus pattern, helly, treewidth), helly and
+    # load_instance's check that a .rep maps exactly the graph's vertices
+    # read a parsed representation's node numbers alone
+    runs = []
+    for i, (g, rep) in enumerate(_cactus_representations(6)):
+        stem = str(tmp_path / f"c{i}")
+        for ext, text in (
+            (".gr", formats.emit_gr(g)),
+            (".hgr", formats.emit_hgr(rep.pattern.base)),
+            (".rep", formats.emit_rep(rep, f"c{i}.hgr")),
+        ):
+            with open(stem + ext, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        graph, rep_path = ["--graph", stem + ".gr"], ["--rep", stem + ".rep"]
+        runs += [
+            ["verify", *graph, *rep_path],
+            ["clique", *graph, *rep_path],
+            ["clique", *graph, *rep_path, "--mode", "helly"],
+            ["clique", *graph, *rep_path, "--mode", "treewidth"],
+            ["helly", *rep_path],
+        ]
+    short = str(tmp_path / "short.gr")
+    with open(short, "w", encoding="utf-8") as fh:
+        fh.write(formats.emit_gr(path_graph(2)))
+    expected = []
+    for argv in runs:
+        expected.append((main(argv), capsys.readouterr().out))
+    with pytest.raises(ParseError) as err:
+        formats.load_instance(short, rep_path=str(tmp_path / "c0.rep"))
+
+    def refuse(self):
+        raise AssertionError("SubdividedPattern.nodes() called")
+
+    monkeypatch.setattr(SubdividedPattern, "nodes", refuse)
+    assert [(main(argv), capsys.readouterr().out) for argv in runs] == expected
+    assert "strategy: cactus" in expected[1][1]
+    with pytest.raises(ParseError) as again:
+        formats.load_instance(short, rep_path=str(tmp_path / "c0.rep"))
+    assert (again.value.line, again.value.message) == (err.value.line, err.value.message)
+    assert "does not map exactly" in err.value.message
 
 
 def test_td_parser_validates_header():

@@ -130,17 +130,15 @@ def test_subdivided_pattern_nodes_and_adjacency():
 
 
 def test_unknown_nodes_leave_the_pattern_index_alone():
-    # an unknown node gets the next free index in a copy, so two sets sharing
-    # it still meet, and the pattern's cached numbering stays as it was
+    # a node outside the pattern is refused when the representation is built,
+    # and the pattern's cached numbering and node graph stay as they were
     pat = _three_node_path_pattern()
-    index = dict(pat.index)
+    index, graph = dict(pat.index), SimpleGraph(pat.graph.n, pat.graph.edges)
     stray = ("x", 0)
     sets = {0: {branch(0), stray}, 1: {stray}, 2: {branch(1)}}
-    rep = HRepresentation(pat, {v: frozenset(nds) for v, nds in sets.items()})
-    assert intersection_graph(rep) == SimpleGraph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="unknown pattern node"):
-        verify_representation(path_graph(3), rep)
-    assert pat.index == index and pat.graph.n == 3
+        HRepresentation(pat, {v: frozenset(nds) for v, nds in sets.items()})
+    assert pat.index == index and pat.graph == graph and pat.graph.n == 3
 
 
 def test_verify_reports_adjacency_mismatch():
@@ -184,7 +182,8 @@ def test_verify_requires_matching_domain():
 
 def _with_faults(g, rep, rng):
     # up to three faults at random vertices: an unknown node, an empty set, a
-    # node far from the set (so it is disconnected), an edge added or removed
+    # node far from the set (so it is disconnected), an edge added or removed;
+    # it returns node sets, not a representation, which refuses unknown nodes
     adjacency = rep.pattern.adjacency
     sets, edges = dict(rep.sets), set(g.edges)
     for _ in range(rng.randint(0, 3)):
@@ -203,7 +202,7 @@ def _with_faults(g, rep, rng):
             u = rng.randrange(g.n)
             if u != v:
                 edges ^= {(min(u, v), max(u, v))}
-    return SimpleGraph(g.n, frozenset(edges)), HRepresentation(rep.pattern, sets)
+    return SimpleGraph(g.n, frozenset(edges)), sets
 
 
 def _verdict_or_error(verify, g, rep):
@@ -215,8 +214,9 @@ def _verdict_or_error(verify, g, rep):
 
 def test_verify_matches_reference_on_faults():
     # the whole outcome must agree: the first disconnected vertex, a
-    # disconnected set reported before any mismatch, every mismatch in order,
-    # and the error text of an unknown node
+    # disconnected set reported before any mismatch, and every mismatch in
+    # order; a set with an unknown node is refused when the representation
+    # is built, naming the first such vertex in key order and that node
     rng = random.Random(41)
     cases = []
     for i in range(500):
@@ -230,14 +230,22 @@ def test_verify_matches_reference_on_faults():
         cases.append(generate_hard_instance(g, h, find_tripartition(h)))
     seen = set()
     for g, rep in cases:
-        g, rep = _with_faults(g, rep, rng)
-        want = _verdict_or_error(verify_representation_reference, g, rep)
-        assert _verdict_or_error(verify_representation, g, rep) == want
-        seen.add(want[0] if isinstance(want, tuple) else want.kind)
-        if rng.random() < 0.1:
-            other = SimpleGraph(g.n + 1, g.edges)
-            want = _verdict_or_error(verify_representation_reference, other, rep)
-            assert _verdict_or_error(verify_representation, other, rep) == want
+        g, sets = _with_faults(g, rep, rng)
+        graphs = [g, SimpleGraph(g.n + 1, g.edges)][: 1 + (rng.random() < 0.1)]
+        index = rep.pattern.index
+        unknown = [v for v in sorted(sets) if not all(nd in index for nd in sets[v])]
+        if unknown:
+            v = unknown[0]
+            nd = next(nd for nd in sets[v] if nd not in index)
+            with pytest.raises(ValueError) as err:
+                HRepresentation(rep.pattern, sets)
+            assert str(err.value) == f"vertex {v} uses unknown pattern node {nd}"
+            seen.add(ValueError)
+            continue
+        faulty = HRepresentation(rep.pattern, sets)
+        want = [_verdict_or_error(verify_representation_reference, h, faulty) for h in graphs]
+        assert [_verdict_or_error(verify_representation, h, faulty) for h in graphs] == want
+        seen.add(want[0].kind)
     assert seen == {"ok", "disconnected", "mismatch", ValueError}, seen
 
 
