@@ -1,4 +1,4 @@
-"""Simple-graph and multigraph primitives plus brute-force test oracles.
+"""Simple-graph and multigraph primitives plus the brute-force clique search.
 
 Vertices are dense 0-based integers everywhere; all tie-breaks are
 lexicographic by vertex index so results are reproducible across runs.
@@ -190,44 +190,6 @@ def max_clique_bruteforce(g: SimpleGraph, limit: int = 20) -> tuple[int, ...]:
             best = child
         stack.append([child, [w for w in candidates[i + 1 :] if w in adj[v]], 0])
     return best
-
-
-def list_coloring_bruteforce(
-    g: SimpleGraph, lists: ColorLists, limit: int = 12
-) -> dict[int, int] | None:
-    """Proper list coloring by exhaustive backtracking, or None if unsatisfiable.
-
-    Vertices are colored in index order, colors tried in ascending order, so
-    the returned coloring (when one exists) is deterministic.
-    """
-    if g.n > limit:
-        raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    for v in range(g.n):
-        if v not in lists or not lists[v]:
-            raise ValueError(f"vertex {v} has no color list")
-    adj = g.adjacency
-    colors = [0] * g.n
-    untried: list = []  # explicit stack: for each vertex up to v, colors not tried
-    v = 0
-    while v < g.n:
-        if len(untried) == v:
-            untried.append(iter(sorted(lists[v])))
-        for c in untried[v]:
-            if all(colors[u] != c for u in adj[v] if u < v):
-                colors[v] = c
-                v += 1
-                break
-        else:
-            untried.pop()
-            if not untried:
-                return None
-            v -= 1
-    return dict(enumerate(colors))
-
-
-def connected_components(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by smallest member."""
-    return _components(g.adjacency, range(g.n))
 
 
 def _bits(mask: int):

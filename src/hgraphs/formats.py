@@ -214,43 +214,6 @@ def emit_hgr(h: Multigraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_td(text: str, path: str = "<td>") -> tuple[TreeDecomposition, int]:
-    """Parse a .td file; returns the decomposition and the declared graph size."""
-    rows = enumerate(text.splitlines(), start=1)
-    header_line, parts = _header(rows, "s", "content before s line", path)
-    if len(parts) != 5 or parts[1] != "td":
-        raise ParseError(path, header_line, "expected 's td <bags> <width+1> <n>'")
-    header = tuple(_count(p, path, header_line, "header field") for p in parts[2:])
-    bags: dict[int, frozenset[int]] = {}
-    tree_edges = []
-    for no, raw in rows:
-        parts = raw.split()
-        if not _content(parts, "s", path, no):
-            continue
-        if parts[0] == "b":
-            if len(parts) < 2:
-                raise ParseError(path, no, "expected 'b <id> <vertices...>'")
-            idx = _int(parts[1], path, no, "bag id")
-            _within(idx, header[0], "bag id", path, no)
-            if idx in bags:
-                raise ParseError(path, no, f"duplicate bag {idx}")
-            verts = [_int(p, path, no, "bag vertex") for p in parts[2:]]
-            for v in verts:
-                _within(v, header[2], "vertex", path, no)
-            bags[idx] = frozenset(v - 1 for v in verts)
-            continue
-        i, j = _pair(
-            parts, path, no, "bag id", header[0], "bag id", "tree edge '<i> <j>'"
-        )
-        tree_edges.append((i - 1, j - 1))
-    _declared(len(bags), header[0], "bags", path, header_line)
-    ordered = tuple(bags[i + 1] for i in range(header[0]))
-    d = TreeDecomposition(ordered, tuple(tree_edges))
-    if max((len(b) for b in ordered), default=0) != header[1]:
-        raise ParseError(path, header_line, "declared width+1 disagrees with bags")
-    return d, header[2]
-
-
 def emit_td(d: TreeDecomposition, n: int) -> str:
     width_plus = max((len(b) for b in d.bags), default=0)
     out = [f"s td {len(d.bags)} {width_plus} {n}"]

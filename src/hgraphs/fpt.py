@@ -505,6 +505,11 @@ def tree_decomposition(
     the exact subset DP (at most EXACT_LIMIT vertices) or the min-fill
     heuristic produces a decomposition, flagged when its width misses the
     accepted factor.
+
+    The paper's decisions rest on tw <= (tw(H)+1)·ω - 1 = bound(ω) for a graph
+    with a representation on H (`PatternProfile.bound`): a certified lower
+    bound above bound(k - 1) means a k-clique exists, and one above bound(k)
+    means there is no k-coloring.
     """
     if target < 0:
         raise ValueError("target width must be non-negative")
@@ -664,46 +669,6 @@ def max_clique_decomposed(g: SimpleGraph, d: TreeDecomposition) -> tuple[int, ..
     if result is None:
         raise AssertionError("bag scan found no clique of size at least 0")
     return result
-
-
-@dataclass(frozen=True)
-class KCliqueOutcome:
-    """Answer of the width-attempt pipeline for the k-clique question.
-
-    ``by_promise`` marks a positive answer concluded from a certified width
-    bound plus the caller's promise that the graph lies in a class whose
-    treewidth is bounded by the given function of the clique number; no
-    witness is fabricated in that case.
-    """
-
-    has_clique: bool
-    witness: tuple[int, ...] | None
-    by_promise: bool
-    attempt: DecompositionAttempt
-
-
-def k_clique_bounded(
-    g: SimpleGraph,
-    k: int,
-    target_width: int,
-    approx_factor: int = 5,
-    promise: bool = False,
-) -> KCliqueOutcome:
-    """Decide k-clique through a width-targeted decomposition attempt.
-
-    When the attempt certifies treewidth above the target and the promise
-    flag is set, the answer is yes without a witness.  Without the promise
-    the graph is decomposed unconditionally and solved exactly.
-    """
-    attempt = tree_decomposition(g, target_width, approx_factor)
-    if attempt.found:
-        witness = k_clique(g, k, attempt.decomposition)
-        return KCliqueOutcome(witness is not None, witness, False, attempt)
-    if promise:
-        return KCliqueOutcome(True, None, True, attempt)
-    fallback = tree_decomposition(g, max(g.n - 1, 0), approx_factor)
-    witness = k_clique(g, k, fallback.decomposition)
-    return KCliqueOutcome(witness is not None, witness, False, attempt)
 
 
 def _check_lists(g: SimpleGraph, lists: ColorLists, k: int) -> None:

@@ -30,7 +30,6 @@ from hgraphs.core import (
     _connected,
     _reach,
     complement,
-    connected_components,
     induced_subgraph,
     two_subdivision,
 )
@@ -177,12 +176,12 @@ def max_clique_bruteforce_reference(
 
 def has_clique_cutset(g: SimpleGraph) -> bool:
     """Exhaustive check: some clique's removal increases the component count."""
-    base = len(connected_components(g))
+    base = len(_components(g.adjacency, range(g.n)))
     for k in all_cliques(g):
         if len(k) == g.n:
             continue
         rest = [v for v in range(g.n) if v not in k]
-        if len(connected_components(induced_subgraph(g, rest))) > base:
+        if len(_components(g.adjacency, rest)) > base:
             return True
     return False
 
@@ -194,7 +193,7 @@ def atoms_bruteforce(g: SimpleGraph) -> list[tuple[int, ...]]:
     for k in range(1, g.n + 1):
         for vs in combinations(range(g.n), k):
             sub = induced_subgraph(g, vs)
-            if len(connected_components(sub)) == 1 and not has_clique_cutset(sub):
+            if len(_components(g.adjacency, vs)) == 1 and not has_clique_cutset(sub):
                 candidates.append(set(vs))
     return sorted(
         tuple(sorted(vs)) for vs in candidates if not any(vs < ws for ws in candidates)
@@ -1276,6 +1275,8 @@ def parse_td_reference(text: str, path: str = "<td>") -> tuple[TreeDecomposition
         if header is None:
             raise ParseError(path, no, "content before s line")
         if parts[0] == "b":
+            if len(parts) < 2:
+                raise ParseError(path, no, "expected 'b <id> <vertices...>'")
             idx = _int(parts[1], path, no, "bag id")
             if not (1 <= idx <= header[0]):
                 raise ParseError(path, no, f"bag id {idx} outside 1..{header[0]}")

@@ -15,7 +15,9 @@ from helpers import (
     carc_reference,
     coloring_is_proper,
     has_clique_cutset,
+    list_coloring_bruteforce_reference,
     maximal_cliques_reference,
+    parse_td_reference,
 )
 from hgraphs.clique import (
     carc_max_clique,
@@ -31,7 +33,6 @@ from hgraphs.core import (
     SimpleGraph,
     complete_multipartite,
     induced_subgraph,
-    list_coloring_bruteforce,
     max_clique_bruteforce,
 )
 from hgraphs.fpt import (
@@ -234,7 +235,7 @@ def test_ac7_fpt_solvers_match_oracles(monkeypatch):
             lists = random_lists(n, k, rng, singleton_fraction=0.2)
         d = tree_decomposition(g, max(n - 1, 0)).decomposition
         got = list_k_coloring(g, lists, k, d)
-        want = list_coloring_bruteforce(g, lists)
+        want = list_coloring_bruteforce_reference(g, lists)
         assert (got is None) == (want is None)
         if got is not None:
             assert coloring_is_proper(g, lists, got)
@@ -358,7 +359,7 @@ def test_ac9_cli_round_trips_and_pipeline(tmp_path, capsys):
         assert emit(parse(text, name)) == text
     with open(os.path.join(FIXTURES, "p3.td"), encoding="utf-8") as fh:
         text = fh.read()
-    d, n = formats.parse_td(text, "p3.td")
+    d, n = parse_td_reference(text, "p3.td")
     assert formats.emit_td(d, n) == text
     with open(os.path.join(FIXTURES, "path4.lists"), encoding="utf-8") as fh:
         text = fh.read()

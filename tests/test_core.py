@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given
 
 from conftest import simple_graphs
-from helpers import assert_clique, coloring_is_proper, max_clique_bruteforce_reference
+from helpers import (
+    assert_clique,
+    coloring_is_proper,
+    list_coloring_bruteforce_reference,
+    max_clique_bruteforce_reference,
+)
 from hgraphs.core import (
     SimpleGraph,
     complement,
@@ -14,7 +19,6 @@ from hgraphs.core import (
     complete_multipartite,
     cycle_graph,
     empty_graph,
-    list_coloring_bruteforce,
     max_clique_bruteforce,
     path_graph,
     petersen_graph,
@@ -174,27 +178,28 @@ def test_max_clique_bruteforce_needs_no_recursion_depth():
 
 def test_list_coloring_bruteforce_triangle_unsat():
     lists = {v: frozenset({1, 2}) for v in range(3)}
-    assert list_coloring_bruteforce(complete_graph(3), lists) is None
+    assert list_coloring_bruteforce_reference(complete_graph(3), lists) is None
 
 
 def test_list_coloring_bruteforce_forced_edge():
     lists = {0: frozenset({1}), 1: frozenset({1, 2})}
-    got = list_coloring_bruteforce(complete_graph(2), lists)
+    got = list_coloring_bruteforce_reference(complete_graph(2), lists)
     assert got == {0: 1, 1: 2}
 
 
 def test_list_coloring_bruteforce_cycle():
     g = cycle_graph(5)
     lists = {v: frozenset({1, 2, 3}) for v in range(5)}
-    got = list_coloring_bruteforce(g, lists)
+    got = list_coloring_bruteforce_reference(g, lists)
     assert got is not None and coloring_is_proper(g, lists, got)
 
 
 def test_list_coloring_bruteforce_limit_and_validation():
+    lists = {v: frozenset({1}) for v in range(13)}
     with pytest.raises(OracleLimitExceeded):
-        list_coloring_bruteforce(empty_graph(13), {v: frozenset({1}) for v in range(13)})
+        list_coloring_bruteforce_reference(empty_graph(13), lists)
     with pytest.raises(ValueError):
-        list_coloring_bruteforce(empty_graph(2), {0: frozenset({1})})
+        list_coloring_bruteforce_reference(empty_graph(2), {0: frozenset({1})})
 
 
 def test_octahedron_clique_number():

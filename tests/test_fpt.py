@@ -32,7 +32,6 @@ from hgraphs.core import (
     empty_graph,
     full_lists,
     induced_subgraph,
-    list_coloring_bruteforce,
     max_clique_bruteforce,
     path_graph,
     petersen_graph,
@@ -47,7 +46,6 @@ from hgraphs.fpt import (
     exact_decomposition,
     forced_coloring,
     k_clique,
-    k_clique_bounded,
     list_k_coloring,
     make_nice,
     max_clique_decomposed,
@@ -543,17 +541,6 @@ def test_bag_scan_sees_every_maximal_clique():
             assert any(set(clique) <= bag for bag in d.bags)
 
 
-def test_k_clique_bounded_promise_flag():
-    g = complete_graph(6)
-    outcome = k_clique_bounded(g, 3, target_width=2, promise=True)
-    assert outcome.has_clique and outcome.by_promise and outcome.witness is None
-    outcome = k_clique_bounded(g, 3, target_width=2, promise=False)
-    assert outcome.has_clique and not outcome.by_promise
-    assert outcome.witness is not None and len(outcome.witness) >= 3
-    outcome = k_clique_bounded(path_graph(5), 2, target_width=3)
-    assert outcome.has_clique and outcome.witness is not None
-
-
 def test_nice_form_and_coloring_on_long_path():
     n = 5000
     g = path_graph(n)
@@ -593,7 +580,7 @@ def test_list_coloring_pinned_path_unsat():
     }
     d = decomposition_from_order(g, minfill_order(g))
     assert list_k_coloring(g, lists, 2, d) is None
-    assert list_coloring_bruteforce(g, lists) is None
+    assert list_coloring_bruteforce_reference(g, lists) is None
 
 
 def test_list_coloring_singleton_lists_identity():
@@ -624,8 +611,7 @@ def test_list_coloring_matches_oracle():
         lists = random_lists(n, k, rng, singleton_fraction=0.25)
         d = decomposition_from_order(g, minfill_order(g))
         got = list_k_coloring(g, lists, k, d)
-        want = list_coloring_bruteforce(g, lists)
-        assert want == list_coloring_bruteforce_reference(g, lists)
+        want = list_coloring_bruteforce_reference(g, lists)
         assert (got is None) == (want is None)
         if got is not None:
             assert coloring_is_proper(g, lists, got)
@@ -681,7 +667,7 @@ def test_list_coloring_unsat_only_at_join():
     d = TreeDecomposition(bags, ((0, 1), (0, 2)))
     assert any(nd.kind == "join" for nd in make_nice(d).nodes)
     assert list_k_coloring(g, lists, 2, d) is None
-    assert list_coloring_bruteforce(g, lists) is None
+    assert list_coloring_bruteforce_reference(g, lists) is None
     for cut in g.edges:  # dropping any edge leaves a colorable path
         path = SimpleGraph.from_edges(5, [e for e in g.edges if e != cut])
         assert list_k_coloring(path, lists, 2, d) is not None
@@ -781,12 +767,6 @@ def test_list_coloring_on_a_bag_wider_than_the_recursion_limit():
     d = TreeDecomposition((frozenset(range(n)),), ())
     assert list_k_coloring(cycle_graph(n), full_lists(n, 2), 2, d) is None
     got = list_k_coloring(path_graph(n), full_lists(n, 2), 2, d)
-    assert got == {v: 1 + v % 2 for v in range(n)}
-
-
-def test_list_coloring_bruteforce_on_long_path():
-    n = 3000
-    got = list_coloring_bruteforce(path_graph(n), full_lists(n, 2), limit=n)
     assert got == {v: 1 + v % 2 for v in range(n)}
 
 

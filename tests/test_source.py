@@ -58,6 +58,78 @@ def test_package_imports_only_at_module_level():
     assert not found, f"imports below module level: {found}"
 
 
+# Definitions kept with no caller in the package, the benchmark or the
+# scripts: the constructors that build a library user's inputs, and the
+# paper's width bound (tw(H)+1)·ω−1 with the decomposition that certifies it
+# from a representation, which no command reads yet.
+LIVE_WITHOUT_CALLER = frozenset({
+    "core.empty_graph", "core.path_graph", "core.cycle_graph", "core.complete_graph",
+    "core.complete_multipartite", "core.petersen_graph", "core.induced_subgraph",
+    "pattern.path_pattern", "pattern.cycle_pattern", "pattern.complete_pattern",
+    "randgen.gnp", "randgen.random_lists",
+    "pattern.PatternProfile", "representation.td_from_representation",
+})
+
+
+def _read_names(tree):
+    """Every identifier tree reads: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def _unreached_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level definitions of the package modules in sources (module
+    name -> text) that no root reaches.  A reached definition reaches every
+    definition of a name it reads; the roots are module-level code, every
+    cli definition (commands run by name), every name read in perfbench/
+    and scripts/, every function a per_layer metric names (the harness
+    report looks each one up) and LIVE_WITHOUT_CALLER."""
+    defs, reads, roots = {}, set(), set(LIVE_WITHOUT_CALLER)
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+                if module == "cli":
+                    roots.add(f"cli.{node.name}")
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reads.update(_read_names(node))
+    for path in sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("scripts/*.py")):
+        reads.update(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    roots.update(m["name"].rpartition(".")[0] for m in spec["per_layer"])
+    by_name: dict[str, list[str]] = {}
+    for key in defs:
+        by_name.setdefault(key.partition(".")[2], []).append(key)
+    todo = [key for key in defs if key in roots]
+    todo += [key for name in reads for key in by_name.get(name, ())]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [k for n in _read_names(defs[key]) for k in by_name.get(n, ())]
+    return sorted(set(defs) - reached)
+
+
+def test_package_holds_no_tests_only_code():
+    # a definition that only tests call is a second copy of what a test
+    # reference already holds, or an answer no command gives; it belongs in
+    # tests/helpers.py.  The check must also see a planted one.
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(ROOT.glob("src/hgraphs/*.py"))
+    }
+    found = _unreached_definitions(sources)
+    assert not found, f"src/hgraphs definitions that only tests reach: {found}"
+    sources["core"] += "\n\ndef tests_only_helper(g):\n    return g.n\n"
+    assert _unreached_definitions(sources) == ["core.tests_only_helper"]
+
+
 def test_reference_helpers_share_no_private_code_with_formats():
     # a reference parser built on the parsers' own private helpers agrees with
     # them wherever those helpers are wrong, so the differential fuzz would
