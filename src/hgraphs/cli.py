@@ -109,7 +109,7 @@ def cmd_clique(args) -> int:
         best = result.clique
     elif choice.name == "treewidth":
         attempt = fpt.tree_decomposition(g, max(g.n - 1, 0))
-        best = fpt.max_clique_decomposed(g, attempt.decomposition)
+        best = fpt.k_clique(g, 0, attempt.decomposition)
     else:
         best = max_clique_bruteforce(g, limit=args.oracle_limit)
     _print_vertices("clique", best)
@@ -219,7 +219,7 @@ def cmd_td(args) -> int:
     )
     if not attempt.found:
         print(
-            f"width exceeded: {attempt.lower_bound_method} lower bound "
+            "width exceeded: degeneracy lower bound "
             f"{attempt.lower_bound} > target {target}"
         )
         return EXIT_NO

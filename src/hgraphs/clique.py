@@ -101,10 +101,6 @@ class HellyReport:
     witness: tuple[int, ...] = ()
     cap: int | None = None
 
-    @property
-    def is_helly(self) -> bool:
-        return self.kind == "helly"
-
 
 @dataclass(frozen=True)
 class HellyCliqueResult:

@@ -56,9 +56,6 @@ class SimpleGraph:
         """Neighbourhoods as int bitsets, bit u standing for vertex u."""
         return _masks(self.n, self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
@@ -103,20 +100,14 @@ class LabeledTwoSubdivision:
     """A graph, its 2-subdivision, and the per-edge vertex labeling.
 
     Edges of the base graph are indexed 0..m-1 in sorted order.  Edge k with
-    endpoints ``left(k) < right(k)`` becomes the path
-    ``(left(k), sub1(k), sub2(k), right(k))`` in the result; the two new
-    vertices per edge sit in the blocks n..n+m-1 and n+m..n+2m-1.
+    endpoints ``(a, b) = edge_order[k]``, a < b, becomes the path
+    ``(a, sub1(k), sub2(k), b)`` in the result; the two new vertices per
+    edge sit in the blocks n..n+m-1 and n+m..n+2m-1.
     """
 
     base: SimpleGraph
     result: SimpleGraph
     edge_order: tuple[tuple[int, int], ...]
-
-    def left(self, k: int) -> int:
-        return self.edge_order[k][0]
-
-    def right(self, k: int) -> int:
-        return self.edge_order[k][1]
 
     def sub1(self, k: int) -> int:
         return self.base.n + k

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import ColorLists, Multigraph, SimpleGraph
 from .errors import ParseError
 from .fpt import TreeDecomposition
-from .representation import HRepresentation, SubdividedPattern, branch, sub
+from .representation import HRepresentation, SubdividedPattern
 
 
 def _skipped(parts: list[str]) -> bool:
@@ -46,16 +46,6 @@ def _content(parts: list[str], tag: str, path: str, no: int) -> bool:
     return True
 
 
-def _reject(raw: str, tag: str, path: str, no: int, fault, *args) -> None:
-    """The slow path of a line no fast test accepted: pass a skipped line,
-    else raise for a second header, for the first fault that fault(tokens,
-    path, no, *args) names, or for an unrecognized line."""
-    parts = raw.split()
-    if _content(parts, tag, path, no):
-        fault(parts, path, no, *args)
-        raise ParseError(path, no, f"unrecognized line {raw.strip()!r}")
-
-
 def _int(tok: str, path: str, no: int, what: str) -> int:
     try:
         return int(tok)
@@ -76,15 +66,13 @@ def _within(x: int, high: int, noun: str, path: str, no: int) -> int:
     return x
 
 
-def _pair(
-    parts: list[str], path: str, no: int, what: str, high: int, noun: str, shape: str
-) -> tuple[int, int]:
-    """The two 1-based ids of a line, checked in the documented order: token
-    count, both integers, then both ranges."""
+def _pair(parts: list[str], path: str, no: int, high: int, noun: str) -> tuple[int, int]:
+    """The two 1-based ids of an edge line, checked in the documented order:
+    token count, both integers, then both ranges."""
     if len(parts) != 2:
-        raise ParseError(path, no, f"expected {shape}")
-    u = _int(parts[0], path, no, what)
-    v = _int(parts[1], path, no, what)
+        raise ParseError(path, no, "expected '<u> <v>'")
+    u = _int(parts[0], path, no, "endpoint")
+    v = _int(parts[1], path, no, "endpoint")
     return _within(u, high, noun, path, no), _within(v, high, noun, path, no)
 
 
@@ -146,29 +134,17 @@ def parse_gr(text: str, path: str = "<gr>") -> SimpleGraph:
     m = _count(parts[3], path, header_line, "edge count")
     edges = set()
     for no, raw in rows:
-        try:
-            x, y = raw.split()
-            a, b = int(x) - 1, int(y) - 1
-        except ValueError:
-            a = b = -1
-        if a > b:
-            a, b = b, a
-        # one comparison accepts a well-formed edge
-        if 0 <= a < b < n and (a, b) not in edges:
-            edges.add((a, b))
-        else:
-            _reject(raw, "p", path, no, _edge_fault, n, edges)
+        parts = raw.split()
+        if _content(parts, "p", path, no):
+            u, v = _pair(parts, path, no, n, "vertex")
+            if u == v:
+                raise ParseError(path, no, "loops are not allowed in .gr files")
+            edge = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if edge in edges:
+                raise ParseError(path, no, f"duplicate edge {u} {v}")
+            edges.add(edge)
     _declared(len(edges), m, "edges", path, header_line)
     return SimpleGraph(n, frozenset(edges))
-
-
-def _edge_fault(parts: list[str], path: str, no: int, n: int, edges: set) -> None:
-    """The fault of a .gr edge line, checked in the documented order."""
-    u, v = _pair(parts, path, no, "endpoint", n, "vertex", "'<u> <v>'")
-    if u == v:
-        raise ParseError(path, no, "loops are not allowed in .gr files")
-    if (min(u, v) - 1, max(u, v) - 1) in edges:
-        raise ParseError(path, no, f"duplicate edge {u} {v}")
 
 
 def emit_gr(g: SimpleGraph) -> str:
@@ -194,16 +170,10 @@ def parse_hgr(text: str, path: str = "<hgr>") -> Multigraph:
     m = _count(parts[2], path, header_line, "edge count")
     edges = []
     for no, raw in rows:
-        try:
-            x, y = raw.split()
-            u, v = int(x), int(y)
-        except ValueError:
-            u = v = 0
-        # one range test accepts a well-formed edge
-        if 0 < u <= n and 0 < v <= n:
+        parts = raw.split()
+        if _content(parts, "h", path, no):
+            u, v = _pair(parts, path, no, n, "node")
             edges.append((u - 1, v - 1))
-        else:
-            _reject(raw, "h", path, no, _pair, "endpoint", n, "node", "'<u> <v>'")
     _declared(len(edges), m, "edges", path, header_line)
     return Multigraph(n, tuple(edges))
 
@@ -224,10 +194,13 @@ def emit_td(d: TreeDecomposition, n: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
+def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int) -> int:
+    """The number of the node that id tok names, after the full checks; the
+    number is looked up by the node's canonical id, as the fast path does."""
     if tok.startswith("b:"):
         h = _int(tok[2:], path, no, "branch node")
-        return branch(_within(h, pattern.base.n, "branch node", path, no) - 1)
+        _within(h, pattern.base.n, "branch node", path, no)
+        return pattern.name_index[f"b:{h}"]
     if tok.startswith("s:"):
         body = tok[2:]
         if "." not in body:
@@ -242,7 +215,7 @@ def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
                 no,
                 f"edge {e} has {pattern.counts[e - 1]} subdivision nodes, not {i}",
             )
-        return sub(e - 1, i)
+        return pattern.name_index[f"s:{e}.{i}"]
     raise ParseError(path, no, f"expected b:<node> or s:<edge>.<i>, got {tok!r}")
 
 
@@ -282,8 +255,7 @@ def parse_rep(
                 numbers[v] = frozenset(map(known.__getitem__, parts[2:]))
             except KeyError:  # a bad or non-canonical id: the full checks
                 numbers[v] = frozenset([
-                    pattern.index[_parse_node_ref(tok, pattern, path, no)]
-                    for tok in parts[2:]
+                    _parse_node_ref(tok, pattern, path, no) for tok in parts[2:]
                 ])
         elif _content(parts, "r", path, no):
             if parts[0] != "subdiv":

@@ -63,12 +63,11 @@ class DecompositionAttempt:
 
     Either a decomposition was found (possibly flagged as wider than the
     accepted factor times the target), or a certified lower bound on the
-    treewidth exceeds the target.
+    treewidth, the degeneracy, exceeds the target.
     """
 
     decomposition: TreeDecomposition | None
     lower_bound: int | None = None
-    lower_bound_method: str | None = None
     over_target: bool = False
 
     @property
@@ -514,7 +513,7 @@ def tree_decomposition(
     if target < 0:
         raise ValueError("target width must be non-negative")
     if target < g.n - 1 and (lb := degeneracy(g)) > target:
-        return DecompositionAttempt(None, lower_bound=lb, lower_bound_method="degeneracy")
+        return DecompositionAttempt(None, lower_bound=lb)
     if g.n <= EXACT_LIMIT:
         width, d = exact_decomposition(g)
     else:
@@ -661,14 +660,6 @@ def k_clique(
     clique = tuple(_bits(best))
     _check_clique(g, clique)
     return clique if len(clique) >= k else None
-
-
-def max_clique_decomposed(g: SimpleGraph, d: TreeDecomposition) -> tuple[int, ...]:
-    """Maximum clique via the same bag scan as k_clique."""
-    result = k_clique(g, 0, d)
-    if result is None:
-        raise AssertionError("bag scan found no clique of size at least 0")
-    return result
 
 
 def _check_lists(g: SimpleGraph, lists: ColorLists, k: int) -> None:

@@ -68,9 +68,6 @@ class TriPartition:
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     connecting: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    def edges_between(self, i: int, j: int) -> tuple[int, ...]:
-        return self.connecting[PAIR_KEYS.index((min(i, j), max(i, j)))]
-
 
 def is_cactus(h: Multigraph) -> bool:
     """True iff no edge of h lies on two cycles, i.e. every block is a

@@ -1118,7 +1118,7 @@ def assert_clique(g: SimpleGraph, verts) -> None:
     # raised, not asserted: pytest leaves asserts in this module unrewritten,
     # and python -O would drop them
     for u, v in combinations(sorted(verts), 2):
-        if not g.has_edge(u, v):
+        if (u, v) not in g.edges:
             raise AssertionError(f"({u},{v}) missing: not a clique")
 
 
@@ -1416,8 +1416,8 @@ def generate_hard_instance_reference(
 
     counts = [0] * h.m
     chosen = {}
-    for pair, size in (((0, 1), n), ((0, 2), n), ((1, 2), m)):
-        first, second = part.edges_between(*pair)[:2]
+    for pair, connecting, size in zip(((0, 1), (0, 2), (1, 2)), part.connecting, (n, n, m)):
+        first, second = connecting[:2]
         counts[first] = size
         counts[second] = size
         chosen[pair] = (first, second)
@@ -1460,7 +1460,7 @@ def generate_hard_instance_reference(
             path_13_b[: n - q],
         )
     for j in range(m):
-        ell = labeled.left(j) + 1
+        ell = labeled.edge_order[j][0] + 1
         p = j + 1
         sets[labeled.sub1(j)] = branch_sets[1].union(
             path_12_a[ell:],
@@ -1469,7 +1469,7 @@ def generate_hard_instance_reference(
             path_23_b[: m - p],
         )
     for j in range(m):
-        rr = labeled.right(j) + 1
+        rr = labeled.edge_order[j][1] + 1
         p = j + 1
         sets[labeled.sub2(j)] = branch_sets[2].union(
             path_13_a[rr:],

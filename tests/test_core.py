@@ -76,7 +76,7 @@ def test_two_subdivision_of_k2_is_a_path():
     sub = two_subdivision(complete_graph(2))
     # edge 0 becomes the path (0, sub1, sub2, 1)
     assert sub.result.edges == frozenset({(0, 2), (2, 3), (1, 3)})
-    assert sub.left(0) == 0 and sub.right(0) == 1
+    assert sub.edge_order == ((0, 1),)
     assert sub.sub1(0) == 2 and sub.sub2(0) == 3
 
 
@@ -109,8 +109,9 @@ def test_two_subdivision_structure(g):
     assert sub.result.m == 3 * g.m
     for k in range(g.m):
         a = sub.sub1(k)
-        assert sub.result.adjacency[a] == frozenset({sub.left(k), sub.sub2(k)})
-        assert sub.left(k) < sub.right(k)
+        left, right = sub.edge_order[k]
+        assert sub.result.adjacency[a] == frozenset({left, sub.sub2(k)})
+        assert left < right
     # dropping the new vertices leaves the original vertices edgeless
     assert all(
         u >= g.n or v >= g.n for u, v in sub.result.edges

@@ -40,9 +40,12 @@ from hgraphs.pattern import (
 )
 from hgraphs.randgen import (
     gnm,
+    random_arc_model,
     random_cactus,
     random_representation,
     random_subdivision,
+    random_tree_pattern,
+    representation_from_cycle_arcs,
 )
 from hgraphs.representation import (
     HRepresentation,
@@ -548,37 +551,87 @@ def test_a_large_header_alone_never_sizes_the_id_table(parse, text, n, m):
     assert time.perf_counter() - start < 0.25
 
 
+def _chain_representation(legs: list[int]) -> HRepresentation:
+    """A caterpillar whose spine vertex j has legs[j] leaves, a path when
+    none has any, as intervals of one subdivided edge (pattern `h 2 1`), as
+    the benchmark's chains are: spine vertex j covers its leaves' nodes and
+    one node shared with each spine neighbour, and each leaf owns one node."""
+    spans, start = [], 0
+    for k in legs:
+        spans.append(range(start, start + k + 2))
+        spans += [range(start + 1 + i, start + 2 + i) for i in range(k)]
+        start += k + 1
+    pattern = SubdividedPattern(Multigraph(2, ((0, 1),)), (start - 1,))
+    order = [branch(0), *pattern.path_from(0, 0), branch(1)]
+    return HRepresentation(
+        pattern, {v: frozenset(order[p] for p in ps) for v, ps in enumerate(spans)}
+    )
+
+
+def _workload_representations(rng: random.Random):
+    """A representation of each shape the benchmark workloads write, at the
+    low end of their sizes: on a subdivided random cactus and random tree,
+    from a circular-arc model on a subdivided triangle, and a path and a
+    caterpillar on one subdivided edge."""
+    cactus = random_subdivision(random_cactus(20, rng), rng)
+    yield random_representation(cactus, 60, rng, 6)[1]
+    tree = random_subdivision(random_tree_pattern(112, rng), rng)
+    yield random_representation(tree, 100, rng, 6)[1]
+    yield representation_from_cycle_arcs(random_arc_model(30, 30, rng))
+    yield _chain_representation([0] * 150)
+    yield _chain_representation([rng.randint(0, 2) for _ in range(80)])
+
+
 def test_canonical_files_never_enter_the_line_loop(monkeypatch):
-    # gen-hard targets, their .rep files' patterns and the pattern fixtures
-    # all take the id table; one comment line sends a target to the line
-    # loop, which reads the same graph
-    headers = []
+    # every file the workloads write takes the id table, and every id of
+    # their .rep files the name table: gen-hard's inputs, targets and
+    # patterns, and the graph, pattern and .rep of each workload shape.  The
+    # checked line loop and id path are the slow paths, so a shape that fell
+    # out of either would cost every op.  One comment line sends a target to
+    # the line loop, and one non-canonical id to the id path: both read the
+    # same values.
+    headers, refs = [], []
     line_loop_header = formats._header
+    checked_ref = formats._parse_node_ref
 
     def spy(rows, tag, before, path):
         headers.append(tag)
         return line_loop_header(rows, tag, before, path)
 
+    def ref_spy(tok, pattern, path, no):
+        refs.append(tok)
+        return checked_ref(tok, pattern, path, no)
+
     monkeypatch.setattr(formats, "_header", spy)
+    monkeypatch.setattr(formats, "_parse_node_ref", ref_spy)
     rng = random.Random(11)
     targets = []
     for name in ("wheel4.hgr", "double_triangle.hgr"):
         pattern_text = read(fixture(name))
         pattern = formats.parse_hgr(pattern_text)
         for n in range(5, 9):
-            target, rep = generate_hard_instance(
-                gnm(n, 2 * n, rng), pattern, find_tripartition(pattern)
-            )
+            g = gnm(n, 2 * n, rng)
+            assert formats.parse_gr(formats.emit_gr(g)) == g
+            target, rep = generate_hard_instance(g, pattern, find_tripartition(pattern))
             text = formats.emit_gr(target)
             assert formats.parse_gr(text) == target
             parsed, _ = formats.parse_rep(formats.emit_rep(rep, name), pattern_text)
-            assert parsed.pattern.base == pattern
+            assert parsed == rep
             targets.append((text, target))
-    assert set(headers) <= {"r"}, headers
+    for rep in _workload_representations(rng):
+        g = intersection_graph(rep)
+        assert formats.parse_gr(formats.emit_gr(g)) == g
+        pattern_text = formats.emit_hgr(rep.pattern.base)
+        assert formats.parse_hgr(pattern_text) == rep.pattern.base
+        parsed, _ = formats.parse_rep(formats.emit_rep(rep, "p.hgr"), pattern_text)
+        assert parsed == rep
+    assert set(headers) <= {"r"} and not refs, (headers, refs)
     for text, target in targets:
         header, body = text.split("\n", 1)
         assert formats.parse_gr(f"{header}\nc a comment\n{body}") == target
     assert headers.count("p") == len(targets)
+    parsed, _ = formats.parse_rep("r p.hgr\nmap 1 b:01\n", "h 2 1\n1 2\n")
+    assert refs == ["b:01"] and parsed.numbers == {0: frozenset([0])}
 
 
 def _rep_texts(rng: random.Random):

@@ -60,66 +60,97 @@ def test_package_imports_only_at_module_level():
 
 # Definitions kept with no caller in the package, the benchmark or the
 # scripts: the constructors that build a library user's inputs, and the
-# paper's width bound (tw(H)+1)·ω−1 with the decomposition that certifies it
-# from a representation, which no command reads yet.
+# paper's width bound (tw(H)+1)·ω−1 with the profile it is read from and the
+# decomposition that certifies it from a representation, which no command
+# reads yet.
 LIVE_WITHOUT_CALLER = frozenset({
     "core.empty_graph", "core.path_graph", "core.cycle_graph", "core.complete_graph",
     "core.complete_multipartite", "core.petersen_graph", "core.induced_subgraph",
     "pattern.path_pattern", "pattern.cycle_pattern", "pattern.complete_pattern",
     "randgen.gnp", "randgen.random_lists",
-    "pattern.PatternProfile", "representation.td_from_representation",
+    "pattern.PatternProfile", "pattern.PatternProfile.compute",
+    "representation.td_from_representation",
 })
 
 
-def _read_names(tree):
-    """Every identifier tree reads: names, attributes and imported names."""
+def _reads(tree) -> tuple[set[str], set[str]]:
+    """The identifiers tree reads (names, attributes and imported names),
+    and the attribute names alone."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+            names.add(node.name.rpartition(".")[2])
+    return names | attrs, attrs
 
 
 def _unreached_definitions(sources: dict[str, str]) -> list[str]:
-    """The top-level definitions of the package modules in sources (module
-    name -> text) that no root reaches.  A reached definition reaches every
-    definition of a name it reads; the roots are module-level code, every
-    cli definition (commands run by name), every name read in perfbench/
-    and scripts/, every function a per_layer metric names (the harness
-    report looks each one up) and LIVE_WITHOUT_CALLER."""
-    defs, reads, roots = {}, set(), set(LIVE_WITHOUT_CALLER)
+    """The definitions of the package modules in sources (module name ->
+    text) that no root reaches: top-level functions and classes, and each
+    class's methods and properties other than dunders.
+
+    A reached definition reaches every top-level definition of a name it
+    reads, and every member of a reached class whose name it reads as an
+    attribute; a bare name never reaches a member, as a local variable may
+    share its name.  A class's own code, apart from those members, is read
+    with the class.  The roots are module-level code, every cli definition
+    (commands run by name), every name read in perfbench/ and scripts/,
+    every function a per_layer metric names (the harness report looks each
+    one up) and LIVE_WITHOUT_CALLER."""
+    defs, members, roots = {}, {}, set(LIVE_WITHOUT_CALLER)
+    names, attrs = set(), set()
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[f"{module}.{node.name}"] = node
+                key = f"{module}.{node.name}"
+                defs[key] = node
                 if module == "cli":
-                    roots.add(f"cli.{node.name}")
+                    roots.add(key)
+                if isinstance(node, ast.ClassDef):
+                    body = []
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                            defs[f"{key}.{item.name}"] = item
+                            members[f"{key}.{item.name}"] = key
+                        else:
+                            body.append(item)
+                    node.body = body
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                reads.update(_read_names(node))
+                read, read_attrs = _reads(node)
+                names |= read
+                attrs |= read_attrs
     for path in sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("scripts/*.py")):
-        reads.update(_read_names(ast.parse(path.read_text(encoding="utf-8"))))
+        read, read_attrs = _reads(ast.parse(path.read_text(encoding="utf-8")))
+        names |= read
+        attrs |= read_attrs
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     roots.update(m["name"].rpartition(".")[0] for m in spec["per_layer"])
-    by_name: dict[str, list[str]] = {}
-    for key in defs:
-        by_name.setdefault(key.partition(".")[2], []).append(key)
-    todo = [key for key in defs if key in roots]
-    todo += [key for name in reads for key in by_name.get(name, ())]
-    reached = set()
-    while todo:
-        key = todo.pop()
-        if key not in reached:
+
+    def live(key):
+        if key in roots:
+            return True
+        if key in members:
+            return members[key] in reached and key.rpartition(".")[2] in attrs
+        return key.partition(".")[2] in names
+
+    reached: set[str] = set()
+    while new := [key for key in defs if key not in reached and live(key)]:
+        for key in new:
             reached.add(key)
-            todo += [k for n in _read_names(defs[key]) for k in by_name.get(n, ())]
+            read, read_attrs = _reads(defs[key])
+            names |= read
+            attrs |= read_attrs
     return sorted(set(defs) - reached)
 
 
 def test_package_holds_no_tests_only_code():
     # a definition that only tests call is a second copy of what a test
     # reference already holds, or an answer no command gives; it belongs in
-    # tests/helpers.py.  The check must also see a planted one.
+    # tests/helpers.py.  The check must also see a planted function and a
+    # planted method.
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(ROOT.glob("src/hgraphs/*.py"))
@@ -127,7 +158,13 @@ def test_package_holds_no_tests_only_code():
     found = _unreached_definitions(sources)
     assert not found, f"src/hgraphs definitions that only tests reach: {found}"
     sources["core"] += "\n\ndef tests_only_helper(g):\n    return g.n\n"
-    assert _unreached_definitions(sources) == ["core.tests_only_helper"]
+    sources["core"] = sources["core"].replace(
+        "    def sorted_edges(self)",
+        "    def tests_only_method(self):\n        return self.n\n\n    def sorted_edges(self)",
+    )
+    assert _unreached_definitions(sources) == [
+        "core.SimpleGraph.tests_only_method", "core.tests_only_helper",
+    ]
 
 
 def test_reference_helpers_share_no_private_code_with_formats():
