@@ -35,7 +35,7 @@ def main() -> None:
         target, rep = generate_hard_instance(g, h, part)
         verdict = verify_representation(target, rep)
         elapsed = time.perf_counter() - start
-        nodes = len(rep.pattern.nodes())
+        nodes = rep.pattern.graph.n
         print(f"{n:>3} {g.m:>3} {target.n:>8} {target.m:>8} "
               f"{nodes:>9} {verdict.kind:>7} {elapsed:>6.3f}")
 

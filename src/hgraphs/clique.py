@@ -211,7 +211,7 @@ def helly_check(r: HRepresentation, cap: int) -> HellyReport:
     enum = maximal_cliques_capped(g, cap)
     if not enum.complete:
         return HellyReport("exceeded", cap=cap)
-    numbers = r.numbers
+    numbers = r.sets
     for clique in enum.cliques:
         if not frozenset.intersection(*[numbers[v] for v in clique]):
             return HellyReport("violation", witness=clique)
@@ -495,11 +495,11 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
     component of the union minus x (otherwise the holders of x form a clique
     cutset of the atom), and truncating every set to that component plus x
     preserves the intersection graph.  The final path or cycle yields integer
-    arc positions in node order.  Nodes are numbered as in ``r.numbers``,
-    in sorted order, and the union's parts are found by ``_grow`` on masks of
+    arc positions in node order.  Nodes are the pattern's numbers
+    (``r.sets``), and the union's parts are found by ``_grow`` on masks of
     the atom's nodes alone, read off ``pattern.graph``.
     """
-    numbers, adjacency = r.numbers, r.pattern.graph.adjacency
+    numbers, adjacency = r.sets, r.pattern.graph.adjacency
     sets = {v: numbers[v] for v in atom.vertices}
     masks = {x: sum(1 << y for y in adjacency[x]) for x in set().union(*sets.values())}
     while True:

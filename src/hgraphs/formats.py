@@ -221,15 +221,15 @@ def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int) ->
 
 def parse_rep(
     text: str, pattern_text: str, path: str = "<rep>", pattern_path: str = "<hgr>"
-) -> tuple[HRepresentation, str]:
+) -> HRepresentation:
     """Parse a .rep file given the text of the pattern file it references.
 
-    Returns the representation and the pattern reference recorded in the
-    header (the caller resolves that reference to load ``pattern_text``).
+    The caller reads that reference from the header (``_rep_header``) and
+    resolves it to load ``pattern_text``.
     """
     base = parse_hgr(pattern_text, pattern_path)
     rows = enumerate(text.splitlines(), start=1)
-    ref = _rep_header(rows, path)
+    _rep_header(rows, path)
     counts: list[int | None] = [None] * base.m  # None: no subdiv line
     numbers: dict[int, frozenset[int]] = {}  # each vertex's node numbers
     pattern: SubdividedPattern | None = None  # fixed by the first map line
@@ -280,7 +280,7 @@ def parse_rep(
     if sorted(numbers) != list(range(len(numbers))):
         missing = next(i for i in range(len(numbers) + 1) if i not in numbers)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
-    return HRepresentation.from_numbers(pattern, numbers), ref
+    return HRepresentation(pattern, numbers)
 
 
 def _rep_header(rows, path: str) -> str:
@@ -294,8 +294,7 @@ def _rep_header(rows, path: str) -> str:
 def emit_rep(r: HRepresentation, pattern_ref: str) -> str:
     out = [f"r {pattern_ref}"]
     out += [f"subdiv {k + 1} {t}" for k, t in enumerate(r.pattern.counts) if t > 0]
-    # node numbers sort as the nodes do (``SubdividedPattern.index``)
-    names, numbers = r.pattern.names(), r.numbers
+    names, numbers = r.pattern.names(), r.sets
     for v in sorted(numbers):
         refs = " ".join([names[i] for i in sorted(numbers[v])])
         out.append(f"map {v + 1} {refs}")
@@ -358,7 +357,7 @@ def load_instance(
         text = _read(rep_path)
         ref = _rep_header(enumerate(text.splitlines(), start=1), rep_path)
         resolved = os.path.join(os.path.dirname(rep_path) or ".", ref)
-        rep, _ = parse_rep(text, _read(resolved), rep_path, resolved)
+        rep = parse_rep(text, _read(resolved), rep_path, resolved)
         if pattern is not None and rep.pattern.base != pattern:
             raise ParseError(
                 rep_path, 1, "representation pattern differs from --pattern file"
@@ -366,7 +365,7 @@ def load_instance(
     if lists_path is not None:
         lists = parse_lists(_read(lists_path), lists_path)
     if rep is not None and graph is not None:
-        if sorted(rep.numbers) != list(range(graph.n)):
+        if sorted(rep.sets) != list(range(graph.n)):
             # the first map line beyond the graph, else line 1
             rows = enumerate(map(str.split, text.splitlines()), start=1)
             beyond = (no for no, p in rows if p[:1] == ["map"] and int(p[1]) > graph.n)

@@ -6,7 +6,7 @@ import random
 
 from .clique import ArcModel, _classify_shape
 from .core import SimpleGraph, Multigraph, _masks
-from .representation import HRepresentation, Node, SubdividedPattern, intersection_graph
+from .representation import HRepresentation, SubdividedPattern, intersection_graph
 
 
 def gnp(n: int, p: float, rng: random.Random) -> SimpleGraph:
@@ -64,10 +64,10 @@ def random_subdivision(
 
 def random_connected_set(
     pattern: SubdividedPattern, rng: random.Random, max_size: int = 6
-) -> frozenset[Node]:
+) -> frozenset[int]:
     """Random connected node set grown from a uniform seed node."""
-    adjacency = pattern.adjacency
-    current = {rng.choice(list(pattern.index))}  # cached: nodes() rebuilds them all
+    adjacency = pattern.graph.adjacency
+    current = {rng.choice(range(pattern.node_count))}
     target = rng.randint(1, max_size)
     while len(current) < target:
         boundary = sorted(
@@ -149,4 +149,4 @@ def representation_from_cycle_arcs(model: ArcModel) -> HRepresentation:
     graph = pattern.graph
     _, order = _classify_shape((1 << graph.n) - 1, _masks(graph.n, graph.edges))
     numbers = {v: frozenset(order[p] for p in model.positions(v)) for v in model.arcs}
-    return HRepresentation.from_numbers(pattern, numbers)
+    return HRepresentation(pattern, numbers)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import (
     Multigraph,
@@ -30,17 +29,9 @@ from .pattern import (
     validate_tripartition,
 )
 
-# Pattern nodes: ("b", h) is the branch node for pattern node h;
-# ("s", k, i) is the i-th internal node (1-based) on the path replacing edge k.
-Node = tuple
-
-
-def branch(h: int) -> Node:
-    return ("b", h)
-
-
-def sub(k: int, i: int) -> Node:
-    return ("s", k, i)
+def branch(h: int) -> int:
+    """The number of branch node h, which is h."""
+    return h
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,9 @@ class SubdividedPattern:
     """A pattern with a per-edge count of internal subdivision nodes.
 
     Contracting all subdivision nodes recovers the base pattern exactly.
-    Loop edges stay inert and must keep a count of zero.
+    Loop edges stay inert and must keep a count of zero.  A node is a
+    number: branch node h is h, and edge k's internal nodes follow the
+    branch nodes, edge by edge, in order from the edge's first end.
     """
 
     base: Multigraph
@@ -64,37 +57,26 @@ class SubdividedPattern:
             if u == v and t != 0:
                 raise ValueError(f"loop edge {k} cannot be subdivided")
 
-    def nodes(self) -> tuple[Node, ...]:
-        """The branch nodes, then each edge's internal nodes: sorted order."""
-        # branch() and sub() tuples inline: .rep files and index build them all
-        out = [("b", h) for h in range(self.base.n)]
-        counts = enumerate(self.counts)
-        out += [("s", k, i) for k, t in counts for i in range(1, t + 1)]
-        return tuple(out)
+    @cached_property
+    def node_count(self) -> int:
+        """The branch nodes and every edge's internal nodes, counted."""
+        return self.base.n + sum(self.counts)
 
     def names(self) -> tuple[str, ...]:
-        """Each node's id in .rep files, in ``nodes()`` order: b:<node> for a
-        branch node, s:<edge>.<i> for a subdivision node (1-based)."""
+        """Each node's id in .rep files, by number: b:<node> for a branch
+        node, s:<edge>.<i> for a subdivision node (1-based)."""
         out = [f"b:{h + 1}" for h in range(self.base.n)]
         counts = enumerate(self.counts, start=1)
         out += [f"s:{k}.{i}" for k, t in counts for i in range(1, t + 1)]
         return tuple(out)
 
     @cached_property
-    def index(self) -> dict[Node, int]:
-        """Each node's position in ``nodes()``: the one numbering that every
-        mask over pattern nodes uses."""
-        return {nd: i for i, nd in enumerate(self.nodes())}
-
-    @cached_property
     def name_index(self) -> dict[str, int]:
-        """Each node's .rep id (``names()``) to its number in ``index``: a
-        parsed map line numbers its nodes without building them."""
+        """Each node's .rep id (``names()``) to its number."""
         return {name: i for i, name in enumerate(self.names())}
 
     def _edges(self) -> list[tuple[int, int]]:
-        """The edges of ``graph``, each pair in order: branch node h is h, and
-        each edge's internal nodes follow in order, from its first end."""
+        """The edges of ``graph``, each pair in order."""
         edges, at = [], self.base.n
         for (u, v), t in zip(self.base.edges, self.counts):
             if t:  # each pair in order, as branch nodes come first
@@ -107,9 +89,9 @@ class SubdividedPattern:
 
     @cached_property
     def graph(self) -> SimpleGraph:
-        """The pattern on node indices; callers build masks with ``_masks`` and
-        drop them, as on a long path they take about n²/2 bits."""
-        return SimpleGraph(self.base.n + sum(self.counts), frozenset(self._edges()))
+        """The pattern on node numbers; callers build masks with ``_masks``
+        and drop them, as on a long path they take about n²/2 bits."""
+        return SimpleGraph(self.node_count, frozenset(self._edges()))
 
     @cached_property
     def cactus(self) -> bool:
@@ -118,72 +100,42 @@ class SubdividedPattern:
         return is_cactus(self.base)
 
     @cached_property
-    def adjacency(self) -> dict[Node, frozenset[Node]]:
-        """Each node's neighbours, in ``nodes()`` order; a subdivision node's
-        are the two nodes next to it on its edge's path (``_edges``)."""
-        nodes = self.nodes()
-        nbrs: list[list[Node]] = [[] for _ in nodes]
-        for a, b in self._edges():
-            nbrs[a].append(nodes[b])
-            nbrs[b].append(nodes[a])
-        return dict(zip(nodes, map(frozenset, nbrs)))
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Each node's neighbours, keyed by number."""
+        return dict(enumerate(self.graph.adjacency))
 
-    def path_from(self, k: int, endpoint: int) -> list[Node]:
+    def path_from(self, k: int, endpoint: int) -> list[int]:
         """Internal nodes of edge k ordered away from the given endpoint."""
         u, v = self.base.edges[k]
         if endpoint not in (u, v):
             raise ValueError(f"node {endpoint} is not an endpoint of edge {k}")
-        t = self.counts[k]
-        forward = [sub(k, i) for i in range(1, t + 1)]
+        at = self.base.n + sum(self.counts[:k])
+        forward = list(range(at, at + self.counts[k]))
         return forward if endpoint == u else forward[::-1]
 
 
 class HRepresentation:
     """Map from graph vertices to non-empty connected node sets of a pattern.
 
-    ``numbers`` is the one stored form: each vertex's set as node numbers
-    (``pattern.index``), fixed at construction, where a node outside the
-    pattern is refused.  ``sets`` is the read-only node-set view: the
-    mapping given, for a representation built from node sets; for one built
-    by ``from_numbers``, as a parsed one is, it is built on its first read.
+    ``sets`` holds each vertex's set as node numbers, fixed at
+    construction, where a number outside the pattern is refused.
     """
 
-    def __init__(self, pattern: SubdividedPattern, sets: Mapping[int, frozenset[Node]]):
-        index = pattern.index
-        number = index.__getitem__
-        try:
-            numbers = {v: frozenset(map(number, nds)) for v, nds in sets.items()}
-        except KeyError:  # name the least vertex with a node outside the pattern
-            v = min(v for v, nds in sets.items() if any(nd not in index for nd in nds))
-            nd = next(nd for nd in sets[v] if nd not in index)
-            raise ValueError(f"vertex {v} uses unknown pattern node {nd}") from None
-        self.pattern, self.numbers = pattern, numbers
-        self._sets = MappingProxyType(dict(sets))
-
-    @staticmethod
-    def from_numbers(
-        pattern: SubdividedPattern, numbers: dict[int, frozenset[int]]
-    ) -> HRepresentation:
-        """The representation whose vertex v has the nodes numbered numbers[v]."""
-        r = object.__new__(HRepresentation)
-        r.pattern, r.numbers, r._sets = pattern, numbers, None
-        return r
-
-    @property
-    def sets(self) -> Mapping[int, frozenset[Node]]:
-        if self._sets is None:
-            node = self.pattern.nodes().__getitem__
-            sets = {v: frozenset(map(node, ids)) for v, ids in self.numbers.items()}
-            self._sets = MappingProxyType(sets)
-        return self._sets
+    def __init__(self, pattern: SubdividedPattern, sets: Mapping[int, Iterable[int]]):
+        sets = {v: frozenset(ids) for v, ids in sets.items()}
+        every = frozenset(range(pattern.node_count))
+        if not all(map(every.issuperset, sets.values())):
+            v = min(v for v, ids in sets.items() if not every.issuperset(ids))
+            raise ValueError(f"vertex {v} uses unknown pattern node {min(sets[v] - every)}")
+        self.pattern, self.sets = pattern, sets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HRepresentation):
             return NotImplemented
-        return (self.pattern, self.numbers) == (other.pattern, other.numbers)
+        return (self.pattern, self.sets) == (other.pattern, other.sets)
 
     def __repr__(self) -> str:
-        return f"HRepresentation.from_numbers({self.pattern!r}, {self.numbers!r})"
+        return f"HRepresentation({self.pattern!r}, {self.sets!r})"
 
 
 @dataclass(frozen=True)
@@ -204,10 +156,10 @@ def _meets(r: HRepresentation) -> list[int]:
     """For each vertex v the mask of the vertices whose sets meet v's: the OR
     of the holder masks (bit u for vertex u) of v's node numbers.
 
-    The vertices are 0..len(r.numbers)-1.
+    The vertices are 0..len(r.sets)-1.
     """
-    numbers = r.numbers
-    holders = [0] * (r.pattern.base.n + sum(r.pattern.counts))
+    numbers = r.sets
+    holders = [0] * r.pattern.node_count
     for v in range(len(numbers)):
         bit = 1 << v
         for i in numbers[v]:
@@ -227,14 +179,14 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
     Each node set must induce a connected subgraph of the subdivided pattern,
     and two sets must share a node precisely when the vertices are adjacent.
 
-    Sets are int masks of node numbers (``r.numbers``), each grown inside
+    Sets are int masks of node numbers (``r.sets``), each grown inside
     itself on the pattern's masks.  Then v's set meets exactly the sets of v
     and its neighbours iff its meet mask (`_meets`) is ``g.masks[v] | 1 << v``.
     """
-    if set(r.numbers) != set(range(g.n)):
+    if set(r.sets) != set(range(g.n)):
         raise DomainMismatch("representation domain differs from graph vertices")
-    pattern, numbers = r.pattern, r.numbers
-    nbr = _masks(pattern.base.n + sum(pattern.counts), pattern._edges())
+    pattern, numbers = r.pattern, r.sets
+    nbr = _masks(pattern.node_count, pattern._edges())
     for v in range(g.n):
         mask = sum(map((1).__lshift__, numbers[v]))
         if not mask or _grow(nbr, mask & -mask, mask) != mask:
@@ -256,7 +208,7 @@ def verify_representation(g: SimpleGraph, r: HRepresentation) -> Verdict:
 
 def intersection_graph(r: HRepresentation) -> SimpleGraph:
     """The graph encoded by node sharing; domain must be dense 0..n-1."""
-    verts = sorted(r.numbers)
+    verts = sorted(r.sets)
     if verts != list(range(len(verts))):
         raise DomainMismatch("representation domain must be dense 0-based")
     meets = _meets(r)
@@ -307,7 +259,7 @@ def generate_hard_instance(
 
     (head01, tail01), (head02, tail02), (head12, tail12) = map(cuts, range(3))
 
-    top, mid, low = (frozenset(branch(x) for x in p) for p in part.parts)
+    top, mid, low = map(frozenset, part.parts)  # branch node h is h
     sets = {i: top.union(head01(i + 1), head02(i + 1)) for i in range(n)}
     for j, (u, v) in enumerate(labeled.edge_order):
         sets[labeled.sub1(j)] = mid.union(tail01(u + 1), head12(j + 1))
@@ -352,7 +304,7 @@ def td_from_representation(
     node_dec = decomposition_from_order(graph, order)
     holders: list[list[int]] = [[] for _ in range(graph.n)]
     for v in range(g.n):
-        for i in r.numbers[v]:
+        for i in r.sets[v]:
             holders[i].append(v)
     bags = tuple(frozenset(v for i in bag for v in holders[i]) for bag in node_dec.bags)
     return TreeDecomposition(bags, node_dec.tree_edges)

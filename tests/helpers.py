@@ -57,13 +57,34 @@ from hgraphs.pattern import (
 )
 from hgraphs.representation import (
     HRepresentation,
-    Node,
     SubdividedPattern,
     Verdict,
-    branch,
-    sub,
     verify_representation,
 )
+
+
+# Pattern nodes as tuples, built here apart from the package: ("b", h) is
+# branch node h and ("s", k, i) the i-th internal node (1-based) of edge k.
+# The package numbers a pattern's nodes in their sorted tuple order, and the
+# references below number their tuples so by themselves.
+Node = tuple
+
+
+def node_tuples(pattern: SubdividedPattern) -> list[Node]:
+    """Every node of pattern as a tuple, in sorted order."""
+    nodes = [("b", h) for h in range(pattern.base.n)]
+    nodes += [("s", k, i) for k, t in enumerate(pattern.counts) for i in range(1, t + 1)]
+    return sorted(nodes)
+
+
+def node_numbers(pattern: SubdividedPattern) -> dict[Node, int]:
+    """Each node tuple's number: its position in sorted order."""
+    return {nd: i for i, nd in enumerate(node_tuples(pattern))}
+
+
+def sub(pattern: SubdividedPattern, k: int, i: int) -> int:
+    """The number of edge k's i-th internal node (1-based)."""
+    return node_numbers(pattern)[("s", k, i)]
 
 
 def all_cliques(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -464,16 +485,17 @@ def clique_cactus_reference(g: SimpleGraph, r: HRepresentation) -> tuple[int, ..
     return best
 
 
-# The tuple-keyed pattern adjacency and the arc-model peel on tuple node
-# sets, from before both were read off the pattern's node-index graph, kept
-# verbatim (renamed) so tests can require identical neighbours and arc
-# models from them.  The peel reads pattern.adjacency, which a test holds
-# equal to the adjacency here.
+# The pattern adjacency built on node tuples and the arc-model peel on node
+# sets, from before both were read off the pattern's node graph, kept
+# (renamed) so tests can require identical neighbours and arc models from
+# them.  The adjacency numbers its tuples itself (``node_numbers``); the
+# peel reads pattern.adjacency, which a test holds equal to the adjacency
+# here.
 def subdivided_adjacency_reference(
     pattern: SubdividedPattern,
-) -> dict[Node, frozenset[Node]]:
-    """Each node's neighbours, in ``nodes()`` order; a subdivision node's
-    are the two nodes next to it on its edge's path."""
+) -> dict[int, frozenset[int]]:
+    """Each node's neighbours, by number; a subdivision node's are the two
+    nodes next to it on its edge's path."""
     ends: dict[Node, set[Node]] = {("b", h): set() for h in range(pattern.base.n)}
     inner: dict[Node, frozenset[Node]] = {}
     for k, (u, v) in enumerate(pattern.base.edges):
@@ -487,12 +509,13 @@ def subdivided_adjacency_reference(
             inner[path[i]] = frozenset((path[i - 1], path[i + 1]))
     out = {nd: frozenset(s) for nd, s in ends.items()}
     out.update(inner)
-    return out
+    number = node_numbers(pattern)
+    return {number[nd]: frozenset(map(number.get, out[nd])) for nd in sorted(out)}
 
 
 def _classify_shape_reference(
-    nodes: list[Node], adjacency
-) -> tuple[str, list[Node]] | None:
+    nodes: list[int], adjacency
+) -> tuple[str, list[int]] | None:
     """Recognize the induced subgraph on nodes as a path or cycle.
 
     Returns ("path", order) or ("cycle", order), or None for anything else.
@@ -573,14 +596,14 @@ class _BlockArcs:
         return self.covered[v]
 
 
-def _pattern_cycles(adjacency) -> list[list[Node]]:
+def _pattern_cycles(adjacency) -> list[list[int]]:
     """The cycles of a cactus node graph, each in cyclic order.
 
     A depth-first search on an explicit stack: in a cactus every back edge
     closes exactly one cycle, the tree path up to its ancestor end.
     """
-    parent: dict[Node, Node | None] = {}
-    depth: dict[Node, int] = {}
+    parent: dict[int, int | None] = {}
+    depth: dict[int, int] = {}
     cycles = []
     for root in sorted(adjacency):
         if root in depth:
@@ -616,13 +639,13 @@ def cactus_omega_reference(r: HRepresentation) -> int:
     larger of the most sets on one node and the clique number of each cycle
     block's arc model, found by carc_reference.
     """
-    load: dict[Node, int] = {}
+    load: dict[int, int] = {}
     for nodes in r.sets.values():
         for x in nodes:
             load[x] = load.get(x, 0) + 1
     best = max(load.values(), default=0)
     cycles = _pattern_cycles(r.pattern.adjacency)
-    on: dict[Node, list[tuple[int, int]]] = {}  # node -> (cycle, position)
+    on: dict[int, list[tuple[int, int]]] = {}  # node -> (cycle, position)
     for c, cycle in enumerate(cycles):
         for i, x in enumerate(cycle):
             on.setdefault(x, []).append((c, i))
@@ -1160,7 +1183,7 @@ def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
         h = _int(tok[2:], path, no, "branch node")
         if not (1 <= h <= pattern.base.n):
             raise ParseError(path, no, f"branch node {h} outside 1..{pattern.base.n}")
-        return branch(h - 1)
+        return ("b", h - 1)
     if tok.startswith("s:"):
         body = tok[2:]
         if "." not in body:
@@ -1176,7 +1199,7 @@ def _parse_node_ref(tok: str, pattern: SubdividedPattern, path: str, no: int):
                 no,
                 f"edge {e} has {pattern.counts[e - 1]} subdivision nodes, not {i}",
             )
-        return sub(e - 1, i)
+        return ("s", e - 1, i)
     raise ParseError(path, no, f"expected b:<node> or s:<edge>.<i>, got {tok!r}")
 
 
@@ -1316,6 +1339,8 @@ def parse_rep_reference(
 
     Returns the representation and the pattern reference recorded in the
     header (the caller resolves that reference to load ``pattern_text``).
+    Map lines are read to node tuples, numbered at the end by
+    ``node_numbers``.
     """
     pattern_base = parse_hgr_reference(pattern_text, pattern_path)
     ref = None
@@ -1375,22 +1400,22 @@ def parse_rep_reference(
     if sorted(sets) != list(range(len(sets))):
         missing = next(i for i in range(len(sets) + 1) if i not in sets)
         raise ParseError(path, 1, f"no map line for vertex {missing + 1}")
-    return HRepresentation(pattern, sets), ref
+    number = node_numbers(pattern)
+    numbers = {v: map(number.get, nds) for v, nds in sets.items()}
+    return HRepresentation(pattern, numbers), ref
 
 
 # The emitter that wrote each vertex's node tuples through a node -> id map,
-# from before it read node numbers, kept verbatim (renamed) so tests can
-# require byte-identical files from both.
+# from before it read node numbers, kept (renamed) so tests can require
+# byte-identical files from both; it reads the numbers back to tuples
+# through its own sorted tuple order and names the tuples itself.
 def emit_rep_reference(r: HRepresentation, pattern_ref: str) -> str:
     out = [f"r {pattern_ref}"]
     out += [f"subdiv {k + 1} {t}" for k, t in enumerate(r.pattern.counts) if t > 0]
-    name = dict(zip(r.pattern.nodes(), r.pattern.names()))
+    nodes = node_tuples(r.pattern)
+    name = {nd: f"b:{nd[1] + 1}" if nd[0] == "b" else f"s:{nd[1] + 1}.{nd[2]}" for nd in nodes}
     for v in sorted(r.sets):
-        try:
-            refs = " ".join([name[nd] for nd in sorted(r.sets[v])])
-        except KeyError:
-            nd = next(nd for nd in r.sets[v] if nd not in name)
-            raise ValueError(f"vertex {v} uses unknown pattern node {nd}")
+        refs = " ".join([name[nd] for nd in sorted(nodes[i] for i in r.sets[v])])
         out.append(f"map {v + 1} {refs}")
     return "\n".join(out) + "\n"
 
@@ -1428,7 +1453,7 @@ def generate_hard_instance_reference(
         for node in p:
             in_part[node] = i
 
-    def oriented(k: int, from_part: int) -> list[Node]:
+    def oriented(k: int, from_part: int) -> list[int]:
         u, v = h.edges[k]
         start = u if in_part[u] == from_part else v
         return pattern.path_from(k, start)
@@ -1441,11 +1466,9 @@ def generate_hard_instance_reference(
     path_23_a = oriented(chosen[(1, 2)][0], 1)
     path_23_b = oriented(chosen[(1, 2)][1], 1)
 
-    branch_sets = [
-        frozenset(branch(x) for x in p) for p in part.parts
-    ]
+    branch_sets = [frozenset(p) for p in part.parts]  # branch node h is h
 
-    sets: dict[int, frozenset[Node]] = {}
+    sets: dict[int, frozenset[int]] = {}
     # Vertex i of g (1-based position q = i+1) takes prefixes of length q of
     # one path per pair and complementary length n-q of the other, so two
     # original vertices always share part-1 branch nodes, while the sets for
@@ -1503,7 +1526,7 @@ def verify_representation_reference(g: SimpleGraph, r: HRepresentation) -> Verdi
     """
     if set(r.sets.keys()) != set(range(g.n)):
         raise DomainMismatch("representation domain differs from graph vertices")
-    adjacency = r.pattern.adjacency
+    adjacency = subdivided_adjacency_reference(r.pattern)
     for v in range(g.n):
         for nd in r.sets[v]:
             if nd not in adjacency:

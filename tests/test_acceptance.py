@@ -369,8 +369,9 @@ def test_ac9_cli_round_trips_and_pipeline(tmp_path, capsys):
             rep_text = fh.read()
         with open(os.path.join(FIXTURES, pat_name), encoding="utf-8") as fh:
             pat_text = fh.read()
-        rep, ref = formats.parse_rep(rep_text, pat_text, rep_name, pat_name)
-        assert formats.emit_rep(rep, ref) == rep_text
+        rep = formats.parse_rep(rep_text, pat_text, rep_name, pat_name)
+        ref = formats._rep_header(enumerate(rep_text.splitlines(), start=1), rep_name)
+        assert ref == pat_name and formats.emit_rep(rep, ref) == rep_text
 
     out_graph = str(tmp_path / "target.gr")
     out_rep = str(tmp_path / "inst.rep")

@@ -22,6 +22,7 @@ from helpers import (
     maximal_cliques_reference,
     mcs_m_reference,
     random_chordal,
+    sub,
 )
 import hgraphs.clique as clique_module
 from hgraphs.clique import (
@@ -70,7 +71,6 @@ from hgraphs.representation import (
     branch,
     generate_hard_instance,
     intersection_graph,
-    sub,
     td_from_representation,
     verify_representation,
 )
@@ -408,8 +408,8 @@ def test_arc_model_for_cycle_of_arcs():
     # triangle edges are indexed (0,1), (0,2), (1,2); 10-node cycle
     pat = SubdividedPattern(complete_pattern(3), (2, 3, 2))
     order = [
-        branch(0), sub(0, 1), sub(0, 2), branch(1), sub(2, 1), sub(2, 2),
-        branch(2), sub(1, 3), sub(1, 2), sub(1, 1),
+        branch(0), sub(pat, 0, 1), sub(pat, 0, 2), branch(1), sub(pat, 2, 1), sub(pat, 2, 2),
+        branch(2), sub(pat, 1, 3), sub(pat, 1, 2), sub(pat, 1, 1),
     ]
     sets = {
         v: frozenset(order[p % 10] for p in range(2 * v, 2 * v + 3))
@@ -428,9 +428,9 @@ def test_arc_model_peels_figure_eight():
     # two digon cycles sharing branch node 0; the atom lives in the first
     h = Multigraph(3, ((0, 1), (0, 1), (0, 2), (0, 2)))
     pat = SubdividedPattern(h, (2, 2, 2, 2))
-    cycle_one = [branch(0), sub(0, 1), sub(0, 2), branch(1), sub(1, 2), sub(1, 1)]
+    cycle_one = [branch(0), sub(pat, 0, 1), sub(pat, 0, 2), branch(1), sub(pat, 1, 2), sub(pat, 1, 1)]
     sets = {
-        0: frozenset(cycle_one[0:3] + [sub(2, 1)]),  # pokes into the second cycle
+        0: frozenset(cycle_one[0:3] + [sub(pat, 2, 1)]),  # pokes into the second cycle
         1: frozenset(cycle_one[2:5]),
         2: frozenset(cycle_one[4:6] + cycle_one[0:1]),
     }
@@ -611,26 +611,22 @@ def _random_cactus_representations(count: int = 16):
 
 
 def test_parsed_representations_never_build_node_tuples(monkeypatch):
-    # a parsed .rep keeps node numbers, and verify, the cactus route, the
-    # intersection graph, the Helly check and the decomposition read those
-    # alone: none of them may build the pattern's node tuples
+    # a parsed .rep holds node numbers, the one form of a pattern node, and
+    # verify, the cactus route, the intersection graph, the Helly check and
+    # the decomposition give it the answers of the representation it was
+    # written from
     cases = []
     for g, rep in _random_cactus_representations(24):
         text, pattern_text = emit_rep(rep, "p.hgr"), emit_hgr(rep.pattern.base)
         expected = (clique_cactus(g, rep), helly_check(rep, 10_000))
         cases.append((g, text, pattern_text, expected))
-
-    def refuse(self):
-        raise AssertionError("SubdividedPattern.nodes() called")
-
-    monkeypatch.setattr(SubdividedPattern, "nodes", refuse)
     models = []
     monkeypatch.setattr(
         clique_module, "carc_max_clique",
         lambda model: models.append(model) or carc_max_clique(model),
     )
     for g, text, pattern_text, expected in cases:
-        rep, _ = parse_rep(text, pattern_text)
+        rep = parse_rep(text, pattern_text)
         assert verify_representation(g, rep).is_ok
         assert (clique_cactus(g, rep), helly_check(rep, 10_000)) == expected
         assert intersection_graph(rep) == g
@@ -639,12 +635,12 @@ def test_parsed_representations_never_build_node_tuples(monkeypatch):
     # built in code, a representation refuses a node outside its pattern
     monkeypatch.undo()
     pat = SubdividedPattern(Multigraph(2, ((0, 1),)), (1,))
-    x, y = ("x", 0), ("y", 0)
+    x, y = 3, -1
     sets = {
         0: frozenset({branch(0), x}), 1: frozenset({x, y}), 2: frozenset({y}),
-        3: frozenset({sub(0, 1), branch(1)}),
+        3: frozenset({sub(pat, 0, 1), branch(1)}),
     }
-    with pytest.raises(ValueError, match=r"vertex 0 uses unknown pattern node \('x', 0\)"):
+    with pytest.raises(ValueError, match=r"^vertex 0 uses unknown pattern node 3$"):
         HRepresentation(pat, sets)
 
 
@@ -892,11 +888,11 @@ def _non_atom_fixtures():
     # the cut node with carriers on both sides: a clique cutset in disguise
     h = Multigraph(3, ((0, 1), (0, 1), (0, 2), (0, 2)))
     pat = SubdividedPattern(h, (2, 2, 2, 2))
-    cycle_one_rest = {sub(0, 1), sub(0, 2), branch(1), sub(1, 2), sub(1, 1)}
-    cycle_two_rest = {sub(2, 1), sub(2, 2), branch(2), sub(3, 2), sub(3, 1)}
+    cycle_one_rest = {sub(pat, 0, 1), sub(pat, 0, 2), branch(1), sub(pat, 1, 2), sub(pat, 1, 1)}
+    cycle_two_rest = {sub(pat, 2, 1), sub(pat, 2, 2), branch(2), sub(pat, 3, 2), sub(pat, 3, 1)}
     sets = {
         0: frozenset(cycle_one_rest),
-        1: frozenset({sub(0, 1), branch(0), sub(2, 1)}),
+        1: frozenset({sub(pat, 0, 1), branch(0), sub(pat, 2, 1)}),
         2: frozenset(cycle_two_rest),
     }
     yield path_graph(3), HRepresentation(pat, sets), True
@@ -908,10 +904,10 @@ def _non_atom_fixtures():
     yield intersection_graph(rep), rep, True
     # sets that are not connected: two ends of a path, and two arcs of a cycle
     pat = SubdividedPattern(path_pattern(2), (3,))
-    ends = {0: frozenset({branch(0), sub(0, 2)}), 1: frozenset({sub(0, 1)})}
+    ends = {0: frozenset({branch(0), sub(pat, 0, 2)}), 1: frozenset({sub(pat, 0, 1)})}
     yield complete_graph(2), HRepresentation(pat, ends), False
     pat = SubdividedPattern(cycle_pattern(3), (1, 1, 1))
-    ring = [branch(0), sub(0, 1), branch(1), sub(1, 1), branch(2), sub(2, 1)]
+    ring = [branch(0), sub(pat, 0, 1), branch(1), sub(pat, 1, 1), branch(2), sub(pat, 2, 1)]
     arcs = [ring[:2] + ring[3:5], ring[1:3], ring[4:]]
     rep = HRepresentation(pat, dict(enumerate(map(frozenset, arcs))))
     yield complete_graph(3), rep, False

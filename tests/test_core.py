@@ -11,6 +11,7 @@ from helpers import (
     coloring_is_proper,
     list_coloring_bruteforce_reference,
     max_clique_bruteforce_reference,
+    sub,
 )
 from hgraphs.core import (
     SimpleGraph,
@@ -28,7 +29,7 @@ from hgraphs.core import _bits, _check_clique, _components, _grow, _reach
 from hgraphs.errors import OracleLimitExceeded
 from hgraphs.pattern import cycle_pattern
 from hgraphs.randgen import gnp
-from hgraphs.representation import SubdividedPattern, branch, sub
+from hgraphs.representation import SubdividedPattern, branch
 
 
 def test_check_clique_reads_the_edge_set():
@@ -211,13 +212,13 @@ def test_components_on_pattern_nodes():
     # a triangle pattern with one node per edge is a 6-cycle of nodes
     pattern = SubdividedPattern(cycle_pattern(3), (1, 1, 1))
     adjacency = pattern.adjacency
-    nodes = set(pattern.nodes())
+    nodes = set(adjacency)
     assert _components(adjacency, nodes - {branch(0)}) == [
         tuple(sorted(nodes - {branch(0)}))
     ]
     assert _components(adjacency, nodes - {branch(0), branch(1)}) == [
-        (branch(2), sub(1, 1), sub(2, 1)),
-        (sub(0, 1),),
+        (branch(2), sub(pattern, 1, 1), sub(pattern, 2, 1)),
+        (sub(pattern, 0, 1),),
     ]
 
 

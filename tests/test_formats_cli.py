@@ -17,6 +17,7 @@ from helpers import (
     parse_hgr_reference,
     parse_rep_reference,
     parse_td_reference,
+    sub,
 )
 from hgraphs import formats
 from hgraphs import cli
@@ -53,7 +54,6 @@ from hgraphs.representation import (
     branch,
     generate_hard_instance,
     intersection_graph,
-    sub,
     verify_representation,
 )
 
@@ -67,6 +67,17 @@ def fixture(name: str) -> str:
 def read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def rep_header(text: str, path: str = "<rep>") -> str:
+    """The pattern reference that a .rep file's header names."""
+    return formats._rep_header(enumerate(text.splitlines(), start=1), path)
+
+
+def parse_rep_and_header(text: str, pattern_text: str, path: str = "<rep>"):
+    """parse_rep's representation with the header's pattern reference, the
+    pair that parse_rep_reference returns."""
+    return formats.parse_rep(text, pattern_text, path), rep_header(text, path)
 
 
 # -- parse/emit round trips ------------------------------------------------
@@ -86,9 +97,9 @@ def test_hgr_round_trip_on_fixtures():
 def test_rep_round_trip_on_fixtures():
     for name, pattern in (("p3.rep", "edge.hgr"), ("c5.rep", "c5_cycle.hgr")):
         text = read(fixture(name))
-        rep, ref = formats.parse_rep(text, read(fixture(pattern)), name, pattern)
-        assert ref == pattern
-        assert formats.emit_rep(rep, ref) == text
+        rep = formats.parse_rep(text, read(fixture(pattern)), name, pattern)
+        assert rep_header(text, name) == pattern
+        assert formats.emit_rep(rep, pattern) == text
 
 
 def test_td_round_trip_on_fixtures():
@@ -172,9 +183,10 @@ def test_rep_parser_rejects_missing_vertex():
 def test_rep_emitter_names_a_node_outside_the_pattern():
     # a node that the pattern lacks is refused when the representation is
     # built, so emit_rep never meets one; the error names it, not a KeyError
+    # (the pattern's nodes are 0, 1 and 2)
     pattern = SubdividedPattern(Multigraph(2, ((0, 1),)), (1,))
-    sets = {0: frozenset({branch(0)}), 1: frozenset({sub(0, 2)})}
-    with pytest.raises(ValueError, match=r"vertex 1 uses unknown pattern node \('s', 0, 2\)"):
+    sets = {0: frozenset({branch(0)}), 1: frozenset({3})}
+    with pytest.raises(ValueError, match=r"^vertex 1 uses unknown pattern node 3$"):
         HRepresentation(pattern, sets)
 
 
@@ -200,52 +212,9 @@ def test_rep_emitter_matches_the_node_tuple_reference():
     for rep in reps:
         text = formats.emit_rep(rep, "p.hgr")
         assert text == emit_rep_reference(rep, "p.hgr")
-        parsed, _ = formats.parse_rep(text, formats.emit_hgr(rep.pattern.base))
+        parsed = formats.parse_rep(text, formats.emit_hgr(rep.pattern.base))
         assert parsed == rep
         assert formats.emit_rep(parsed, "p.hgr") == emit_rep_reference(parsed, "p.hgr")
-
-
-def test_cli_never_builds_node_tuples_of_a_parsed_rep(tmp_path, capsys, monkeypatch):
-    # verify, clique (auto on a cactus pattern, helly, treewidth), helly and
-    # load_instance's check that a .rep maps exactly the graph's vertices
-    # read a parsed representation's node numbers alone
-    runs = []
-    for i, (g, rep) in enumerate(_cactus_representations(6)):
-        stem = str(tmp_path / f"c{i}")
-        for ext, text in (
-            (".gr", formats.emit_gr(g)),
-            (".hgr", formats.emit_hgr(rep.pattern.base)),
-            (".rep", formats.emit_rep(rep, f"c{i}.hgr")),
-        ):
-            with open(stem + ext, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        graph, rep_path = ["--graph", stem + ".gr"], ["--rep", stem + ".rep"]
-        runs += [
-            ["verify", *graph, *rep_path],
-            ["clique", *graph, *rep_path],
-            ["clique", *graph, *rep_path, "--mode", "helly"],
-            ["clique", *graph, *rep_path, "--mode", "treewidth"],
-            ["helly", *rep_path],
-        ]
-    short = str(tmp_path / "short.gr")
-    with open(short, "w", encoding="utf-8") as fh:
-        fh.write(formats.emit_gr(path_graph(2)))
-    expected = []
-    for argv in runs:
-        expected.append((main(argv), capsys.readouterr().out))
-    with pytest.raises(ParseError) as err:
-        formats.load_instance(short, rep_path=str(tmp_path / "c0.rep"))
-
-    def refuse(self):
-        raise AssertionError("SubdividedPattern.nodes() called")
-
-    monkeypatch.setattr(SubdividedPattern, "nodes", refuse)
-    assert [(main(argv), capsys.readouterr().out) for argv in runs] == expected
-    assert "strategy: cactus" in expected[1][1]
-    with pytest.raises(ParseError) as again:
-        formats.load_instance(short, rep_path=str(tmp_path / "c0.rep"))
-    assert (again.value.line, again.value.message) == (err.value.line, err.value.message)
-    assert "does not map exactly" in err.value.message
 
 
 def test_td_parser_validates_header():
@@ -344,7 +313,7 @@ def _fuzz_corpus():
     representations, and td output."""
     def rep_format(pattern_text):
         return (
-            lambda text, path: formats.parse_rep(text, pattern_text, path),
+            lambda text, path: parse_rep_and_header(text, pattern_text, path),
             lambda text, path: parse_rep_reference(text, pattern_text, path),
             lambda parsed: formats.emit_rep(*parsed),
         )
@@ -439,7 +408,7 @@ def test_parsers_match_reference_on_noncanonical_and_out_of_range_ids():
         corpus.append((formats.emit_gr(target), formats.parse_gr, parse_gr_reference))
         corpus.append((
             formats.emit_rep(rep, name),
-            lambda text, path, pt=pattern_text: formats.parse_rep(text, pt, path),
+            lambda text, path, pt=pattern_text: parse_rep_and_header(text, pt, path),
             lambda text, path, pt=pattern_text: parse_rep_reference(text, pt, path),
         ))
     seen = set()
@@ -615,7 +584,7 @@ def test_canonical_files_never_enter_the_line_loop(monkeypatch):
             target, rep = generate_hard_instance(g, pattern, find_tripartition(pattern))
             text = formats.emit_gr(target)
             assert formats.parse_gr(text) == target
-            parsed, _ = formats.parse_rep(formats.emit_rep(rep, name), pattern_text)
+            parsed = formats.parse_rep(formats.emit_rep(rep, name), pattern_text)
             assert parsed == rep
             targets.append((text, target))
     for rep in _workload_representations(rng):
@@ -623,15 +592,15 @@ def test_canonical_files_never_enter_the_line_loop(monkeypatch):
         assert formats.parse_gr(formats.emit_gr(g)) == g
         pattern_text = formats.emit_hgr(rep.pattern.base)
         assert formats.parse_hgr(pattern_text) == rep.pattern.base
-        parsed, _ = formats.parse_rep(formats.emit_rep(rep, "p.hgr"), pattern_text)
+        parsed = formats.parse_rep(formats.emit_rep(rep, "p.hgr"), pattern_text)
         assert parsed == rep
     assert set(headers) <= {"r"} and not refs, (headers, refs)
     for text, target in targets:
         header, body = text.split("\n", 1)
         assert formats.parse_gr(f"{header}\nc a comment\n{body}") == target
     assert headers.count("p") == len(targets)
-    parsed, _ = formats.parse_rep("r p.hgr\nmap 1 b:01\n", "h 2 1\n1 2\n")
-    assert refs == ["b:01"] and parsed.numbers == {0: frozenset([0])}
+    parsed = formats.parse_rep("r p.hgr\nmap 1 b:01\n", "h 2 1\n1 2\n")
+    assert refs == ["b:01"] and parsed.sets == {0: frozenset([0])}
 
 
 def _rep_texts(rng: random.Random):
@@ -664,29 +633,25 @@ def _rep_texts(rng: random.Random):
 
 
 def test_parsed_numbers_match_the_node_sets():
-    # a parsed representation keeps node numbers and builds its node sets on
-    # read: those equal the reference parser's, in the same key order, and
-    # the numbers equal those a representation built from the node sets
-    # derives, whether an id took the fast path or the full checks; a
-    # repeated id is one node, so verify and the intersection graph agree
+    # a parsed representation's node numbers equal those of the reference
+    # parser, which reads node tuples and numbers them in their own sorted
+    # order, in the same key order, whether an id took the fast path or the
+    # full checks; a repeated id is one node, so verify and the intersection
+    # graph agree
     rng = random.Random(30)
     seen = 0
     for text, pattern_text in _rep_texts(rng):
-        rep, ref = formats.parse_rep(text, pattern_text)
-        expected, _ = parse_rep_reference(text, pattern_text)
-        derived = HRepresentation(rep.pattern, dict(rep.sets))
-        assert len(rep.sets) == len(expected.sets)
-        assert list(rep.sets) == list(expected.sets) == list(rep.numbers)
-        assert dict(rep.sets) == expected.sets and rep == expected
-        for v in rep.sets:
-            assert set(rep.numbers[v]) == set(derived.numbers[v])
-        used = set().union(*rep.numbers.values())
-        assert len(used) == len(set().union(*derived.numbers.values()))
+        rep, ref = parse_rep_and_header(text, pattern_text)
+        expected, expected_ref = parse_rep_reference(text, pattern_text)
+        assert ref == expected_ref
+        assert list(rep.sets) == list(expected.sets)
+        assert rep.sets == expected.sets and rep == expected
+        assert all(type(ids) is frozenset for ids in rep.sets.values())
         g = intersection_graph(expected)
         assert intersection_graph(rep) == g and verify_representation(g, rep).is_ok
         emitted = formats.emit_rep(rep, ref)
         assert emitted == formats.emit_rep(expected, ref)
-        assert formats.emit_rep(formats.parse_rep(emitted, pattern_text)[0], ref) == emitted
+        assert formats.emit_rep(formats.parse_rep(emitted, pattern_text), ref) == emitted
         seen += text != emitted
     assert seen >= 30  # the fixtures' variants took the full checks
 
@@ -858,7 +823,7 @@ def test_cli_helly_reports_violation(tmp_path, capsys):
     # three arcs of a subdivided triangle meet pairwise but share no node
     pat = SubdividedPattern(complete_pattern(3), (1, 1, 1))
     arcs = [(0, 0, 1), (1, 1, 2), (2, 2, 0)]
-    sets = {k: frozenset({branch(a), sub(k, 1), branch(b)}) for k, a, b in arcs}
+    sets = {k: frozenset({branch(a), sub(pat, k, 1), branch(b)}) for k, a, b in arcs}
     (tmp_path / "tri.hgr").write_text(formats.emit_hgr(pat.base))
     rep = formats.emit_rep(HRepresentation(pat, sets), "tri.hgr")
     (tmp_path / "tri.rep").write_text(rep)

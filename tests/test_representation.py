@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     generate_hard_instance_reference,
+    sub,
     subdivided_adjacency_reference,
     verify_representation_reference,
 )
@@ -45,7 +46,6 @@ from hgraphs.representation import (
     branch,
     generate_hard_instance,
     intersection_graph,
-    sub,
     td_from_representation,
     verify_representation,
 )
@@ -70,8 +70,8 @@ def test_verify_ok_on_path():
     rep = HRepresentation(
         pat,
         {
-            0: frozenset({branch(0), sub(0, 1)}),
-            1: frozenset({sub(0, 1), branch(1)}),
+            0: frozenset({branch(0), sub(pat, 0, 1)}),
+            1: frozenset({sub(pat, 0, 1), branch(1)}),
             2: frozenset({branch(1)}),
         },
     )
@@ -84,7 +84,7 @@ def test_verify_detects_disconnected_set():
         pat,
         {
             0: frozenset({branch(0), branch(1)}),  # endpoints without the middle
-            1: frozenset({sub(0, 1), branch(1)}),
+            1: frozenset({sub(pat, 0, 1), branch(1)}),
             2: frozenset({branch(1)}),
         },
     )
@@ -92,54 +92,109 @@ def test_verify_detects_disconnected_set():
     assert verdict.kind == "disconnected" and verdict.vertex == 0
 
 
-def test_subdivided_pattern_nodes_and_adjacency():
-    # nodes are branch() then sub() per edge in order, names() gives their
-    # .rep ids in that order, and the adjacency lists them in that order
-    # (verify indexes nodes so) with each edge's path linked end to end;
-    # loops stay inert and parallel pairs link once
-    rng = random.Random(29)
-    for _ in range(400):
+def _random_patterns(rng: random.Random, count: int):
+    # multigraph patterns with loops, parallel pairs and zero counts
+    for _ in range(count):
         n = rng.randint(1, 6)
         edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8)))
         counts = tuple(0 if u == v else rng.choice((0, 0, 1, 2, 4)) for u, v in edges)
-        pattern = SubdividedPattern(Multigraph(n, edges), counts)
-        nodes = [branch(h) for h in range(n)]
-        nodes += [sub(k, i) for k, t in enumerate(counts) for i in range(1, t + 1)]
-        assert pattern.nodes() == tuple(nodes)
+        yield SubdividedPattern(Multigraph(n, edges), counts)
+
+
+def test_subdivided_pattern_nodes_and_adjacency():
+    # a node's number is the sorted position of its tuple, ("b", h) for a
+    # branch node and ("s", k, i) for edge k's i-th internal node; names()
+    # gives the nodes' .rep ids by number, and the adjacency and the graph
+    # link each edge's path end to end on those numbers; loops stay inert
+    # and parallel pairs link once
+    for pattern in _random_patterns(random.Random(29), 400):
+        n, edges, counts = pattern.base.n, pattern.base.edges, pattern.counts
+        nodes = [("b", h) for h in range(n)]
+        nodes += [("s", k, i) for k, t in enumerate(counts) for i in range(1, t + 1)]
+        assert nodes == sorted(nodes)
+        number = {nd: x for x, nd in enumerate(nodes)}
         names = [f"b:{nd[1] + 1}" if nd[0] == "b" else f"s:{nd[1] + 1}.{nd[2]}" for nd in nodes]
         assert pattern.names() == tuple(names)
-        expected = {nd: set() for nd in nodes}
+        assert pattern.name_index == {name: x for x, name in enumerate(names)}
+        assert pattern.node_count == len(nodes)
+        expected = {x: set() for x in range(len(nodes))}
         for k, (u, v) in enumerate(edges):
-            path = [branch(u)] + [sub(k, i) for i in range(1, counts[k] + 1)] + [branch(v)]
+            path = [("b", u)] + [("s", k, i) for i in range(1, counts[k] + 1)] + [("b", v)]
             for a, b in zip(path, path[1:]):
                 if a != b:
-                    expected[a].add(b)
-                    expected[b].add(a)
-        assert list(pattern.adjacency) == nodes
+                    expected[number[a]].add(number[b])
+                    expected[number[b]].add(number[a])
         assert pattern.adjacency == expected
-        # the index numbers the nodes in sorted order, the order every
-        # tie-break on nodes follows, and graph is the builder's adjacency
-        # on those numbers
-        assert list(pattern.index) == sorted(pattern.index) == nodes
-        assert list(pattern.index.values()) == list(range(len(nodes)))
         assert subdivided_adjacency_reference(pattern) == expected
-        mapped = {nd: set() for nd in nodes}
+        mapped = {x: set() for x in range(len(nodes))}
         for a, b in pattern.graph.edges:
-            mapped[nodes[a]].add(nodes[b])
-            mapped[nodes[b]].add(nodes[a])
+            mapped[a].add(b)
+            mapped[b].add(a)
         assert pattern.graph.n == len(nodes) and mapped == expected
 
 
+def test_pattern_numbers_keep_the_benchmark_contract():
+    # the benchmark builds node sets from branch() and path_from() and grows
+    # them on adjacency, whose keys it sorts: all speak node numbers, and a
+    # path runs from the given end through the ids s:<k+1>.<i> in order
+    for pattern in _random_patterns(random.Random(39), 400):
+        adjacency, graph = pattern.adjacency, pattern.graph
+        assert [branch(h) for h in range(pattern.base.n)] == list(range(pattern.base.n))
+        assert sorted(adjacency) == list(adjacency) == list(range(graph.n))
+        assert all(adjacency[x] == graph.adjacency[x] for x in range(graph.n))
+        for k, (u, v) in enumerate(pattern.base.edges):
+            ids = [f"s:{k + 1}.{i}" for i in range(1, pattern.counts[k] + 1)]
+            forward = [pattern.name_index[name] for name in ids]
+            assert pattern.path_from(k, u) == forward
+            if u != v:
+                assert pattern.path_from(k, v) == forward[::-1]
+            outside = next((x for x in range(pattern.base.n) if x not in (u, v)), None)
+            if outside is not None:
+                with pytest.raises(ValueError, match="is not an endpoint"):
+                    pattern.path_from(k, outside)
+
+
 def test_unknown_nodes_leave_the_pattern_index_alone():
-    # a node outside the pattern is refused when the representation is built,
-    # and the pattern's cached numbering and node graph stay as they were
+    # a number outside the pattern, too large or negative, is refused when
+    # the representation is built, and the pattern's id table and node graph
+    # stay as they were
     pat = _three_node_path_pattern()
-    index, graph = dict(pat.index), SimpleGraph(pat.graph.n, pat.graph.edges)
-    stray = ("x", 0)
-    sets = {0: {branch(0), stray}, 1: {stray}, 2: {branch(1)}}
-    with pytest.raises(ValueError, match="unknown pattern node"):
-        HRepresentation(pat, {v: frozenset(nds) for v, nds in sets.items()})
-    assert pat.index == index and pat.graph == graph and pat.graph.n == 3
+    names, graph = dict(pat.name_index), SimpleGraph(pat.graph.n, pat.graph.edges)
+    for stray in (3, -1):
+        sets = {0: {branch(0), stray}, 1: {stray}, 2: {branch(1)}}
+        with pytest.raises(ValueError) as err:
+            HRepresentation(pat, sets)
+        assert str(err.value) == f"vertex 0 uses unknown pattern node {stray}"
+    assert pat.name_index == names and pat.graph == graph and pat.graph.n == 3
+
+
+def test_representation_names_its_least_unknown_node():
+    # the least vertex with a number outside 0..2, and that vertex's least
+    # such number
+    pat = _three_node_path_pattern()
+    sets = {3: {7}, 2: {0, 5, 3, -2}, 1: {1, 2}, 0: {0}}
+    with pytest.raises(ValueError) as err:
+        HRepresentation(pat, sets)
+    assert str(err.value) == "vertex 2 uses unknown pattern node -2"
+    sets[2] = {0, 5, 3}
+    with pytest.raises(ValueError) as err:
+        HRepresentation(pat, sets)
+    assert str(err.value) == "vertex 2 uses unknown pattern node 3"
+
+
+def test_representation_stores_frozensets_of_plain_sets():
+    # sets given as plain sets are stored as frozensets, so the Helly check
+    # can intersect them, and later changes to the given sets do not reach
+    # the representation
+    pat = SubdividedPattern(complete_pattern(3), (1, 1, 1))
+    arcs = {0: {0, sub(pat, 0, 1), 1}, 1: {1, sub(pat, 2, 1), 2}, 2: {2, sub(pat, 1, 1), 0}}
+    rep = HRepresentation(pat, arcs)
+    assert all(type(ids) is frozenset for ids in rep.sets.values())
+    assert helly_check(rep, cap=100).kind == "violation"
+    arcs[0].add(sub(pat, 2, 1))
+    assert rep.sets[0] == frozenset({0, sub(pat, 0, 1), 1})
+    helly = HRepresentation(pat, {0: {0, 3}, 1: {3, 1}, 2: {0, 1, 3}})
+    assert helly_check(helly, cap=100).kind == "helly"
 
 
 def test_verify_reports_adjacency_mismatch():
@@ -147,9 +202,9 @@ def test_verify_reports_adjacency_mismatch():
     rep = HRepresentation(
         pat,
         {
-            0: frozenset({branch(0), sub(0, 1)}),
-            1: frozenset({sub(0, 1), branch(1)}),
-            2: frozenset({sub(0, 1), branch(1)}),
+            0: frozenset({branch(0), sub(pat, 0, 1)}),
+            1: frozenset({sub(pat, 0, 1), branch(1)}),
+            2: frozenset({sub(pat, 0, 1), branch(1)}),
         },
     )
     verdict = verify_representation(path_graph(3), rep)
@@ -160,9 +215,9 @@ def test_verify_reports_adjacency_mismatch():
         pat,
         {
             0: frozenset({branch(0)}),
-            1: frozenset({branch(0), sub(0, 1)}),
+            1: frozenset({branch(0), sub(pat, 0, 1)}),
             2: frozenset({branch(1)}),
-            3: frozenset({sub(0, 1), branch(1)}),
+            3: frozenset({sub(pat, 0, 1), branch(1)}),
         },
     )
     g = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 3)])
@@ -191,7 +246,8 @@ def _with_faults(g, rep, rng):
         v = rng.randrange(g.n)
         fault = rng.choice(("unknown", "empty", "far", "edge"))
         if fault == "unknown":
-            sets[v] = sets[v] | {rng.choice((branch(99), sub(99, 1), ("x", v)))}
+            nodes = rep.pattern.node_count
+            sets[v] = sets[v] | {rng.choice((nodes, nodes + 98, -1 - v))}
         elif fault == "empty":
             sets[v] = frozenset()
         elif fault == "far":
@@ -217,7 +273,7 @@ def test_verify_matches_reference_on_faults():
     # the whole outcome must agree: the first disconnected vertex, a
     # disconnected set reported before any mismatch, and every mismatch in
     # order; a set with an unknown node is refused when the representation
-    # is built, naming the first such vertex in key order and that node
+    # is built, naming the least such vertex and its least unknown node
     rng = random.Random(41)
     cases = []
     for i in range(500):
@@ -233,11 +289,11 @@ def test_verify_matches_reference_on_faults():
     for g, rep in cases:
         g, sets = _with_faults(g, rep, rng)
         graphs = [g, SimpleGraph(g.n + 1, g.edges)][: 1 + (rng.random() < 0.1)]
-        index = rep.pattern.index
-        unknown = [v for v in sorted(sets) if not all(nd in index for nd in sets[v])]
+        every = set(range(rep.pattern.node_count))
+        unknown = [v for v in sorted(sets) if not sets[v] <= every]
         if unknown:
             v = unknown[0]
-            nd = next(nd for nd in sets[v] if nd not in index)
+            nd = min(sets[v] - every)
             with pytest.raises(ValueError) as err:
                 HRepresentation(rep.pattern, sets)
             assert str(err.value) == f"vertex {v} uses unknown pattern node {nd}"
@@ -264,9 +320,9 @@ def test_helly_violation_on_triangle_arcs():
     rep = HRepresentation(
         pat,
         {
-            0: frozenset({branch(0), sub(0, 1), branch(1)}),
-            1: frozenset({branch(1), sub(1, 1), branch(2)}),
-            2: frozenset({branch(2), sub(2, 1), branch(0)}),
+            0: frozenset({branch(0), sub(pat, 0, 1), branch(1)}),
+            1: frozenset({branch(1), sub(pat, 1, 1), branch(2)}),
+            2: frozenset({branch(2), sub(pat, 2, 1), branch(0)}),
         },
     )
     report = helly_check(rep, cap=100)
@@ -469,7 +525,7 @@ def test_td_on_cyclic_patterns():
 def test_td_parallel_pair_counts_as_cycle():
     # a subdivided parallel pair is a cycle: width 2 even for omega = 1
     pat = SubdividedPattern(cycle_pattern(2), (3, 3))
-    sets = [branch(1), sub(0, 2), branch(0), sub(1, 2), sub(0, 3)]
+    sets = [branch(1), sub(pat, 0, 2), branch(0), sub(pat, 1, 2), sub(pat, 0, 3)]
     rep = HRepresentation(pat, {v: frozenset([nd]) for v, nd in enumerate(sets)})
     g = SimpleGraph(5, frozenset())
     profile = PatternProfile.compute(pat.base)
@@ -504,16 +560,14 @@ def test_td_from_representation_reuses_the_profile_order():
         sys.setprofile(None)
     assert calls == []
     for d, (pat, g, rep) in zip(got, cases):
-        nodes = pat.nodes()
-        index = {nd: i for i, nd in enumerate(nodes)}
+        adjacency = subdivided_adjacency_reference(pat)
         graph = SimpleGraph.from_edges(
-            len(nodes), [(index[a], index[b]) for a in nodes for b in pat.adjacency[a]]
+            len(adjacency), [(a, b) for a in adjacency for b in adjacency[a]]
         )
-        order = list(range(h.n, len(nodes))) + base_order
+        order = list(range(h.n, len(adjacency))) + base_order
         node_dec = decomposition_from_order(graph, order)
         bags = tuple(
-            frozenset(v for v in range(g.n) if rep.sets[v] & {nodes[i] for i in bag})
-            for bag in node_dec.bags
+            frozenset(v for v in range(g.n) if rep.sets[v] & bag) for bag in node_dec.bags
         )
         assert d.bags == bags and d.tree_edges == node_dec.tree_edges
 

@@ -182,75 +182,85 @@ def test_reference_helpers_share_no_private_code_with_formats():
     assert not shared, f"tests/helpers.py imports from hgraphs.formats: {shared}"
 
 
-def _numbers_pattern_nodes(tree) -> list[int]:
-    """Lines that number a pattern's nodes or their names: an enumerate() of
-    a nodes() or names() call or of a name bound to one, or a zip() of one
-    with a range()."""
-    def is_listing(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
-            "nodes", "names",
-        )
+def _node_identity_faults(tree) -> list[int]:
+    """Lines that give a pattern node an identity besides its number, or
+    number the nodes' names: a tuple literal whose first element is "b" or
+    "s", a definition or call of nodes(), an enumerate() of a names() call
+    or of a name bound to one, or a zip() of one with a range()."""
+    def is_names(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "names"
 
     named = {
         target.id
         for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and is_listing(node.value)
+        if isinstance(node, ast.Assign) and is_names(node.value)
         for target in node.targets
         if isinstance(target, ast.Name)
     }
 
     def numbers(call):
         name = getattr(call.func, "id", None)
-        listed = any(is_listing(a) or getattr(a, "id", None) in named for a in call.args)
+        listed = any(is_names(a) or getattr(a, "id", None) in named for a in call.args)
         counted = any(getattr(getattr(a, "func", None), "id", None) == "range" for a in call.args)
         return listed and (name == "enumerate" or name == "zip" and counted)
 
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and numbers(node)
-    ]
+    def faulty(node):
+        if isinstance(node, ast.Tuple):
+            first = node.elts[0] if node.elts else None
+            return isinstance(first, ast.Constant) and first.value in ("b", "s")
+        if isinstance(node, ast.FunctionDef):
+            return node.name == "nodes"
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            return called == "nodes" or numbers(node)
+        return False
+
+    return [node.lineno for node in ast.walk(tree) if faulty(node)]
 
 
 def test_only_the_pattern_numbers_its_nodes():
-    # SubdividedPattern.index is the one node numbering that masks over
-    # pattern nodes use, and name_index reads .rep ids into it; a second map
-    # built elsewhere could number them another way, and masks read through
-    # two numberings disagree silently
+    # a pattern node is its number and nothing else, and
+    # SubdividedPattern.name_index alone reads .rep ids to numbers: a node
+    # tuple or a nodes() listing is a second identity that code would
+    # translate back and forth, and a second id table could number the ids
+    # another way, so masks read through two numberings disagree silently
     found = []
     for path in sorted(ROOT.glob("src/hgraphs/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef) and cls.name == "SubdividedPattern":
-                cls.body = [
-                    f for f in cls.body
-                    if getattr(f, "name", None) not in ("index", "name_index")
-                ]
-        found += [f"{path.relative_to(ROOT)}:{no}" for no in _numbers_pattern_nodes(tree)]
-    assert not found, f"node numberings outside SubdividedPattern.index: {found}"
+                cls.body = [f for f in cls.body if getattr(f, "name", None) != "name_index"]
+        found += [f"{path.relative_to(ROOT)}:{no}" for no in _node_identity_faults(tree)]
+    assert not found, f"pattern node identities besides the number: {found}"
 
 
 def test_node_numbering_check_sees_each_form():
-    # the check above must see the forms that numbered nodes or their names
-    # before the pattern owned both tables, and pass reads of nodes() and
-    # names() that number nothing
+    # the check above must see node tuples, nodes() and the forms that
+    # numbered nodes or their names before the pattern owned its tables, and
+    # pass reads of names() that number nothing and tuples of other strings
     flagged = [
         "index = {nd: i for i, nd in enumerate(r.pattern.nodes())}",
         "nodes = pattern.nodes()\nindex = {nd: i for i, nd in enumerate(nodes)}",
         "known = {name: i for i, name in enumerate(p.names())}",
         "names = p.names()\nknown = dict(zip(names, range(len(names))))",
         "known = dict(zip(range(n), p.names()))",
-    ]
-    passed = [
         "name = dict(zip(r.pattern.nodes(), r.pattern.names()))",
         "known = dict(zip(p.names(), p.nodes()))",
+        "nodes = pattern.nodes()\nfirst = nodes[0]",
+        "def nodes(self):\n    return ()",
+        "def branch(h):\n    return ('b', h)",
+        "forward = [('s', k, i) for i in range(1, t + 1)]",
+    ]
+    passed = [
         "at = {x: i for i, x in enumerate(order)}",
         "pairs = zip(order, range(n))",
-        "nodes = pattern.nodes()\nfirst = nodes[0]",
         "names = p.names()\nref = names[3]",
+        "count = len(nice.nodes)",
+        "ok = tok.startswith(('b:', 's:'))",
+        "kind = ('path', 'b')",
     ]
-    assert all(_numbers_pattern_nodes(ast.parse(src)) for src in flagged)
-    assert not any(_numbers_pattern_nodes(ast.parse(src)) for src in passed)
+    assert all(_node_identity_faults(ast.parse(src)) for src in flagged)
+    assert not any(_node_identity_faults(ast.parse(src)) for src in passed)
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in ROOT.glob("scripts/*.py")))
