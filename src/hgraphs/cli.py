@@ -250,6 +250,7 @@ def cmd_complement(args) -> int:
     return EXIT_OK
 
 
+# the default of each tuning flag, each defined on the one command that reads it
 GLOBAL_DEFAULTS = {"seed": 0, "cap": 1000, "oracle_limit": 20, "approx_factor": 5}
 
 
@@ -268,28 +269,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a subcommand-level absence from clobbering a value given
-    # before the subcommand; unset flags get GLOBAL_DEFAULTS from the top level
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="seed for heuristic tie-breaks")
-    p.add_argument("--cap", type=_int_at_least(1), default=argparse.SUPPRESS,
-                   help="maximal-clique emission cap")
-    p.add_argument("--oracle-limit", type=_int_at_least(0),
-                   default=argparse.SUPPRESS, help="brute-force size limit")
-    p.add_argument("--approx-factor", type=_int_at_least(1),
-                   default=argparse.SUPPRESS,
-                   help="accepted width factor over the target")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgraphs",
         description="Clique and coloring algorithms on intersection graphs "
         "of subdivided patterns.",
     )
-    _add_global_flags(parser)
-    parser.set_defaults(**GLOBAL_DEFAULTS)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("clique", help="maximum clique with strategy auto-selection")
@@ -301,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "cactus", "helly", "treewidth", "brute"],
         default="auto",
     )
+    p.add_argument("--oracle-limit", type=_int_at_least(0),
+                   default=GLOBAL_DEFAULTS["oracle_limit"],
+                   help="brute-force size limit")
 
     p = subs.add_parser("color", help="list coloring via tree-decomposition DP")
     p.add_argument("--graph", required=True)
@@ -322,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("helly", help="check the Helly property of a representation")
     p.add_argument("--rep", required=True)
+    p.add_argument("--cap", type=_int_at_least(1), default=GLOBAL_DEFAULTS["cap"],
+                   help="maximal-clique emission cap")
 
     p = subs.add_parser("atoms", help="clique-cutset decomposition into atoms")
     p.add_argument("--graph", required=True)
@@ -330,6 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--target", type=_int_at_least(0))
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=GLOBAL_DEFAULTS["seed"],
+                   help="seed for heuristic tie-breaks")
+    p.add_argument("--approx-factor", type=_int_at_least(1),
+                   default=GLOBAL_DEFAULTS["approx_factor"],
+                   help="accepted width factor over the target")
 
     p = subs.add_parser("subdivide", help="2-subdivision of a graph")
     p.add_argument("--graph", required=True)
@@ -338,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("complement", help="complement of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-
-    for sub_parser in subs.choices.values():
-        _add_global_flags(sub_parser)
     return parser
 
 

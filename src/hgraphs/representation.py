@@ -114,6 +114,7 @@ class SubdividedPattern:
         return forward if endpoint == u else forward[::-1]
 
 
+@dataclass(frozen=True)
 class HRepresentation:
     """Map from graph vertices to non-empty connected node sets of a pattern.
 
@@ -121,21 +122,16 @@ class HRepresentation:
     construction, where a number outside the pattern is refused.
     """
 
-    def __init__(self, pattern: SubdividedPattern, sets: Mapping[int, Iterable[int]]):
-        sets = {v: frozenset(ids) for v, ids in sets.items()}
-        every = frozenset(range(pattern.node_count))
+    pattern: SubdividedPattern
+    sets: Mapping[int, Iterable[int]]  # stored as a dict of frozensets
+
+    def __post_init__(self):
+        sets = {v: frozenset(ids) for v, ids in self.sets.items()}
+        every = frozenset(range(self.pattern.node_count))
         if not all(map(every.issuperset, sets.values())):
             v = min(v for v, ids in sets.items() if not every.issuperset(ids))
             raise ValueError(f"vertex {v} uses unknown pattern node {min(sets[v] - every)}")
-        self.pattern, self.sets = pattern, sets
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HRepresentation):
-            return NotImplemented
-        return (self.pattern, self.sets) == (other.pattern, other.sets)
-
-    def __repr__(self) -> str:
-        return f"HRepresentation({self.pattern!r}, {self.sets!r})"
+        object.__setattr__(self, "sets", sets)
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,7 @@ def carc_reference(model) -> tuple[int, ...]:
             if len(left) + len(right) <= len(best):
                 continue
             conflict = {
-                u: [w for w in right if not (pos[u] & pos[w])] for u in left
+                u: [w for w in right if pos[u].isdisjoint(pos[w])] for u in left
             }
             candidate = _bipartite_max_independent(left, right, conflict)
             if len(candidate) > len(best):

@@ -833,7 +833,7 @@ def test_cli_helly_reports_violation(tmp_path, capsys):
 
 def test_cli_non_integer_cap_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--cap", "x", "helly", "--rep", fixture("p3.rep")])
+        main(["helly", "--rep", fixture("p3.rep"), "--cap", "x"])
     assert exc.value.code == 2
     assert "argument --cap: expected an integer, got 'x'" in capsys.readouterr().err
 
@@ -1033,14 +1033,19 @@ def test_cli_atoms(capsys):
     assert "atoms: 3" in out
 
 
-def test_cli_each_subcommand_has_one_cmd_function():
-    # main runs cmd_<command>, so a renamed command or function would end in a
-    # KeyError traceback
+def _commands() -> set[str]:
+    """The parser's command names."""
     subs = next(
         a for a in cli.build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
-    names = {"cmd_" + name.replace("-", "_") for name in subs.choices}
+    return set(subs.choices)
+
+
+def test_cli_each_subcommand_has_one_cmd_function():
+    # main runs cmd_<command>, so a renamed command or function would end in a
+    # KeyError traceback
+    names = {"cmd_" + name.replace("-", "_") for name in _commands()}
     functions = {name for name in vars(cli) if name.startswith("cmd_")}
     assert names == functions
     assert all(callable(getattr(cli, name)) for name in names)
@@ -1067,12 +1072,53 @@ def test_cli_runs_rebound_cmd_function_without_rebuilding_parser(capsys, monkeyp
     assert calls == {"build_parser": 0, "cmd_atoms": 2}
 
 
-def test_cli_global_flags_accepted_in_both_positions(capsys):
-    assert main(["helly", "--rep", fixture("p3.rep"), "--cap", "5"]) == 0
-    assert main(["--cap", "5", "helly", "--rep", fixture("p3.rep")]) == 0
-    assert main(["clique", "--graph", fixture("c5.gr"), "--mode", "brute",
-                 "--oracle-limit", "5"]) == 0
+def test_cli_each_flag_only_on_the_command_that_reads_it(tmp_path, capsys):
+    grid = tmp_path / "grid.gr"
+    grid.write_text(formats.emit_gr(grid_graph(3, 3)))
+    out = str(tmp_path / "o.td")
+    argvs = {  # a call of each command that runs
+        "clique": ["clique", "--graph", fixture("c5.gr")],
+        "color": ["color", "--graph", fixture("c5.gr"), "--k", "3"],
+        "gen-hard": ["gen-hard", "--graph", fixture("k3.gr"),
+                     "--pattern", fixture("wheel4.hgr"),
+                     "--out-graph", str(tmp_path / "t.gr"),
+                     "--out-rep", str(tmp_path / "t.rep")],
+        "verify": ["verify", "--graph", fixture("c5.gr"), "--rep", fixture("c5.rep")],
+        "helly": ["helly", "--rep", fixture("c5.rep")],
+        "atoms": ["atoms", "--graph", fixture("c5.gr")],
+        "td": ["td", "--graph", str(grid), "--target", "2", "--out", out],
+        "subdivide": ["subdivide", "--graph", fixture("c5.gr"),
+                      "--out", str(tmp_path / "s.gr")],
+        "complement": ["complement", "--graph", fixture("c5.gr"),
+                       "--out", str(tmp_path / "c.gr")],
+    }
+    assert set(argvs) == _commands()
+    for argv in argvs.values():
+        assert main(argv) == 0
     capsys.readouterr()
+    # on its own command, each flag's value reaches the call
+    assert main(argvs["helly"] + ["--cap", "1"]) == 3
+    assert capsys.readouterr().out == "exceeded: more than 1 maximal cliques\n"
+    assert main(argvs["clique"] + ["--mode", "brute", "--oracle-limit", "2"]) == 3
+    assert capsys.readouterr().err == "limit exceeded: n=5 exceeds oracle limit 2\n"
+    assert main(argvs["td"] + ["--approx-factor", "1"]) == 0
+    assert capsys.readouterr().out == f"width: 3 (over accepted factor) -> {out}\n"
+    for extra in ([], ["--seed", "3"]):
+        assert main(argvs["td"] + extra) == 0
+        assert capsys.readouterr().out == f"width: 3 -> {out}\n"
+    # on any other command, and before the command, each flag exits 2
+    homes = {"--oracle-limit": "clique", "--cap": "helly", "--seed": "td",
+             "--approx-factor": "td"}
+    for flag, home in homes.items():
+        for command, argv in argvs.items():
+            misplaced = [[flag, "1", *argv]]
+            if command != home:
+                misplaced.append([*argv, flag, "1"])
+            for bad in misplaced:
+                with pytest.raises(SystemExit) as exc:
+                    main(bad)
+                assert exc.value.code == 2, bad
+                assert capsys.readouterr().err.startswith("usage: hgraphs "), bad
 
 
 def test_cli_malformed_input_exit_code(tmp_path, capsys):
@@ -1261,7 +1307,7 @@ def test_cli_negative_vertex_count_exit_code(tmp_path, capsys):
 
 def test_cli_zero_cap_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["--cap", "0", "helly", "--rep", fixture("p3.rep")])
+        main(["helly", "--rep", fixture("p3.rep"), "--cap", "0"])
     assert exc.value.code == 2
     assert "argument --cap: must be at least 1, got 0" in capsys.readouterr().err
 
@@ -1377,7 +1423,7 @@ CLI_FUZZ_RUNS = (
     (["clique", "--graph", "p3.gr", "--rep", "p3.rep", "--mode", "helly"],
      ("edge.hgr",)),
     (["clique", "--graph", "k3.gr", "--mode", "treewidth"], ()),
-    (["--cap", "2", "helly", "--rep", "c5.rep"], ("c5_cycle.hgr",)),
+    (["helly", "--rep", "c5.rep", "--cap", "2"], ("c5_cycle.hgr",)),
     (["color", "--graph", "path4.gr", "--lists", "path4.lists", "--k", "2"], ()),
     (["atoms", "--graph", "c5.gr"], ()),
     (["gen-hard", "--graph", "k3.gr", "--pattern", "wheel4.hgr",

@@ -96,10 +96,10 @@ def _unreached_definitions(sources: dict[str, str]) -> list[str]:
     reads, and every member of a reached class whose name it reads as an
     attribute; a bare name never reaches a member, as a local variable may
     share its name.  A class's own code, apart from those members, is read
-    with the class.  The roots are module-level code, every cli definition
-    (commands run by name), every name read in perfbench/ and scripts/,
-    every function a per_layer metric names (the harness report looks each
-    one up) and LIVE_WITHOUT_CALLER."""
+    with the class.  The roots are module-level code, the cli commands
+    (cmd_*, run by name), cli.main and cli.entry (the console script), every
+    name read in perfbench/ and scripts/, every function a per_layer metric
+    names (the harness report looks each one up) and LIVE_WITHOUT_CALLER."""
     defs, members, roots = {}, {}, set(LIVE_WITHOUT_CALLER)
     names, attrs = set(), set()
     for module, text in sources.items():
@@ -107,7 +107,9 @@ def _unreached_definitions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 key = f"{module}.{node.name}"
                 defs[key] = node
-                if module == "cli":
+                if module == "cli" and (
+                    node.name.startswith("cmd_") or node.name in ("main", "entry")
+                ):
                     roots.add(key)
                 if isinstance(node, ast.ClassDef):
                     body = []
@@ -149,8 +151,8 @@ def _unreached_definitions(sources: dict[str, str]) -> list[str]:
 def test_package_holds_no_tests_only_code():
     # a definition that only tests call is a second copy of what a test
     # reference already holds, or an answer no command gives; it belongs in
-    # tests/helpers.py.  The check must also see a planted function and a
-    # planted method.
+    # tests/helpers.py.  The check must also see a planted function, a
+    # planted method and a planted cli helper.
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(ROOT.glob("src/hgraphs/*.py"))
@@ -162,7 +164,9 @@ def test_package_holds_no_tests_only_code():
         "    def sorted_edges(self)",
         "    def tests_only_method(self):\n        return self.n\n\n    def sorted_edges(self)",
     )
+    sources["cli"] += "\n\ndef _dead_helper():\n    return EXIT_OK\n"
     assert _unreached_definitions(sources) == [
+        "cli._dead_helper",
         "core.SimpleGraph.tests_only_method", "core.tests_only_helper",
     ]
 
