@@ -250,7 +250,9 @@ def cmd_complement(args) -> int:
     return EXIT_OK
 
 
-# the default of each tuning flag, each defined on the one command that reads it
+# the default of each tuning flag, each defined on the one command that reads
+# it.  perfbench/run.py's tracer self-check reads GLOBAL_DEFAULTS["approx_factor"]
+# to build the decomposition `td` would, so the dict keeps this name and form
 GLOBAL_DEFAULTS = {"seed": 0, "cap": 1000, "oracle_limit": 20, "approx_factor": 5}
 
 

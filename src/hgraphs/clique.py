@@ -494,29 +494,25 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
     cycle, it has a cut node x; all sets avoiding x must live in a single
     component of the union minus x (otherwise the holders of x form a clique
     cutset of the atom), and truncating every set to that component plus x
-    preserves the intersection graph.  The final path or cycle yields integer
-    arc positions in node order.  Nodes are the pattern's numbers
+    preserves the intersection graph.  Nodes are the pattern's numbers
     (``r.sets``), and the union's parts are found by ``_grow`` on masks of
-    the atom's nodes alone, read off ``pattern.graph``.
+    the atom's nodes alone, read off ``pattern.graph``.  The union is a mask
+    of node bits and, from the first peel step on, so is each set: a
+    truncation is an AND with the kept part, which is the new union, and a
+    set's lowest bit tells which part it lies in.  The final path or cycle
+    numbers the positions in node order, and each vertex's arc is read off
+    one mask, the OR of its nodes' position bits (a node peeled off has
+    none): its lowest and highest bit, or those of the gap it leaves when
+    the arc wraps.
     """
     numbers, adjacency = r.sets, r.pattern.graph.adjacency
-    sets = {v: numbers[v] for v in atom.vertices}
-    masks = {x: sum(1 << y for y in adjacency[x]) for x in set().union(*sets.values())}
-    while True:
-        union = sum(1 << i for i in set().union(*sets.values()))
-        shape = _classify_shape(union, masks)
-        if shape is not None:
-            kind, order = shape
-            at = {x: i for i, x in enumerate(order)}
-            length = len(order)
-            arcs: dict[int, tuple[int, int] | None] = {}
-            for v, ids in sets.items():
-                positions = sorted(map(at.__getitem__, ids))
-                if kind == "cycle" and len(positions) == length:
-                    arcs[v] = None
-                    continue
-                arcs[v] = _positions_to_arc(positions, length, kind)
-            return ArcModel(kind, length, arcs)
+    bit = {x: 1 << x for x in set().union(*map(numbers.__getitem__, atom.vertices))}
+    union = sum(bit.values())
+    masks = {x: sum(1 << y for y in adjacency[x]) for x in bit}
+    held: dict[int, int] = {}  # each set as a node mask, from the first peel on
+    while (shape := _classify_shape(union, masks)) is None:
+        if not held:
+            held = {v: sum(map(bit.__getitem__, numbers[v])) for v in atom.vertices}
         for x in _bits(union):  # the smallest cut node
             rest = union ^ 1 << x
             if _grow(masks, rest & -rest, rest) != rest:
@@ -524,29 +520,35 @@ def cactus_atom_arc_model(atom: Atom, r: HRepresentation) -> ArcModel:
         else:
             raise NotAnAtom("union of node sets is neither path, cycle, nor cut")
         # a connected set avoiding x lies in one part of rest: one node tells which
-        starts = [1 << min(ids) for ids in sets.values() if x not in ids]
+        starts = [mask & -mask for mask in held.values() if not mask >> x & 1]
         part = _grow(masks, starts[0] if starts else rest & -rest, rest)
         if any(not start & part for start in starts):
             raise NotAnAtom("holders of the cut node form a clique cutset")
-        keep = part | 1 << x
-        sets = {v: [i for i in ids if keep >> i & 1] for v, ids in sets.items()}
-
-
-def _positions_to_arc(
-    positions: list[int], length: int, kind: str
-) -> tuple[int, int]:
-    run = set(positions)
-    if kind == "path" or len(positions) == positions[-1] - positions[0] + 1:
-        lo, hi = positions[0], positions[-1]
-        if hi - lo + 1 != len(positions):
+        # each kept node stays in a set that held it, so the kept part is the union
+        union = part | 1 << x
+        held = {v: mask & union for v, mask in held.items()}
+    kind, order = shape
+    length = len(order)
+    at = dict.fromkeys(bit, 0)  # a node's position bit: none once peeled off
+    for i, x in enumerate(order):
+        at[x] = 1 << i
+    arcs: dict[int, tuple[int, int] | None] = {}
+    for v in atom.vertices:
+        run = sum(map(at.__getitem__, numbers[v]))  # v's positions
+        count = run.bit_count()
+        lo, hi = (run & -run).bit_length() - 1, run.bit_length() - 1
+        if hi - lo + 1 == count:
+            arcs[v] = None if kind == "cycle" and count == length else (lo, hi)
+            continue
+        if kind == "path":
             raise NotAnAtom("node set is not contiguous on the path")
-        return lo, hi
-    # cyclic interval: the unique start has no predecessor in the run
-    starts = [p for p in positions if (p - 1) % length not in run]
-    if len(starts) != 1:
-        raise NotAnAtom("node set is not a contiguous arc of the cycle")
-    s = starts[0]
-    return s, (s + len(positions) - 1) % length
+        # a wrapping arc misses one run of positions strictly inside the cycle
+        gap = run ^ (1 << length) - 1
+        lo, hi = (gap & -gap).bit_length() - 1, gap.bit_length() - 1
+        if hi - lo + 1 != gap.bit_count():
+            raise NotAnAtom("node set is not a contiguous arc of the cycle")
+        arcs[v] = hi + 1, lo - 1
+    return ArcModel(kind, length, arcs)
 
 
 def model_intersection_graph(model: ArcModel) -> SimpleGraph:
@@ -745,9 +747,11 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
     intersections share a point q.  So the clique splits as (arcs through p)
     union (arcs through q) for some pair of positions, each side a clique:
     a co-bipartite candidate whose maximum clique is found as a maximum
-    independent set of the bipartite disjointness graph between the sides.
-    Endpoint position pairs, including p = q, are tried in order, and the
-    first candidate of the clique number ω wins.
+    independent set of the bipartite disjointness graph between the sides
+    (Hsu, "Maximum weight clique algorithms for circular-arc graphs and
+    circle graphs", SIAM J. Comput. 1985).  Endpoint position pairs,
+    including p = q, are tried in order, and the first candidate of the
+    clique number ω wins.
 
     ω comes first, by peeling the shortest arc (`_carc_omega`), so the scan
     starts with ω - 1 as the best so far and stops at the first pair that
@@ -758,6 +762,7 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
     lies inside the S of a pair matched before (an induced subgraph has no
     larger clique).  Neither rule skips a pair whose candidate reaches ω, so
     the answer is the first such pair's, as a scan from nothing would find.
+    The answer is checked pairwise on masks of positions read off the model.
     """
     full = [v for v in sorted(model.arcs) if model.arcs[v] is None]
     others, ends, through, disjoint = _arc_tables(model)
@@ -766,9 +771,15 @@ def carc_max_clique(model: ArcModel) -> tuple[int, ...]:
         floor = _carc_omega(ends, through, disjoint) - 1
         best = _first_candidate_above(through, disjoint, floor)
     result = tuple(sorted([others[i] for i in _bits(best)] + full))
-    pos = {v: model.positions(v) for v in result}
-    for u, v in combinations(result, 2):
-        if pos[u].isdisjoint(pos[v]):
+    # each answer arc as a mask of its positions: a full arc holds them all,
+    # a wrapping arc all but the gap from t + 1 to s - 1
+    every = (1 << model.length) - 1
+    spans = []
+    for v in result:
+        s, t = model.arcs[v] or (0, model.length - 1)
+        spans.append((2 << t) - (1 << s) if s <= t else every ^ ((1 << s) - (2 << t)))
+    for a, b in combinations(spans, 2):
+        if not a & b:
             raise AssertionError("candidate is not a clique")
     return result
 

@@ -21,6 +21,11 @@ from .errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceed
 # for the witness: at the budget, 3-coloring a 12x12 grid holds about 60 MiB
 STATE_BUDGET = 1_000_000
 
+# k_clique raises SearchLimitExceeded once its bag searches, over all bags of
+# one call, have added more vertices to a clique than this.  G(150, 0.7) needs
+# about 630 000 and still answers; G(200, 0.9) reaches the budget
+BRANCH_BUDGET = 1_000_000
+
 # The exact subset DP runs on graphs of at most this many vertices: its
 # tables hold 2**n entries
 EXACT_LIMIT = 12
@@ -601,18 +606,20 @@ def _color_class_tops(cands: int, non_nbr: list[int]) -> list[int]:
 
 
 def _max_clique_in_bag(
-    nbr: tuple[int, ...], non_nbr: list[int], bag: int, floor: int
-) -> int:
+    nbr: tuple[int, ...], non_nbr: list[int], bag: int, floor: int, left: int
+) -> tuple[int, int]:
     """Lexicographically smallest maximum clique inside one bag, as a bitset.
 
-    Returns 0 unless that clique has more than floor vertices.  Branch and
+    The clique is 0 unless it has more than floor vertices.  Branch and
     bound on int bitsets, bit v standing for vertex v: bag holds the bag's
     vertices, nbr[v] is v's neighbourhood and non_nbr[v] masks out v and its
     neighbours.  Cliques grow by ascending vertices, so they are met in
     lexicographic order, and only a strictly larger clique replaces the best.
     A branch is cut only when a greedy-coloring bound (Tomita & Seki, MCQ,
     2003) shows it cannot beat the best, so the first maximum clique met is
-    kept.
+    kept.  Each vertex added to a clique is one branch node: left is how
+    many the search may still add, and it is returned, less those added,
+    with the clique.  One more raises SearchLimitExceeded.
     """
     best, best_size = 0, floor
     # frames: (clique bits, clique size, untried candidates, color tops)
@@ -627,6 +634,11 @@ def _max_clique_in_bag(
             continue
         cands ^= low
         stack[-1] = (clique, size, cands, tops)
+        left -= 1
+        if left < 0:
+            raise SearchLimitExceeded(
+                f"bag scan added more than {BRANCH_BUDGET} branch nodes"
+            )
         clique |= low
         size += 1
         if size > best_size:
@@ -634,7 +646,7 @@ def _max_clique_in_bag(
         sub = cands & nbr[i]
         if size + sub.bit_count() > best_size:
             stack.append((clique, size, sub, _color_class_tops(sub, non_nbr)))
-    return best
+    return best, left
 
 
 def k_clique(
@@ -647,16 +659,20 @@ def k_clique(
     node), so the best over bags is a maximum clique.  Each bag looks only
     for a clique larger than the best so far, so the answer is the
     lexicographically smallest maximum clique of the earliest bag holding one.
-    Every bag is searched on the graph's own neighbour masks, g.masks.
+    Every bag is searched on the graph's own neighbour masks, g.masks.  The
+    searches of one call share BRANCH_BUDGET branch nodes; past it, the call
+    raises SearchLimitExceeded.
     """
     validate_decomposition(g, d)
     non_nbr = [~(m | 1 << v) for v, m in enumerate(g.masks)]
     best = 0
+    left = BRANCH_BUDGET
     for bag in d.bags:
         floor = best.bit_count()
         if len(bag) > floor:
             bits = sum(1 << v for v in bag)
-            best = _max_clique_in_bag(g.masks, non_nbr, bits, floor) or best
+            found, left = _max_clique_in_bag(g.masks, non_nbr, bits, floor, left)
+            best = found or best
     clique = tuple(_bits(best))
     _check_clique(g, clique)
     return clique if len(clique) >= k else None

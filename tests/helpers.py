@@ -15,7 +15,6 @@ from itertools import combinations
 from hgraphs.clique import (
     ArcModel,
     CliqueEnumeration,
-    _positions_to_arc,
     cactus_atom_arc_model,
     carc_max_clique,
     clique_cutset_decomposition,
@@ -540,6 +539,23 @@ def _classify_shape_reference(
         prev = order[-1]
         order.append(nxt[0])
     return ("path" if ends else "cycle"), order
+
+
+def _positions_to_arc(
+    positions: list[int], length: int, kind: str
+) -> tuple[int, int]:
+    run = set(positions)
+    if kind == "path" or len(positions) == positions[-1] - positions[0] + 1:
+        lo, hi = positions[0], positions[-1]
+        if hi - lo + 1 != len(positions):
+            raise NotAnAtom("node set is not contiguous on the path")
+        return lo, hi
+    # cyclic interval: the unique start has no predecessor in the run
+    starts = [p for p in positions if (p - 1) % length not in run]
+    if len(starts) != 1:
+        raise NotAnAtom("node set is not a contiguous arc of the cycle")
+    s = starts[0]
+    return s, (s + len(positions) - 1) % length
 
 
 def cactus_atom_arc_model_reference(atom, r: HRepresentation) -> ArcModel:

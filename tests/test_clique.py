@@ -459,6 +459,36 @@ def test_carc_full_circle_arcs_join_everything():
     assert len(got) == 3 and set(got) >= {0, 3}
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ArcModel("path", 6, {0: (0, 1), 1: (3, 5)}),
+        ArcModel("cycle", 6, {0: (5, 1), 1: (2, 4)}),
+        ArcModel("cycle", 6, {0: None, 1: (4, 0), 2: (1, 3)}),
+    ],
+    ids=["path", "wrapping", "full"],
+)
+def test_carc_answer_check_fires_on_disjoint_arcs(monkeypatch, model):
+    # the scan handing back two arcs that miss each other must not pass
+    monkeypatch.setattr(clique_module, "_first_candidate_above", lambda *_: 0b11)
+    with pytest.raises(AssertionError, match="^candidate is not a clique$"):
+        carc_max_clique(model)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ArcModel("cycle", 6, {0: (4, 0), 1: (0, 2)}),  # meet at 0 only
+        ArcModel("cycle", 6, {0: (5, 1), 1: (3, 5)}),  # meet at 5 only
+        ArcModel("cycle", 6, {0: (5, 0), 1: (3, 1), 2: None}),
+    ],
+    ids=["first", "last", "both"],
+)
+def test_carc_answer_check_passes_wrapping_arcs_that_meet(monkeypatch, model):
+    monkeypatch.setattr(clique_module, "_first_candidate_above", lambda *_: 0b11)
+    assert carc_max_clique(model) == tuple(sorted(model.arcs))
+
+
 def test_carc_matches_bruteforce():
     rng = random.Random(24)
     for trial in range(200):

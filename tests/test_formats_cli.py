@@ -938,6 +938,21 @@ def test_cli_color_stops_at_the_state_budget(tmp_path, capsys):
     )
 
 
+def test_cli_clique_stops_at_the_branch_budget(tmp_path, monkeypatch, capsys):
+    # the bag scan of K6 adds six branch nodes, one path down to the clique
+    graph = tmp_path / "k6.gr"
+    graph.write_text(formats.emit_gr(complete_graph(6)))
+    argv = ["clique", "--graph", str(graph), "--mode", "treewidth"]
+    monkeypatch.setattr(fpt, "BRANCH_BUDGET", 6)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("clique: 1 2 3 4 5 6\nsize: 6\n")
+    monkeypatch.setattr(fpt, "BRANCH_BUDGET", 5)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "strategy: treewidth (requested explicitly)\n"
+    assert captured.err == "limit exceeded: bag scan added more than 5 branch nodes\n"
+
+
 def test_cli_color_sat_prints_coloring(capsys):
     code = main(["color", "--graph", fixture("k3.gr"), "--k", "3"])
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -746,6 +747,26 @@ def test_list_coloring_stops_at_the_state_budget(monkeypatch):
     monkeypatch.setattr(fpt, "STATE_BUDGET", 100)
     with pytest.raises(SearchLimitExceeded, match="more than 100 DP states"):
         list_k_coloring(g, full_lists(16, 3), 3, d)
+
+
+def test_k_clique_stops_at_the_branch_budget(monkeypatch):
+    # bags K1, K2, ..., K5, each beating the last: each search adds its
+    # clique's vertices, one path down, so the call adds 1 + 2 + ... + 5
+    # branch nodes, and the bags share the budget although none needs more
+    # than 5 of it
+    edges, bags, start = [], [], 0
+    for k in range(1, 6):
+        bag = range(start, start + k)
+        edges += combinations(bag, 2)
+        bags.append(frozenset(bag))
+        start += k
+    g = SimpleGraph.from_edges(start, edges)
+    d = TreeDecomposition(tuple(bags), tuple((i, i + 1) for i in range(4)))
+    monkeypatch.setattr(fpt, "BRANCH_BUDGET", 15)
+    assert k_clique(g, 0, d) == tuple(range(10, 15))
+    monkeypatch.setattr(fpt, "BRANCH_BUDGET", 14)
+    with pytest.raises(SearchLimitExceeded, match="^bag scan added more than 14 branch nodes$"):
+        k_clique(g, 0, d)
 
 
 def test_forgotten_vertices_take_only_their_first_completion(monkeypatch):

@@ -171,19 +171,33 @@ def test_package_holds_no_tests_only_code():
     ]
 
 
+def _private_imports(module: str) -> list[str]:
+    """The private names tests/helpers.py imports from module."""
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8"))
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_reference_helpers_share_no_private_code_with_formats():
     # a reference parser built on the parsers' own private helpers agrees with
     # them wherever those helpers are wrong, so the differential fuzz would
     # compare code against itself
-    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8"))
-    shared = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "hgraphs.formats"
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    shared = _private_imports("hgraphs.formats")
     assert not shared, f"tests/helpers.py imports from hgraphs.formats: {shared}"
+
+
+def test_reference_helpers_share_no_private_code_with_clique():
+    # the same rule for the clique references: the arc-model peel reference
+    # reads arcs with its own copy of the old position reader.  The endpoint
+    # scan reference calls the bitset matching on purpose, to pin the scan's
+    # order and not the matching
+    shared = set(_private_imports("hgraphs.clique")) - {"_bipartite_max_independent"}
+    assert not shared, f"tests/helpers.py imports from hgraphs.clique: {shared}"
 
 
 def _node_identity_faults(tree) -> list[int]:
