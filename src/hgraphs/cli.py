@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / answer yes; 1 answer no or UNSAT; 2 malformed or
-inconsistent input, or a file that cannot be read or written; 3 a cap or
-search limit was exceeded.
+inconsistent input, or a file that cannot be read or written; 3 a search
+limit was exceeded.
 """
 
 from __future__ import annotations
@@ -189,15 +189,18 @@ def cmd_verify(args) -> int:
 
 def cmd_helly(args) -> int:
     instance = load_instance(rep_path=args.rep)
-    report = cliquemod.helly_check(instance.representation, args.cap)
+    report = cliquemod.helly_check(instance.representation)
     if report.kind == "helly":
         print("helly")
         return EXIT_OK
     if report.kind == "violation":
         _print_vertices("violation", report.witness)
-        return EXIT_NO
-    print(f"exceeded: more than {report.cap} maximal cliques")
-    return EXIT_LIMIT
+    else:
+        print(
+            f"not helly: more than {report.bound} maximal cliques "
+            "(a Helly representation has at most one per pattern node)"
+        )
+    return EXIT_NO
 
 
 def cmd_atoms(args) -> int:
@@ -253,7 +256,7 @@ def cmd_complement(args) -> int:
 # the default of each tuning flag, each defined on the one command that reads
 # it.  perfbench/run.py's tracer self-check reads GLOBAL_DEFAULTS["approx_factor"]
 # to build the decomposition `td` would, so the dict keeps this name and form
-GLOBAL_DEFAULTS = {"seed": 0, "cap": 1000, "oracle_limit": 20, "approx_factor": 5}
+GLOBAL_DEFAULTS = {"seed": 0, "oracle_limit": 20, "approx_factor": 5}
 
 
 def _int_at_least(low: int):
@@ -312,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("helly", help="check the Helly property of a representation")
     p.add_argument("--rep", required=True)
-    p.add_argument("--cap", type=_int_at_least(1), default=GLOBAL_DEFAULTS["cap"],
-                   help="maximal-clique emission cap")
 
     p = subs.add_parser("atoms", help="clique-cutset decomposition into atoms")
     p.add_argument("--graph", required=True)

@@ -95,11 +95,13 @@ class ArcModel:
 
 @dataclass(frozen=True)
 class HellyReport:
-    """Outcome of the Helly property check."""
+    """Outcome of the Helly property check, with the maximal-clique bound
+    and the count enumerated (bound + 1 for an overflow)."""
 
-    kind: str  # "helly" | "violation" | "exceeded"
+    kind: str  # "helly" | "violation" | "overflow"
+    bound: int
+    count: int
     witness: tuple[int, ...] = ()
-    cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,8 @@ def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
     explicit stack, so a clique of any size cannot exhaust the recursion
     limit.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    if cap < 0:
+        raise ValueError("cap must be at least 0")
     if g.n == 0:
         return CliqueEnumeration(True, (), cap)
     masks = g.masks
@@ -179,9 +181,7 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
     representation on h exists.  No representation is required as input.
     """
     bound = h.n + h.m * g.n
-    if bound == 0 and g.n:  # each vertex lies in a maximal clique
-        return HellyCliqueResult(None, 1, bound)
-    enum = maximal_cliques_capped(g, max(bound, 1))
+    enum = maximal_cliques_capped(g, bound)
     if not enum.complete:
         return HellyCliqueResult(None, len(enum.masks), bound)
     # the lex-least of the largest cliques: of two sets of one size, the
@@ -196,26 +196,27 @@ def clique_helly(g: SimpleGraph, h: Multigraph) -> HellyCliqueResult:
     return HellyCliqueResult(clique, len(enum.masks), bound)
 
 
-def helly_check(r: HRepresentation, cap: int) -> HellyReport:
+def helly_check(r: HRepresentation) -> HellyReport:
     """Decide the Helly property of a representation.
 
     Every pairwise-intersecting subfamily is a clique of the intersection
     graph, hence contained in a maximal clique; if each maximal clique has a
     common node, each of its subfamilies inherits it.  So scanning maximal
-    cliques suffices.  Enumeration emitting more than ``cap`` cliques yields
-    an exceeded report.
+    cliques suffices.  In a Helly family two maximal cliques share no common
+    node (the vertices holding it would form a larger clique), so there are
+    at most as many as pattern nodes; enumeration stops past that bound, and
+    the overflow certifies that the family is not Helly.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    g = intersection_graph(r)
-    enum = maximal_cliques_capped(g, cap)
+    bound = r.pattern.node_count
+    enum = maximal_cliques_capped(intersection_graph(r), bound)
+    count = len(enum.masks)
     if not enum.complete:
-        return HellyReport("exceeded", cap=cap)
-    numbers = r.sets
+        return HellyReport("overflow", bound, count)
+    sets = r.sets
     for clique in enum.cliques:
-        if not frozenset.intersection(*[numbers[v] for v in clique]):
-            return HellyReport("violation", witness=clique)
-    return HellyReport("helly")
+        if not frozenset.intersection(*[sets[v] for v in clique]):
+            return HellyReport("violation", bound, count, clique)
+    return HellyReport("helly", bound, count)
 
 
 def _mcs_m(g: SimpleGraph):
@@ -571,8 +572,11 @@ def _bipartite_max_independent(
     are the right vertices in conflict with left vertex u.  Kuhn augmenting
     paths, left ascending and each row ascending, give a maximum matching;
     the standard alternating reachability argument turns it into a minimum
-    vertex cover, whose complement is returned as a mask.  The augmenting
-    path search runs on an explicit stack, so a path of any length fits.
+    vertex cover, whose complement is returned as a mask.  That complement
+    is A | (right - N(A)), A the left vertices u with nu(G - u) = nu(G) for
+    the matching number nu, whatever the matching: so carc's tuples do not
+    depend on the order of the augmenting paths.  The augmenting path search
+    runs on an explicit stack, so a path of any length fits.
     """
     match_right: dict[int, int] = {}
     taken = 0

@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import ColorLists, SimpleGraph, _bits, _check_clique, _reach
+from .core import ColorLists, SimpleGraph, _bits, _check_clique, _grow, _reach
 from .errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceeded
 
 # list_k_coloring raises SearchLimitExceeded once its introduce steps have
@@ -461,15 +461,13 @@ def _exact_order(g: SimpleGraph) -> tuple[int, list[int]]:
     full = (1 << n) - 1
 
     def elim_degree(prefix: int, v: int) -> int:
-        # vertices outside prefix+v next to v's component within prefix+v;
-        # each vertex of the component is expanded once, in its own frontier
-        comp = frontier = 1 << v
+        # vertices outside prefix+v next to v's component within prefix+v
         reach = 0
-        while frontier:
-            for u in _bits(frontier):
-                reach |= adj_mask[u]
-            frontier = reach & prefix & ~comp
-            comp |= frontier
+        comp = _grow(adj_mask, 1 << v, prefix)
+        while comp:
+            low = comp & -comp
+            reach |= adj_mask[low.bit_length() - 1]
+            comp ^= low
         return (reach & ~prefix & ~(1 << v)).bit_count()
 
     tw = [0] * (full + 1)

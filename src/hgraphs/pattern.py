@@ -9,6 +9,7 @@ at least two connecting edges per part pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import fpt
 from .core import Multigraph, _components, _connected
@@ -17,7 +18,7 @@ from .errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
 PAIR_KEYS = ((0, 1), (0, 2), (1, 2))
 
 # The tripartition search tries about 3**n / 6 labelings of an n-node
-# component, and its labeling recursion is n deep
+# component, read off 3**(n - 1) label products
 TRIPARTITION_LIMIT = 15
 
 
@@ -154,20 +155,13 @@ def _canonical_labelings(k: int):
     """All labelings of k items with labels 0..2, first occurrences in order.
 
     Enumerated in lexicographic order; every unordered 3-partition appears
-    exactly once, as its lexicographically least labeling.
+    exactly once, as its lexicographically least labeling.  Item 0 takes
+    label 0, and the labels of the others run through every product in
+    lexicographic order, kept when a 1 comes before the first 2.
     """
-    labels = [0] * k
-
-    def rec(i: int, used: int):
-        if i == k:
-            if used == 3:
-                yield tuple(labels)
-            return
-        for lab in range(min(used + 1, 3)):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    yield from rec(0, 0)
+    for rest in product(range(3), repeat=max(k - 1, 0)):
+        if 2 in rest and 1 in rest[: rest.index(2)]:
+            yield (0, *rest)
 
 
 def find_tripartition(h: Multigraph) -> TriPartition | None:

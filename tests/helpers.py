@@ -49,15 +49,16 @@ from hgraphs.fpt import (
 )
 from hgraphs.pattern import (
     TriPartition,
-    _canonical_labelings,
     _connecting_edges,
     is_cactus,
     validate_tripartition,
 )
+from hgraphs.randgen import representation_from_cycle_arcs
 from hgraphs.representation import (
     HRepresentation,
     SubdividedPattern,
     Verdict,
+    branch,
     verify_representation,
 )
 
@@ -1106,6 +1107,25 @@ def degeneracy_bruteforce(g: SimpleGraph) -> int:
     return best
 
 
+def interval_path_representation(n: int) -> HRepresentation:
+    """A path on n vertices as intervals of a subdivided edge of n + 1
+    nodes: vertex v holds the v-th and (v + 1)-th node along the edge."""
+    pattern = SubdividedPattern(Multigraph(2, ((0, 1),)), (n - 1,))
+    order = [branch(0), *pattern.path_from(0, 0), branch(1)]
+    return HRepresentation(pattern, {v: {order[v], order[v + 1]} for v in range(n)})
+
+
+def cocktail_party_representation(parts: int) -> HRepresentation:
+    """K_{2 x parts} as arcs of a cycle of 2 * parts nodes: vertices 2i and
+    2i + 1 cover complementary halves, and every other pair meets."""
+    length = 2 * parts
+    arcs = {}
+    for i in range(parts):
+        arcs[2 * i] = (i, i + parts - 1)
+        arcs[2 * i + 1] = ((i + parts) % length, (i - 1) % length)
+    return representation_from_cycle_arcs(ArcModel("cycle", length, arcs))
+
+
 def grid_graph(rows: int, cols: int) -> SimpleGraph:
     """The rows x cols grid, vertex r * cols + c at row r and column c."""
     edges = []
@@ -1556,6 +1576,39 @@ def verify_representation_reference(g: SimpleGraph, r: HRepresentation) -> Verdi
     return Verdict("ok")
 
 
+def max_matching_size_bruteforce(rows: dict[int, set[int]]) -> int:
+    """The matching number of a bigraph, rows[u] being left vertex u's right
+    neighbours: every matching is grown left vertex by left vertex, kept as
+    the set of right vertices it uses."""
+    used_sets = {frozenset()}
+    for row in rows.values():
+        used_sets |= {used | {w} for used in used_sets for w in row - used}
+    return max(map(len, used_sets))
+
+
+# The recursive labeling enumeration that the product filter replaced, kept
+# verbatim (renamed) so tests can require identical labelings in identical
+# order from both.
+def canonical_labelings_reference(k: int):
+    """All labelings of k items with labels 0..2, first occurrences in order.
+
+    Enumerated in lexicographic order; every unordered 3-partition appears
+    exactly once, as its lexicographically least labeling.
+    """
+    labels = [0] * k
+
+    def rec(i: int, used: int):
+        if i == k:
+            if used == 3:
+                yield tuple(labels)
+            return
+        for lab in range(min(used + 1, 3)):
+            labels[i] = lab
+            yield from rec(i + 1, max(used, lab + 1))
+
+    yield from rec(0, 0)
+
+
 # The tripartition search before it skipped components of cycle rank below 4,
 # kept verbatim (renamed) so tests can require identical answers from both.
 def find_tripartition_reference(h: Multigraph, limit: int = 15) -> TriPartition | None:
@@ -1569,7 +1622,7 @@ def find_tripartition_reference(h: Multigraph, limit: int = 15) -> TriPartition 
     for comp in _components(h.adjacency, range(h.n)):
         if len(comp) < 3:
             continue
-        for labeling in _canonical_labelings(len(comp)):
+        for labeling in canonical_labelings_reference(len(comp)):
             parts: tuple[list[int], ...] = ([], [], [])
             for v, lab in zip(comp, labeling):
                 parts[lab].append(v)

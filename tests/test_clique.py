@@ -19,6 +19,7 @@ from helpers import (
     clique_cactus_reference,
     has_clique_cutset,
     maximal_cliques_capped_reference,
+    max_matching_size_bruteforce,
     maximal_cliques_reference,
     mcs_m_reference,
     random_chordal,
@@ -126,8 +127,14 @@ def test_enumeration_of_a_large_clique_does_not_recurse():
 
 
 def test_enumeration_cap_validation():
-    with pytest.raises(ValueError):
-        maximal_cliques_capped(path_graph(2), 0)
+    # cap 0 stops at the first clique; a negative cap raises
+    enum = maximal_cliques_capped(path_graph(2), 0)
+    assert not enum.complete and enum.masks == (0b11,)
+    enum = maximal_cliques_capped(path_graph(0), 0)
+    assert enum.complete and enum.masks == ()
+    with pytest.raises(ValueError) as err:
+        maximal_cliques_capped(path_graph(2), -1)
+    assert str(err.value) == "cap must be at least 0"
 
 
 def _hard_targets(rng, sizes, patterns):
@@ -648,7 +655,7 @@ def test_parsed_representations_never_build_node_tuples(monkeypatch):
     cases = []
     for g, rep in _random_cactus_representations(24):
         text, pattern_text = emit_rep(rep, "p.hgr"), emit_hgr(rep.pattern.base)
-        expected = (clique_cactus(g, rep), helly_check(rep, 10_000))
+        expected = (clique_cactus(g, rep), helly_check(rep))
         cases.append((g, text, pattern_text, expected))
     models = []
     monkeypatch.setattr(
@@ -658,7 +665,7 @@ def test_parsed_representations_never_build_node_tuples(monkeypatch):
     for g, text, pattern_text, expected in cases:
         rep = parse_rep(text, pattern_text)
         assert verify_representation(g, rep).is_ok
-        assert (clique_cactus(g, rep), helly_check(rep, 10_000)) == expected
+        assert (clique_cactus(g, rep), helly_check(rep)) == expected
         assert intersection_graph(rep) == g
         td_from_representation(g, rep, PatternProfile.compute(rep.pattern.base))
     assert len(models) > 8
@@ -1046,3 +1053,45 @@ def test_clique_cactus_propagates_verifier_failure():
     )
     with pytest.raises(InvalidRepresentation):
         clique_cactus(complete_graph(2), rep)
+
+
+def test_bipartite_max_independent_is_the_matching_formula():
+    # the answer is A | (R - N(A)), A the left vertices u with nu(G - u) =
+    # nu(G), so it depends on no matching order; nu comes from a brute force
+    # over all matchings.  Rows may hold bits outside the right side, and
+    # some vertices lie on neither side.
+    rng = random.Random(31)
+    for _ in range(3000):
+        a, b = rng.randint(0, 6), rng.randint(0, 6)
+        size = a + b + 2
+        vertices = rng.sample(range(size), size)
+        lefts, rights = vertices[:a], vertices[a : a + b]
+        p = rng.random()
+        rows = [sum(1 << x for x in range(size) if rng.random() < p) for _ in range(size)]
+        nbrs = {u: {w for w in rights if rows[u] >> w & 1} for u in lefts}
+        nu = max_matching_size_bruteforce(nbrs)
+        kept = [
+            u for u in lefts
+            if max_matching_size_bruteforce({x: r for x, r in nbrs.items() if x != u}) == nu
+        ]
+        covered = set().union(*[nbrs[u] for u in kept])
+        expected = sum(1 << x for x in kept + [w for w in rights if w not in covered])
+        left, right = sum(1 << u for u in lefts), sum(1 << w for w in rights)
+        assert _bipartite_max_independent(left, right, rows) == expected, (lefts, rights, rows)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ArcModel("path", 4, {0: (3, 1)}).positions(0), "path arcs cannot wrap"),
+        (lambda: carc_max_clique(ArcModel("path", 4, {0: (0, 2), 1: (3, 1)})),
+         "path arcs cannot wrap"),
+        (lambda: model_intersection_graph(ArcModel("path", 4, {0: (0, 1), 2: (1, 2)})),
+         "arc model vertices must be dense 0-based"),
+    ],
+    ids=["positions", "carc", "intersection_graph"],
+)
+def test_arc_model_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -14,6 +14,7 @@ from helpers import (
     sub,
 )
 from hgraphs.core import (
+    Multigraph,
     SimpleGraph,
     complement,
     complete_graph,
@@ -241,3 +242,18 @@ def test_grow_reaches_what_reach_reaches():
             want |= _reach(g.adjacency, v, members)
         assert set(_bits(_grow(g.masks, start, allowed))) == want, (g, start, allowed)
     assert _grow((), 0, 0) == 0 and _grow((0,), 1, 0) == 1
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SimpleGraph(-1, frozenset()), "vertex count must be non-negative"),
+        (lambda: Multigraph(2, ((0, 1), (1, 2))), "edge (1,2) out of range for n=2"),
+        (lambda: cycle_graph(2), "cycle needs at least 3 vertices"),
+    ],
+    ids=["negative_vertex_count", "multigraph_edge_out_of_range", "two_cycle"],
+)
+def test_core_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

@@ -9,8 +9,10 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    cocktail_party_representation,
     emit_rep_reference,
     grid_graph,
+    interval_path_representation,
     minfill_order_reference,
     random_tree,
     parse_gr_reference,
@@ -24,7 +26,13 @@ from hgraphs import cli
 from hgraphs import fpt
 from hgraphs import pattern as pattern_module
 from hgraphs.cli import main
-from hgraphs.core import Multigraph, complete_graph, cycle_graph, path_graph
+from hgraphs.core import (
+    Multigraph,
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    path_graph,
+)
 from hgraphs.errors import ParseError
 from hgraphs.fpt import (
     check_decomposition,
@@ -770,8 +778,6 @@ def test_cli_clique_modes_agree_on_cactus_inputs(tmp_path, capsys):
 
 
 def test_cli_clique_helly_certificate_exit_code(tmp_path):
-    from hgraphs.core import complete_multipartite
-
     big = tmp_path / "cocktail.gr"
     big.write_text(formats.emit_gr(complete_multipartite([2] * 12)))
     code = main(
@@ -831,11 +837,29 @@ def test_cli_helly_reports_violation(tmp_path, capsys):
     assert capsys.readouterr().out == "violation: 1 2 3\n"
 
 
-def test_cli_non_integer_cap_exit_code(capsys):
+def test_cli_helly_has_no_cap_option(capsys):
+    # the pattern's node count bounds the enumeration, so no flag sets it
     with pytest.raises(SystemExit) as exc:
-        main(["helly", "--rep", fixture("p3.rep"), "--cap", "x"])
+        main(["helly", "--rep", fixture("p3.rep"), "--cap", "5"])
     assert exc.value.code == 2
-    assert "argument --cap: expected an integer, got 'x'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hgraphs ")
+    assert "unrecognized arguments: --cap 5" in err
+
+
+def test_cli_helly_bounds_by_pattern_nodes(tmp_path, capsys):
+    # a 1500-vertex interval path has 1499 maximal cliques on 1501 nodes:
+    # Helly; K_{2x10} on a 20-node cycle has 1024: the 21st certifies it is not
+    for name, rep, code, out in (
+        ("path", interval_path_representation(1500), 0, "helly\n"),
+        ("party", cocktail_party_representation(10), 1,
+         "not helly: more than 20 maximal cliques "
+         "(a Helly representation has at most one per pattern node)\n"),
+    ):
+        (tmp_path / f"{name}.hgr").write_text(formats.emit_hgr(rep.pattern.base))
+        (tmp_path / f"{name}.rep").write_text(formats.emit_rep(rep, f"{name}.hgr"))
+        assert main(["helly", "--rep", str(tmp_path / f"{name}.rep")]) == code
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(
@@ -1112,8 +1136,6 @@ def test_cli_each_flag_only_on_the_command_that_reads_it(tmp_path, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     # on its own command, each flag's value reaches the call
-    assert main(argvs["helly"] + ["--cap", "1"]) == 3
-    assert capsys.readouterr().out == "exceeded: more than 1 maximal cliques\n"
     assert main(argvs["clique"] + ["--mode", "brute", "--oracle-limit", "2"]) == 3
     assert capsys.readouterr().err == "limit exceeded: n=5 exceeds oracle limit 2\n"
     assert main(argvs["td"] + ["--approx-factor", "1"]) == 0
@@ -1122,8 +1144,7 @@ def test_cli_each_flag_only_on_the_command_that_reads_it(tmp_path, capsys):
         assert main(argvs["td"] + extra) == 0
         assert capsys.readouterr().out == f"width: 3 -> {out}\n"
     # on any other command, and before the command, each flag exits 2
-    homes = {"--oracle-limit": "clique", "--cap": "helly", "--seed": "td",
-             "--approx-factor": "td"}
+    homes = {"--oracle-limit": "clique", "--seed": "td", "--approx-factor": "td"}
     for flag, home in homes.items():
         for command, argv in argvs.items():
             misplaced = [[flag, "1", *argv]]
@@ -1320,13 +1341,6 @@ def test_cli_negative_vertex_count_exit_code(tmp_path, capsys):
     assert "neg.gr:2: vertex count must be non-negative, got -1" in err
 
 
-def test_cli_zero_cap_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["helly", "--rep", fixture("p3.rep"), "--cap", "0"])
-    assert exc.value.code == 2
-    assert "argument --cap: must be at least 1, got 0" in capsys.readouterr().err
-
-
 def test_cli_negative_target_exit_code(tmp_path, capsys):
     out = str(tmp_path / "o.td")
     with pytest.raises(SystemExit) as exc:
@@ -1438,7 +1452,8 @@ CLI_FUZZ_RUNS = (
     (["clique", "--graph", "p3.gr", "--rep", "p3.rep", "--mode", "helly"],
      ("edge.hgr",)),
     (["clique", "--graph", "k3.gr", "--mode", "treewidth"], ()),
-    (["helly", "--rep", "c5.rep", "--cap", "2"], ("c5_cycle.hgr",)),
+    (["clique", "--graph", "k3.gr", "--mode", "brute", "--oracle-limit", "2"], ()),
+    (["helly", "--rep", "c5.rep"], ("c5_cycle.hgr",)),
     (["color", "--graph", "path4.gr", "--lists", "path4.lists", "--k", "2"], ()),
     (["atoms", "--graph", "c5.gr"], ()),
     (["gen-hard", "--graph", "k3.gr", "--pattern", "wheel4.hgr",

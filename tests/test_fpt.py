@@ -796,3 +796,10 @@ def test_empty_graph_decomposition_and_solvers():
     assert check_decomposition(g, d) == []
     assert k_clique(g, 0, d) == ()
     assert list_k_coloring(g, {}, 1, d) == {}
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3]])
+def test_decomposition_from_order_rejects_a_non_permutation(order):
+    with pytest.raises(ValueError) as err:
+        decomposition_from_order(path_graph(3), order)
+    assert str(err.value) == "order must be a permutation of the vertices"

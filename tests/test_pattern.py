@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import find_tripartition_reference
+from helpers import canonical_labelings_reference, find_tripartition_reference
 
 from hgraphs import fpt, pattern
 from hgraphs.core import Multigraph
@@ -314,3 +314,45 @@ def test_loops_excluded_from_tripartition_edge_counts():
         3, ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))
     )
     assert find_tripartition(h) is None
+
+
+def test_canonical_labelings_match_the_recursive_reference():
+    for k in range(11):
+        assert list(pattern._canonical_labelings(k)) == list(
+            canonical_labelings_reference(k)
+        ), k
+
+
+# three nodes with two parallel edges per pair but one between 1 and 2
+SHORT_PAIR = Multigraph(3, ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2)))
+
+
+@pytest.mark.parametrize(
+    "h,parts,message",
+    [
+        (double_triangle(), ((0,), (), (1, 2)), "empty part"),
+        (double_triangle(), ((0,), (1,), (5,)), "node 5 out of range"),
+        (SHORT_PAIR, ((0,), (1,), (2,)),
+         "fewer than two connecting edges for some pair"),
+    ],
+    ids=["empty_part", "node_out_of_range", "one_connecting_edge"],
+)
+def test_validate_tripartition_messages(h, parts, message):
+    connecting = ((0, 1), (2, 3), (4, 5))
+    with pytest.raises(InvalidPartition) as err:
+        validate_tripartition(h, TriPartition(parts, connecting))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: wheel(2), "wheel rim needs at least 3 nodes"),
+        (lambda: cycle_pattern(1), "cycle pattern needs at least 2 nodes"),
+    ],
+    ids=["wheel_2", "cycle_pattern_1"],
+)
+def test_named_patterns_reject_small_sizes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

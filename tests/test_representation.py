@@ -4,24 +4,27 @@ import sys
 import pytest
 
 from helpers import (
+    cocktail_party_representation,
     generate_hard_instance_reference,
+    interval_path_representation,
     sub,
     subdivided_adjacency_reference,
     verify_representation_reference,
 )
 
-from hgraphs.clique import helly_check
+from hgraphs.clique import ArcModel, HellyReport, helly_check
 from hgraphs.core import (
     Multigraph,
     SimpleGraph,
     complement,
     complete_graph,
     complete_multipartite,
+    empty_graph,
     max_clique_bruteforce,
     path_graph,
     two_subdivision,
 )
-from hgraphs.errors import DomainMismatch, InvalidPartition
+from hgraphs.errors import DomainMismatch, InvalidPartition, InvalidRepresentation
 from hgraphs.formats import emit_gr, emit_rep
 from hgraphs.fpt import (
     _exact_order,
@@ -50,6 +53,7 @@ from hgraphs.representation import (
     verify_representation,
 )
 from hgraphs.randgen import (
+    cycle_pattern_for_length,
     gnm,
     gnp,
     random_cactus,
@@ -190,11 +194,11 @@ def test_representation_stores_frozensets_of_plain_sets():
     arcs = {0: {0, sub(pat, 0, 1), 1}, 1: {1, sub(pat, 2, 1), 2}, 2: {2, sub(pat, 1, 1), 0}}
     rep = HRepresentation(pat, arcs)
     assert all(type(ids) is frozenset for ids in rep.sets.values())
-    assert helly_check(rep, cap=100).kind == "violation"
+    assert helly_check(rep).kind == "violation"
     arcs[0].add(sub(pat, 2, 1))
     assert rep.sets[0] == frozenset({0, sub(pat, 0, 1), 1})
     helly = HRepresentation(pat, {0: {0, 3}, 1: {3, 1}, 2: {0, 1, 3}})
-    assert helly_check(helly, cap=100).kind == "helly"
+    assert helly_check(helly).kind == "helly"
 
 
 def test_verify_reports_adjacency_mismatch():
@@ -312,7 +316,7 @@ def test_helly_on_tree_patterns():
         h = random_tree_pattern(rng.randint(1, 6), rng)
         pat = random_subdivision(h, rng, 3)
         _, rep = random_representation(pat, rng.randint(1, 12), rng, 5)
-        assert helly_check(rep, cap=2000).kind == "helly"
+        assert helly_check(rep).kind == "helly"
 
 
 def test_helly_violation_on_triangle_arcs():
@@ -325,34 +329,28 @@ def test_helly_violation_on_triangle_arcs():
             2: frozenset({branch(2), sub(pat, 2, 1), branch(0)}),
         },
     )
-    report = helly_check(rep, cap=100)
+    report = helly_check(rep)
     assert report.kind == "violation"
     assert report.witness == (0, 1, 2)
 
 
-def _cocktail_party_arc_model(parts: int):
-    from hgraphs.clique import ArcModel
-
-    length = 2 * parts
-    arcs = {}
-    for i in range(parts):
-        arcs[2 * i] = (i, i + parts - 1)
-        arcs[2 * i + 1] = ((i + parts) % length, (i - 1) % length)
-    return ArcModel("cycle", length, arcs)
-
-
-def test_helly_cap_exceeded_on_cocktail_party_arcs():
-    rep = representation_from_cycle_arcs(_cocktail_party_arc_model(10))
+def test_helly_overflow_on_cocktail_party_arcs():
+    # K_{2x10} has 1024 maximal cliques on a 20-node cycle: the enumeration
+    # stops at the 21st, which certifies that the arcs are not Helly
+    rep = cocktail_party_representation(10)
     assert intersection_graph(rep) == complete_multipartite([2] * 10)
-    report = helly_check(rep, cap=50)
-    assert report.kind == "exceeded" and report.cap == 50
+    assert rep.pattern.node_count == 20
+    assert helly_check(rep) == HellyReport("overflow", 20, 21)
 
 
-def test_helly_cap_validation():
-    pat = _three_node_path_pattern()
-    rep = HRepresentation(pat, {0: frozenset({branch(0)})})
-    with pytest.raises(ValueError):
-        helly_check(rep, cap=0)
+def test_helly_bound_is_the_pattern_node_count():
+    # a 1500-vertex path as intervals of a 1501-node edge: more than 1000
+    # maximal cliques (1499), within the node count
+    rep = interval_path_representation(1500)
+    assert helly_check(rep) == HellyReport("helly", 1501, 1499)
+    # one isolated vertex per node meets the bound exactly
+    rep = HRepresentation(rep.pattern, {v: {v} for v in range(1501)})
+    assert helly_check(rep) == HellyReport("helly", 1501, 1501)
 
 
 def test_hard_instance_k2_double_triangle():
@@ -629,3 +627,39 @@ def test_intersection_graph_matches_construction():
         g, rep = random_representation(pat, rng.randint(1, 9), rng, 4)
         assert intersection_graph(rep) == g
         assert verify_representation(g, rep).is_ok
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SubdividedPattern(Multigraph(2, ((0, 1),)), ()),
+         "one subdivision count per edge required"),
+        (lambda: SubdividedPattern(Multigraph(2, ((0, 1),)), (-1,)),
+         "subdivision counts must be non-negative"),
+        (lambda: SubdividedPattern(Multigraph(2, ((0, 1), (1, 1))), (0, 2)),
+         "loop edge 1 cannot be subdivided"),
+        (lambda: cycle_pattern_for_length(2), "cycle needs at least 3 nodes"),
+        (lambda: representation_from_cycle_arcs(ArcModel("path", 3, {0: (0, 1)})),
+         "expected a cycle model"),
+    ],
+    ids=["count_per_edge", "negative_count", "subdivided_loop",
+         "cycle_length_2", "path_model"],
+)
+def test_pattern_builders_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_intersection_graph_and_td_reject_bad_representations():
+    pat = _three_node_path_pattern()
+    sparse = HRepresentation(pat, {0: {branch(0)}, 2: {branch(1)}})
+    with pytest.raises(DomainMismatch) as err:
+        intersection_graph(sparse)
+    assert str(err.value) == "representation domain must be dense 0-based"
+    # two vertices that share a node but are not adjacent in the graph
+    rep = HRepresentation(pat, {0: {branch(0)}, 1: {branch(0)}})
+    with pytest.raises(InvalidRepresentation) as err:
+        td_from_representation(empty_graph(2), rep, PatternProfile.compute(pat.base))
+    assert str(err.value) == "representation failed verification"
+    assert err.value.verdict.kind == "mismatch"

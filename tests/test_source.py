@@ -58,6 +58,50 @@ def test_package_imports_only_at_module_level():
     assert not found, f"imports below module level: {found}"
 
 
+def _self_calls(tree) -> list[int]:
+    """Lines where a function calls itself: by its name, or as self.name or
+    cls.name in a method."""
+    def callee(func):
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.attr if func.value.id in ("self", "cls") else None
+        return None
+
+    return sorted(
+        call.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and callee(call.func) == fn.name
+    )
+
+
+def test_package_has_no_recursion():
+    # a recursion's depth is bounded by the recursion limit, not by its input;
+    # every search in the package runs on an explicit stack or a loop.  The
+    # check must also see a planted recursive generator and method.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(ROOT.glob("src/hgraphs/*.py"))
+        for line in _self_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"functions that call themselves: {found}"
+    planted = (
+        "def outer(k):\n"
+        "    def rec(i):\n"
+        "        if i < k:\n"
+        "            yield from rec(i + 1)\n"
+        "    yield from rec(0)\n"
+        "class C:\n"
+        "    def walk(self, n):\n"
+        "        return n and self.walk(n - 1)\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+    )
+    assert _self_calls(ast.parse(planted)) == [4, 8]
+
+
 # Definitions kept with no caller in the package, the benchmark or the
 # scripts: the constructors that build a library user's inputs, and the
 # paper's width bound (tw(H)+1)·ω−1 with the profile it is read from and the
