@@ -530,12 +530,19 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
 
     Bags are kept as sorted tuples, so join children always agree on vertex
     order.  Width and the set of covered vertex pairs are preserved exactly.
-    The bag tree is rooted at bag 0.  A tree edge becomes a chain that
-    forgets the child bag's vertices outside the parent's, then introduces
-    the parent's vertices outside the child's, each in ascending order; a
-    bag with several children joins their chains in the order of its tree
-    edges, left to right, and a bag without children starts from a leaf.
-    Nodes are named tuples, each added after its children.
+    The bag tree is rooted at bag 0 and cut at each tree edge whose bags
+    share no vertex; each piece hangs from its bag nearest bag 0.  Within a
+    piece, a tree edge becomes a chain that forgets the child bag's vertices
+    outside the parent's, then introduces the parent's vertices outside the
+    child's, each in ascending order; a bag with several children joins
+    their chains in the order of its tree edges, left to right, leaving cut
+    children out, and a bag without children, or whose first child is cut,
+    starts from a leaf, or from the top of the piece before.  A piece's top
+    forgets the bag it hangs from down to the empty bag.  The pieces are
+    chained, not joined: each is built whole, in the order their hanging
+    bags finish bottom up, so bag 0's piece comes last and its top is the
+    root; an empty bag is a piece that adds no node.  Nodes are named
+    tuples, each added after its children.
     """
     bags = [frozenset(b) for b in d.bags] or [frozenset()]
     nbrs: list[list[int]] = [[] for _ in bags]
@@ -543,10 +550,14 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
         nbrs[i].append(j)
         nbrs[j].append(i)
     nodes: list[NiceNode] = []
+    carry: list[int] = []  # the top of the piece built last, until a leaf takes it
 
     def add(kind: str, bag: tuple[int, ...], children=(), vertex=None) -> int:
         nodes.append(NiceNode(kind, bag, children, vertex))
         return len(nodes) - 1
+
+    def leaf() -> int:
+        return carry.pop() if carry else add("leaf", ())
 
     def chain(idx: int, frm: frozenset[int], to: frozenset[int]) -> int:
         if frm == to:
@@ -561,8 +572,8 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
         return idx
 
     # Breadth first from bag 0, then each bag after all of its children,
-    # without recursion, so a long path of bags cannot exhaust the
-    # interpreter's recursion limit.
+    # piece by piece, without recursion, so a long path of bags cannot
+    # exhaust the interpreter's recursion limit.
     parent: list[int | None] = [None] * len(bags)
     parent[0] = -1
     order = [0]
@@ -573,13 +584,25 @@ def make_nice(d: TreeDecomposition) -> NiceTreeDecomposition:
                     raise InvalidDecomposition("bag tree has a cycle")
                 parent[j] = i
                 order.append(j)
+    if len(order) < len(bags):
+        raise InvalidDecomposition("bag tree is disconnected")
+    # piece[i] is the breadth-first position of the bag that i's piece hangs from
+    piece = [0] * len(bags)
+    for pos, i in enumerate(order[1:], 1):
+        piece[i] = pos if bags[i].isdisjoint(bags[parent[i]]) else piece[parent[i]]
     top = [-1] * len(bags)  # node index standing for each finished subtree
-    for i in reversed(order):
-        lifted = [chain(top[j], bags[j], bags[i]) for j in nbrs[i] if j != parent[i]]
-        top[i] = lifted[0] if lifted else chain(add("leaf", ()), frozenset(), bags[i])
+    for i in sorted(reversed(order), key=lambda i: -piece[i]):
+        kids = [j for j in nbrs[i] if j != parent[i]]
+        lifted = []
+        if not kids or piece[kids[0]] != piece[i]:  # no child, or a cut first child
+            lifted.append(chain(leaf(), frozenset(), bags[i]))
+        lifted += [chain(top[j], bags[j], bags[i]) for j in kids if piece[j] == piece[i]]
+        top[i] = lifted[0]
         for nxt in lifted[1:]:
             top[i] = add("join", tuple(sorted(bags[i])), (top[i], nxt))
-    root = chain(top[0], bags[0], frozenset())
+        if order[piece[i]] == i:
+            carry.append(chain(top[i], bags[i], frozenset()))
+    root = leaf()
     return NiceTreeDecomposition(tuple(nodes), root)
 
 
@@ -725,13 +748,14 @@ def list_k_coloring(
 
     The lists are narrowed first (narrow_lists); an emptied list answers
     None.  A vertex left one color takes it, and no neighbour's list holds
-    that color, so it leaves the bags.  A dynamic program then runs over
-    the nice form of the smaller bags: a state is a proper, list-respecting
-    coloring of a bag that some coloring of the vertices below extends;
-    introduce extends by list colors unused on bag neighbours, forget
-    projects, join keeps the states of both sides.  Tables are dicts, in
-    the order their states are first built, and exist only at leaves,
-    joins and the tops of forget runs:
+    that color, so it leaves the bags, which may fall apart into pieces that
+    share no vertex; make_nice chains the pieces instead of joining them.
+    A dynamic program then runs over that nice form: a state is a proper,
+    list-respecting coloring of a bag that some coloring of the vertices
+    below extends; introduce extends by list colors unused on bag
+    neighbours, forget projects, join keeps the states of both sides.
+    Tables are dicts, in the order their states are first built, and exist
+    only at leaves, joins and the tops of forget runs:
 
     - a run of forgets is one projection of the introduce run below it,
       from each new state to the first full state reaching it; when the
@@ -746,7 +770,9 @@ def list_k_coloring(
     The witness is the one the DP over d and the given lists finds: a bag
     separates the vertices below it from the rest, so a state keeping to
     the narrowed lists extends within them, every forget keeps the same
-    first state, and a forced vertex adds one fixed color to each state.
+    first state, a piece's top passes only the empty state, as the DP over
+    the joined pieces would, and a forced vertex adds one fixed color to
+    each state.
     The DP stops at the first empty table, as every ancestor's would be
     empty too, and raises SearchLimitExceeded once its introduce steps have
     built more than STATE_BUDGET states.  Pre-coloring extension is the

@@ -8,6 +8,7 @@ own algorithms.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -34,6 +35,7 @@ from hgraphs.core import (
 )
 from hgraphs.errors import (
     DomainMismatch,
+    InvalidDecomposition,
     InvalidRepresentation,
     NotAnAtom,
     NotCactus,
@@ -42,9 +44,10 @@ from hgraphs.errors import (
     SearchLimitExceeded,
 )
 from hgraphs.fpt import (
+    NiceNode,
+    NiceTreeDecomposition,
     TreeDecomposition,
     _check_lists,
-    make_nice,
     validate_decomposition,
 )
 from hgraphs.pattern import (
@@ -987,6 +990,68 @@ def exact_decomposition_reference(g: SimpleGraph) -> tuple[int, TreeDecompositio
     return tw[full], decomposition_from_order_reference(g, order)
 
 
+# The nice form that joined every child's chain, also where the bags share
+# no vertex, kept verbatim (renamed): list_k_coloring_reference runs on it,
+# so the chained pieces of make_nice are checked against a form they do not
+# share.
+def make_nice_reference(d: TreeDecomposition) -> NiceTreeDecomposition:
+    """Binary nice form: empty leaf/root bags, one-vertex introduce/forget steps.
+
+    Bags are kept as sorted tuples, so join children always agree on vertex
+    order.  Width and the set of covered vertex pairs are preserved exactly.
+    The bag tree is rooted at bag 0.  A tree edge becomes a chain that
+    forgets the child bag's vertices outside the parent's, then introduces
+    the parent's vertices outside the child's, each in ascending order; a
+    bag with several children joins their chains in the order of its tree
+    edges, left to right, and a bag without children starts from a leaf.
+    Nodes are named tuples, each added after its children.
+    """
+    bags = [frozenset(b) for b in d.bags] or [frozenset()]
+    nbrs: list[list[int]] = [[] for _ in bags]
+    for i, j in d.tree_edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    nodes: list[NiceNode] = []
+
+    def add(kind: str, bag: tuple[int, ...], children=(), vertex=None) -> int:
+        nodes.append(NiceNode(kind, bag, children, vertex))
+        return len(nodes) - 1
+
+    def chain(idx: int, frm: frozenset[int], to: frozenset[int]) -> int:
+        if frm == to:
+            return idx
+        bag = sorted(frm)
+        for v in sorted(frm - to):
+            bag.remove(v)
+            idx = add("forget", tuple(bag), (idx,), v)
+        for v in sorted(to - frm):
+            insort(bag, v)
+            idx = add("introduce", tuple(bag), (idx,), v)
+        return idx
+
+    # Breadth first from bag 0, then each bag after all of its children,
+    # without recursion, so a long path of bags cannot exhaust the
+    # interpreter's recursion limit.
+    parent: list[int | None] = [None] * len(bags)
+    parent[0] = -1
+    order = [0]
+    for i in order:
+        for j in nbrs[i]:
+            if j != parent[i]:
+                if parent[j] is not None:
+                    raise InvalidDecomposition("bag tree has a cycle")
+                parent[j] = i
+                order.append(j)
+    top = [-1] * len(bags)  # node index standing for each finished subtree
+    for i in reversed(order):
+        lifted = [chain(top[j], bags[j], bags[i]) for j in nbrs[i] if j != parent[i]]
+        top[i] = lifted[0] if lifted else chain(add("leaf", ()), frozenset(), bags[i])
+        for nxt in lifted[1:]:
+            top[i] = add("join", tuple(sorted(bags[i])), (top[i], nxt))
+    root = chain(top[0], bags[0], frozenset())
+    return NiceTreeDecomposition(tuple(nodes), root)
+
+
 # The list-coloring DP that stored a predecessor tuple for every state of
 # every table, and the recursive backtracking oracle, both replaced and
 # kept verbatim (renamed) so tests can require identical return values.
@@ -1003,7 +1068,7 @@ def list_k_coloring_reference(
     """
     validate_decomposition(g, d)
     _check_lists(g, lists, k)
-    nice = make_nice(d)
+    nice = make_nice_reference(d)
     adj = g.adjacency
 
     # make_nice adds every node after its children, so index order is a

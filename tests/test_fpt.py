@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import simple_graphs
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     grid_graph,
     list_coloring_bruteforce_reference,
     list_k_coloring_reference,
+    make_nice_reference,
     maximal_cliques_reference,
     minfill_heap_reference,
     minfill_order_reference,
@@ -40,6 +42,7 @@ from hgraphs.core import (
 from hgraphs import fpt
 from hgraphs.errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceeded
 from hgraphs.fpt import (
+    NiceNode,
     TreeDecomposition,
     check_decomposition,
     decomposition_from_order,
@@ -433,13 +436,12 @@ def test_make_nice_star_becomes_binary():
         assert len(nd.children) <= 2
 
 
-@given(simple_graphs(max_n=8))
-@settings(max_examples=60)
-def test_make_nice_preserves_width_and_coverage(g):
-    d = decomposition_from_order(g, minfill_order(g))
-    nice = make_nice(d)
+def _check_nice(d, nice):
+    """The invariants of a nice form of d that list_k_coloring reads."""
     assert nice.width == d.width
     assert _covered_pairs(nd.bag for nd in nice.nodes) == _covered_pairs(d.bags)
+    assert nice.nodes[nice.root].bag == ()
+    forgotten = []
     for idx, nd in enumerate(nice.nodes):
         # list_k_coloring evaluates nodes in index order
         assert all(c < idx for c in nd.children)
@@ -455,7 +457,112 @@ def test_make_nice_preserves_width_and_coverage(g):
         else:
             (c,) = nd.children
             assert set(nd.bag) == set(nice.nodes[c].bag) - {nd.vertex}
-    assert nice.nodes[nice.root].bag == ()
+            assert nd.vertex in nice.nodes[c].bag
+            forgotten.append(nd.vertex)
+    # the witness walk colors each vertex at the one forget that leaves it out
+    assert sorted(forgotten) == sorted(set().union(*d.bags))
+    reached, walk = set(), [nice.root]
+    while walk:
+        reached.add(walk[-1])
+        walk.extend(nice.nodes[walk.pop()].children)
+    assert len(reached) == len(nice.nodes)
+
+
+@given(simple_graphs(max_n=8))
+@settings(max_examples=60)
+def test_make_nice_preserves_width_and_coverage(g):
+    d = decomposition_from_order(g, minfill_order(g))
+    _check_nice(d, make_nice(d))
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 8) -> SimpleGraph:
+    """A graph of simple_graphs with a random spanning tree added."""
+    g = draw(simple_graphs(max_n=max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, g.n)]
+    return SimpleGraph.from_edges(g.n, sorted(g.edges) + tree)
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_make_nice_without_a_cut_edge_is_the_joined_form(g, rng):
+    # eliminating a vertex keeps the rest connected, so every bag shares a
+    # vertex with the bag it hangs from, and no tree edge is cut
+    shuffled = list(range(g.n))
+    rng.shuffle(shuffled)
+    for order in (minfill_order(g), shuffled):
+        d = decomposition_from_order(g, order)
+        assert all(d.bags[i] & d.bags[j] for i, j in d.tree_edges)
+        assert make_nice(d) == make_nice_reference(d)
+
+
+@given(simple_graphs(max_n=9), st.data())
+@settings(max_examples=80)
+def test_make_nice_invariants_hold_on_shattered_bags(g, data):
+    # vertices leave the bags as forced ones do in list_k_coloring, so bags
+    # may be emptied or share nothing with the bag they hang from
+    d = decomposition_from_order(g, data.draw(st.permutations(range(g.n))))
+    pinned = data.draw(st.sets(st.integers(0, g.n - 1)))
+    _check_nice(d, make_nice(d))
+    shattered = TreeDecomposition(tuple(b - pinned for b in d.bags), d.tree_edges)
+    _check_nice(shattered, make_nice(shattered))
+
+
+def test_make_nice_chains_two_bags_that_share_nothing():
+    # bag 1's piece is finished first, and its top starts bag 0's piece
+    d = TreeDecomposition((frozenset({0}), frozenset({1})), ((0, 1),))
+    nice = make_nice(d)
+    assert nice.nodes == (
+        NiceNode("leaf", (), ()),
+        NiceNode("introduce", (1,), (0,), 1),
+        NiceNode("forget", (), (1,), 1),
+        NiceNode("introduce", (0,), (2,), 0),
+        NiceNode("forget", (), (3,), 0),
+    )
+    assert nice.root == 4
+
+
+def test_make_nice_drops_the_join_with_an_emptied_child():
+    # the joined form joins bag {0}'s two children; chained, the emptied one
+    # adds no node, and one forget run reaches the empty bag
+    d = TreeDecomposition(
+        (frozenset({0}), frozenset({0, 1}), frozenset()), ((0, 1), (0, 2))
+    )
+    assert [nd.kind for nd in make_nice_reference(d).nodes].count("join") == 1
+    nice = make_nice(d)
+    assert [(nd.kind, nd.vertex) for nd in nice.nodes] == [
+        ("leaf", None),
+        ("introduce", 0),
+        ("introduce", 1),
+        ("forget", 1),
+        ("forget", 0),
+    ]
+    _check_nice(d, nice)
+
+
+def test_make_nice_cut_first_child_leaves_a_leaf():
+    # a triangle and the path 3-4-5; bag 0's first child, the triangle, shares
+    # nothing with it, so a fresh leaf starts the left side of bag 0's join
+    # and the triangle's piece starts the right side's chain
+    g = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+    bags = (frozenset({3, 4}), frozenset({0, 1, 2}), frozenset({4, 5}))
+    d = TreeDecomposition(bags, ((0, 1), (0, 2)))
+    validate_decomposition(g, d)
+    nice = make_nice(d)
+    _check_nice(d, nice)
+    (join,) = [nd for nd in nice.nodes if nd.kind == "join"]
+    left, right = join.children
+    assert [nice.nodes[i].vertex for i in (left, left - 1)] == [4, 3]
+    assert nice.nodes[left - 2] == NiceNode("leaf", (), ())
+    assert nice.nodes[nice.nodes[right].children[0]].vertex == 5
+    assert sum(nd.kind == "leaf" for nd in nice.nodes) == 2
+    rng = random.Random(44)
+    outcomes = {True: 0, False: 0}
+    for lists in [full_lists(6, 3)] + [random_lists(6, 3, rng, 0.3) for _ in range(300)]:
+        got = list_k_coloring(g, lists, 3, d)
+        assert got == list_k_coloring_reference(g, lists, 3, d)
+        outcomes[got is not None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_k_clique_single_bag_complete_graph():
@@ -560,6 +667,13 @@ def test_make_nice_rejects_cyclic_bag_tree():
     bags = (frozenset({0}), frozenset({0, 1}), frozenset({1}))
     with pytest.raises(InvalidDecomposition):
         make_nice(TreeDecomposition(bags, ((0, 1), (1, 2), (2, 0))))
+
+
+def test_make_nice_rejects_disconnected_bag_tree():
+    # no tree edge reaches bag 1, whose vertex would otherwise be left out
+    d = TreeDecomposition((frozenset({0}), frozenset({1})), ())
+    with pytest.raises(InvalidDecomposition, match="bag tree is disconnected"):
+        make_nice(d)
 
 
 def test_list_coloring_triangle():
@@ -738,6 +852,72 @@ def test_list_coloring_with_cascades_matches_reference():
     assert sum(outcomes.values()) >= 2000
     assert min(outcomes.values()) >= 500, outcomes
     assert cascades >= 1000, cascades
+
+
+def _shattering_triples(rng):
+    """(graph, lists, k, decomposition) with 0-60% of the vertices pinned.
+
+    Most pins keep to a greedy proper coloring, so narrowing leaves most
+    inputs to the DP; the pinned vertices leave the bags, which fall apart
+    into pieces that share no vertex.
+    """
+    for _ in range(900):
+        if rng.random() < 0.5:
+            g = random_chordal(rng.randint(1, 24), rng)
+        else:
+            n = rng.randint(1, 14)
+            g = gnm(n, rng.randint(0, 2 * n), rng)
+        color = []
+        for v in range(g.n):
+            used = {color[u] for u in g.adjacency[v] if u < v}
+            color.append(next(c for c in range(1, g.n + 1) if c not in used))
+        k = max(color)
+        palette = range(1, k + 1)
+        lists = {
+            v: frozenset(rng.sample(palette, rng.randint(min(2, k), k))) | {color[v]}
+            for v in range(g.n)
+        }
+        for v in rng.sample(range(g.n), round(g.n * rng.choice((0.0, 0.2, 0.4, 0.6)))):
+            lists[v] = frozenset([color[v] if rng.random() < 0.8 else rng.choice(palette)])
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        for order in (minfill_order(g), shuffled):
+            yield g, lists, k, decomposition_from_order(g, order)
+
+
+def test_list_coloring_on_shattered_bags_matches_reference():
+    # the stored-predecessor DP runs on the joined nice form of the whole
+    # decomposition; list_k_coloring chains the pieces its pins leave
+    outcomes = {True: 0, False: 0}
+    shattered = 0
+    for g, lists, k, d in _shattering_triples(random.Random(45)):
+        got = list_k_coloring(g, lists, k, d)
+        assert got == list_k_coloring_reference(g, lists, k, d)
+        outcomes[got is not None] += 1
+        narrowed = narrow_lists(g, lists)
+        if narrowed is not None:
+            bags = [bag - {v for v in bag if len(narrowed[v]) == 1} for bag in d.bags]
+            shattered += any(bags[i] and bags[j] and not bags[i] & bags[j] for i, j in d.tree_edges)
+    assert sum(outcomes.values()) == 1800
+    assert min(outcomes.values()) >= 200, outcomes
+    assert shattered >= 500, shattered
+
+
+def test_list_coloring_on_a_long_chain_of_pieces():
+    # a 5000-vertex caterpillar with every third spine vertex pinned: the
+    # pins leave the bags, which fall apart into a long chain of pieces
+    spine = 2500
+    g = caterpillar_graph(spine, 1)
+    pins = {v: frozenset({1 + v % 2}) for v in range(0, spine, 3)}
+    lists = {**full_lists(g.n, 3), **pins}
+    d = decomposition_from_order(g, minfill_order(g))
+    start = time.perf_counter()
+    got = list_k_coloring(g, lists, 3, d)
+    assert time.perf_counter() - start < 2.0
+    assert got is not None and got == list_k_coloring_reference(g, lists, 3, d)
+    pieces = TreeDecomposition(tuple(bag - pins.keys() for bag in d.bags), d.tree_edges)
+    tops = [nd for nd in make_nice(pieces).nodes if nd.kind == "forget" and not nd.bag]
+    assert len(tops) > spine // 3
 
 
 def test_list_coloring_stops_at_the_state_budget(monkeypatch):
