@@ -11,7 +11,7 @@ import time
 
 from hgraphs.clique import carc_max_clique, model_intersection_graph
 from hgraphs.core import max_clique_bruteforce
-from hgraphs.errors import OracleLimitExceeded
+from hgraphs.errors import SearchLimitExceeded
 from hgraphs.randgen import random_arc_model
 
 
@@ -39,7 +39,7 @@ def main() -> None:
                 want = max_clique_bruteforce(model_intersection_graph(model))
                 brute_time += time.perf_counter() - start
                 agree = agree and len(got) == len(want)
-            except OracleLimitExceeded:
+            except SearchLimitExceeded:
                 skipped = True
         brute_col = "   (skipped)" if skipped else f"{brute_time:>11.3f}"
         print(f"{size:>5} {arc_time:>9.3f} {brute_col} {'yes' if agree else 'NO':>6}")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / answer yes; 1 answer no or UNSAT; 2 malformed or
 inconsistent input, or a file that cannot be read or written; 3 a search
-limit was exceeded.
+limit was exceeded (SearchLimitExceeded), or clique's Helly route counted
+more maximal cliques than a Helly representation on the pattern allows.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from dataclasses import dataclass
 from . import clique as cliquemod
 from . import fpt
 from .core import full_lists, max_clique_bruteforce
-from .errors import (
-    ExactLimitExceeded,
-    HgraphsError,
-    InvalidRepresentation,
-    OracleLimitExceeded,
-    ParseError,
-    SearchLimitExceeded,
-)
+from .errors import HgraphsError, InvalidRepresentation, ParseError, SearchLimitExceeded
 from .formats import (
     _list_line,
     emit_gr,
@@ -111,7 +105,7 @@ def cmd_clique(args) -> int:
         attempt = fpt.tree_decomposition(g, max(g.n - 1, 0))
         best = fpt.k_clique(g, 0, attempt.decomposition)
     else:
-        best = max_clique_bruteforce(g, limit=args.oracle_limit)
+        best = max_clique_bruteforce(g)
     _print_vertices("clique", best)
     print(f"size: {len(best)}")
     return EXIT_OK
@@ -253,10 +247,10 @@ def cmd_complement(args) -> int:
     return EXIT_OK
 
 
-# the default of each tuning flag, each defined on the one command that reads
-# it.  perfbench/run.py's tracer self-check reads GLOBAL_DEFAULTS["approx_factor"]
+# the defaults of the tuning flags, all on `td`, the one command that reads
+# them.  perfbench/run.py's tracer self-check reads GLOBAL_DEFAULTS["approx_factor"]
 # to build the decomposition `td` would, so the dict keeps this name and form
-GLOBAL_DEFAULTS = {"seed": 0, "oracle_limit": 20, "approx_factor": 5}
+GLOBAL_DEFAULTS = {"seed": 0, "approx_factor": 5}
 
 
 def _int_at_least(low: int):
@@ -291,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "cactus", "helly", "treewidth", "brute"],
         default="auto",
     )
-    p.add_argument("--oracle-limit", type=_int_at_least(0),
-                   default=GLOBAL_DEFAULTS["oracle_limit"],
-                   help="brute-force size limit")
 
     p = subs.add_parser("color", help="list coloring via tree-decomposition DP")
     p.add_argument("--graph", required=True)
@@ -354,7 +345,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"{exc.path}:{exc.line}: {exc.message}", file=sys.stderr)
         return EXIT_INPUT
-    except (OracleLimitExceeded, SearchLimitExceeded, ExactLimitExceeded) as exc:
+    except SearchLimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except HgraphsError as exc:

@@ -11,9 +11,13 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import OracleLimitExceeded
+from .errors import SearchLimitExceeded
 
 ColorLists = Mapping[int, frozenset[int]]
+
+# max_clique_bruteforce visits every clique, up to 2**n of them, so it runs on
+# graphs of at most this many vertices
+ORACLE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -154,15 +158,16 @@ def _check_clique(g: SimpleGraph, verts) -> None:
             raise AssertionError(f"reported set is not a clique: {u},{v}")
 
 
-def max_clique_bruteforce(g: SimpleGraph, limit: int = 20) -> tuple[int, ...]:
+def max_clique_bruteforce(g: SimpleGraph) -> tuple[int, ...]:
     """Maximum clique by exhaustive clique enumeration.
 
     Visits every clique of the graph via ordered extension, so the result is
     independent of any of the solver code paths.  Ties are broken toward the
-    lexicographically smallest vertex set.
+    lexicographically smallest vertex set.  A graph of more than ORACLE_LIMIT
+    vertices raises SearchLimitExceeded.
     """
-    if g.n > limit:
-        raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    if g.n > ORACLE_LIMIT:
+        raise SearchLimitExceeded(f"n={g.n} exceeds oracle limit {ORACLE_LIMIT}")
     adj = g.adjacency
     best: tuple[int, ...] = ()
     # frames [clique, candidates, next index]: a child's candidate list is

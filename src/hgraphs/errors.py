@@ -5,17 +5,12 @@ class HgraphsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class OracleLimitExceeded(HgraphsError):
-    """A brute-force oracle was called on an instance above its size limit."""
-
-
-class ExactLimitExceeded(HgraphsError):
-    """Exact treewidth was requested for a graph above the subset-DP limit."""
-
-
 class SearchLimitExceeded(HgraphsError):
-    """A search hit its limit: the tripartition search on a component above
-    its node limit, or list coloring past its DP state budget."""
+    """A search hit its limit: the brute-force clique search on a graph above
+    core.ORACLE_LIMIT vertices, the exact treewidth DP on a graph above
+    fpt.EXACT_LIMIT, the tripartition search on a component above
+    pattern.TRIPARTITION_LIMIT nodes, list coloring past fpt.STATE_BUDGET DP
+    states, or the bag scan past fpt.BRANCH_BUDGET branch nodes."""
 
 
 class DomainMismatch(HgraphsError):

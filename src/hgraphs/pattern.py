@@ -13,7 +13,7 @@ from itertools import product
 
 from . import fpt
 from .core import Multigraph, _components, _connected
-from .errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
+from .errors import InvalidPartition, SearchLimitExceeded
 
 PAIR_KEYS = ((0, 1), (0, 2), (1, 2))
 
@@ -46,7 +46,7 @@ class PatternProfile:
         """The profile from the exact subset DP, on at most fpt.EXACT_LIMIT
         nodes; the order's decomposition is validated before it is kept."""
         if pattern.n > fpt.EXACT_LIMIT:
-            raise ExactLimitExceeded(
+            raise SearchLimitExceeded(
                 f"n={pattern.n} exceeds exact treewidth limit {fpt.EXACT_LIMIT}"
             )
         simple = pattern.simple_graph()

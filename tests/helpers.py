@@ -39,7 +39,6 @@ from hgraphs.errors import (
     InvalidRepresentation,
     NotAnAtom,
     NotCactus,
-    OracleLimitExceeded,
     ParseError,
     SearchLimitExceeded,
 )
@@ -183,7 +182,7 @@ def max_clique_bruteforce_reference(
     lexicographically smallest vertex set.
     """
     if g.n > limit:
-        raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+        raise SearchLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     adj = g.adjacency
     best: tuple[int, ...] = ()
 
@@ -692,6 +691,27 @@ def cactus_omega_reference(r: HRepresentation) -> int:
     return best
 
 
+def tree_clique_reference(r: HRepresentation) -> tuple[int, ...]:
+    """The lexicographically smallest maximum clique of the graph of a
+    representation on a subdivided tree, by the tree identity.
+
+    Subtrees of a tree have the Helly property (Gavril 1974): the sets of a
+    clique share a node, so every clique lies among the holders of one node,
+    and the holders of a node form a clique.  So omega is the maximum node
+    load, and the smallest maximum clique is the smallest of the largest
+    holder sets.
+    """
+    base = r.pattern.base
+    if base.m != base.n - 1 or not _connected(base.adjacency, range(base.n)):
+        raise ValueError("pattern is not a tree")
+    holders: dict[int, list[int]] = {}
+    for v in sorted(r.sets):
+        for x in r.sets[v]:
+            holders.setdefault(x, []).append(v)
+    top = max(map(len, holders.values()), default=0)
+    return min((tuple(h) for h in holders.values() if len(h) == top), default=())
+
+
 # The set-based min-fill order and min-degree peeling that the bitset
 # minfill_order and the bucket-queue degeneracy replaced, kept verbatim
 # (renamed) so tests can require identical orders and values from them.
@@ -1141,7 +1161,7 @@ def list_coloring_bruteforce_reference(
     the returned coloring (when one exists) is deterministic.
     """
     if g.n > limit:
-        raise OracleLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+        raise SearchLimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     for v in range(g.n):
         if v not in lists or not lists[v]:
             raise ValueError(f"vertex {v} has no color list")

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    _classify_shape_reference,
     assert_clique,
     atoms_bruteforce,
     cactus_atom_arc_model_reference,
@@ -24,6 +25,7 @@ from helpers import (
     mcs_m_reference,
     random_chordal,
     sub,
+    tree_clique_reference,
 )
 import hgraphs.clique as clique_module
 from hgraphs.clique import (
@@ -32,6 +34,7 @@ from hgraphs.clique import (
     _arc_tables,
     _bipartite_max_independent,
     _carc_omega,
+    _classify_shape,
     _dense,
     _mcs_m,
     _mcs_m_masks,
@@ -225,6 +228,24 @@ def test_clique_helly_picks_as_the_sorted_reference():
     result = clique_helly(g, complete_pattern(3))
     expected = maximal_cliques_capped_reference(g, result.bound)
     assert result.exceeded and result.count == len(expected.cliques)
+
+
+def _check_helly_on_subdivided_trees(solve):
+    # 50 representations of 200-2000 vertices on subdivided random trees,
+    # about 1.25 sets per node, so omega stays near 6 and ties are common
+    rng = random.Random(44)
+    for i in range(50):
+        n = 200 + 1800 * i // 49
+        h = random_tree_pattern(round(n * 3.5 / (2.5 * 1.25)), rng)
+        g, rep = random_representation(random_subdivision(h, rng), n, rng, 6)
+        assert solve(g, h) == tree_clique_reference(rep), n
+
+
+def test_clique_helly_meets_the_tree_identity():
+    _check_helly_on_subdivided_trees(lambda g, h: clique_helly(g, h).clique)
+    # a clique one vertex short fails the check
+    with pytest.raises(AssertionError):
+        _check_helly_on_subdivided_trees(lambda g, h: clique_helly(g, h).clique[1:])
 
 
 def test_enumeration_builds_clique_tuples_only_when_read(monkeypatch):
@@ -948,6 +969,16 @@ def _non_atom_fixtures():
     arcs = [ring[:2] + ring[3:5], ring[1:3], ring[4:]]
     rep = HRepresentation(pat, dict(enumerate(map(frozenset, arcs))))
     yield complete_graph(3), rep, False
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)],  # two cycles
+    [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)],  # a path and a cycle
+])
+def test_classify_shape_rejects_a_disconnected_union(edges):
+    g = SimpleGraph.from_edges(7, edges)
+    assert _classify_shape((1 << 7) - 1, g.masks) is None
+    assert _classify_shape_reference(list(range(7)), g.adjacency) is None
 
 
 def test_arc_model_rejects_non_atom():

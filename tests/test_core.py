@@ -13,6 +13,7 @@ from helpers import (
     max_clique_bruteforce_reference,
     sub,
 )
+from hgraphs import core
 from hgraphs.core import (
     Multigraph,
     SimpleGraph,
@@ -27,7 +28,7 @@ from hgraphs.core import (
     two_subdivision,
 )
 from hgraphs.core import _bits, _check_clique, _components, _grow, _reach
-from hgraphs.errors import OracleLimitExceeded
+from hgraphs.errors import SearchLimitExceeded
 from hgraphs.pattern import cycle_pattern
 from hgraphs.randgen import gnp
 from hgraphs.representation import SubdividedPattern, branch
@@ -152,10 +153,12 @@ def test_max_clique_bruteforce_is_deterministic():
         assert_clique(g, first)
 
 
-def test_max_clique_bruteforce_limit():
-    with pytest.raises(OracleLimitExceeded):
+def test_max_clique_bruteforce_limit(monkeypatch):
+    assert max_clique_bruteforce(empty_graph(20)) == (0,)
+    with pytest.raises(SearchLimitExceeded, match="^n=21 exceeds oracle limit 20$"):
         max_clique_bruteforce(empty_graph(21))
-    assert max_clique_bruteforce(empty_graph(21), limit=21) == (0,)
+    monkeypatch.setattr(core, "ORACLE_LIMIT", 21)
+    assert max_clique_bruteforce(empty_graph(21)) == (0,)
 
 
 def test_max_clique_bruteforce_matches_recursive_reference():
@@ -168,7 +171,7 @@ def test_max_clique_bruteforce_matches_recursive_reference():
 
 
 def test_max_clique_bruteforce_needs_no_recursion_depth():
-    # a raised --oracle-limit must not turn a dense graph into a RecursionError
+    # a raised ORACLE_LIMIT must not turn a dense graph into a RecursionError
     g = complete_graph(16)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 10)
@@ -199,7 +202,7 @@ def test_list_coloring_bruteforce_cycle():
 
 def test_list_coloring_bruteforce_limit_and_validation():
     lists = {v: frozenset({1}) for v in range(13)}
-    with pytest.raises(OracleLimitExceeded):
+    with pytest.raises(SearchLimitExceeded):
         list_coloring_bruteforce_reference(empty_graph(13), lists)
     with pytest.raises(ValueError):
         list_coloring_bruteforce_reference(empty_graph(2), {0: frozenset({1})})

@@ -21,8 +21,9 @@ from helpers import (
     parse_td_reference,
     sub,
 )
-from hgraphs import formats
 from hgraphs import cli
+from hgraphs import core
+from hgraphs import formats
 from hgraphs import fpt
 from hgraphs import pattern as pattern_module
 from hgraphs.cli import main
@@ -1136,15 +1137,14 @@ def test_cli_each_flag_only_on_the_command_that_reads_it(tmp_path, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     # on its own command, each flag's value reaches the call
-    assert main(argvs["clique"] + ["--mode", "brute", "--oracle-limit", "2"]) == 3
-    assert capsys.readouterr().err == "limit exceeded: n=5 exceeds oracle limit 2\n"
     assert main(argvs["td"] + ["--approx-factor", "1"]) == 0
     assert capsys.readouterr().out == f"width: 3 (over accepted factor) -> {out}\n"
     for extra in ([], ["--seed", "3"]):
         assert main(argvs["td"] + extra) == 0
         assert capsys.readouterr().out == f"width: 3 -> {out}\n"
     # on any other command, and before the command, each flag exits 2
-    homes = {"--oracle-limit": "clique", "--seed": "td", "--approx-factor": "td"}
+    # --oracle-limit is on no command: the brute-force limit is a constant
+    homes = {"--oracle-limit": None, "--seed": "td", "--approx-factor": "td"}
     for flag, home in homes.items():
         for command, argv in argvs.items():
             misplaced = [[flag, "1", *argv]]
@@ -1323,13 +1323,18 @@ def test_cli_gen_hard_rejects_pattern_path_with_whitespace(tmp_path, capsys):
     assert not out_graph.exists() and not out_rep.exists()
 
 
-def test_cli_clique_brute_oracle_limit_exit_code(tmp_path, capsys):
+def test_cli_clique_brute_oracle_limit_exit_code(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "p21.gr"
     graph.write_text(formats.emit_gr(path_graph(21)))
     argv = ["clique", "--graph", str(graph), "--mode", "brute"]
     assert main(argv) == 3
     assert capsys.readouterr().err == "limit exceeded: n=21 exceeds oracle limit 20\n"
-    assert main(argv + ["--oracle-limit", "21"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--oracle-limit", "21"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hgraphs ")
+    monkeypatch.setattr(core, "ORACLE_LIMIT", 21)
+    assert main(argv) == 0
     assert capsys.readouterr().out.endswith("clique: 1 2\nsize: 2\n")
 
 
@@ -1339,6 +1344,17 @@ def test_cli_negative_vertex_count_exit_code(tmp_path, capsys):
     assert main(["clique", "--graph", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "neg.gr:2: vertex count must be non-negative, got -1" in err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["color", "--graph", fixture("k3.gr"), "--k", "abc"], "abc"),
+    (["td", "--graph", fixture("p3.gr"), "--target", "x", "--out", "o.td"], "x"),
+])
+def test_cli_non_integer_flag_exit_code(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"expected an integer, got {text!r}" in capsys.readouterr().err
 
 
 def test_cli_negative_target_exit_code(tmp_path, capsys):
@@ -1452,7 +1468,7 @@ CLI_FUZZ_RUNS = (
     (["clique", "--graph", "p3.gr", "--rep", "p3.rep", "--mode", "helly"],
      ("edge.hgr",)),
     (["clique", "--graph", "k3.gr", "--mode", "treewidth"], ()),
-    (["clique", "--graph", "k3.gr", "--mode", "brute", "--oracle-limit", "2"], ()),
+    (["clique", "--graph", "k3.gr", "--mode", "brute"], ()),  # ORACLE_LIMIT 2
     (["helly", "--rep", "c5.rep"], ("c5_cycle.hgr",)),
     (["color", "--graph", "path4.gr", "--lists", "path4.lists", "--k", "2"], ()),
     (["atoms", "--graph", "c5.gr"], ()),
@@ -1461,10 +1477,11 @@ CLI_FUZZ_RUNS = (
 )
 
 
-def test_cli_exit_codes_on_mutated_inputs(tmp_path, capsys):
+def test_cli_exit_codes_on_mutated_inputs(tmp_path, capsys, monkeypatch):
     # no exception escapes main; exit 2 names an input file and a line of it
     # (line 0 only for a file that cannot be read) or is an 'error:' report
     # such as a representation that fails verification
+    monkeypatch.setattr(core, "ORACLE_LIMIT", 2)
     rng = random.Random(13)
     codes = set()
     for case in range(1600):

@@ -39,7 +39,7 @@ from hgraphs.core import (
     path_graph,
     petersen_graph,
 )
-from hgraphs import fpt
+from hgraphs import core, fpt
 from hgraphs.errors import InvalidDecomposition, ListColorOutOfRange, SearchLimitExceeded
 from hgraphs.fpt import (
     NiceNode,
@@ -621,10 +621,11 @@ def test_bag_scan_matches_reference_tuple():
 
 
 @pytest.mark.parametrize("pattern", [wheel(4), double_triangle()])
-def test_bag_scan_meets_poljak_identity_on_hard_targets(pattern):
+def test_bag_scan_meets_poljak_identity_on_hard_targets(pattern, monkeypatch):
     # omega(co-S2(G)) = alpha(G) + |E(G)| (Poljak 1974), targets of 60-120
     # vertices, beyond what brute force reaches on the target itself
     rng = random.Random(37)
+    monkeypatch.setattr(core, "ORACLE_LIMIT", 24)
     part = find_tripartition(pattern)
     for n in (12, 14, 16, 20, 24):
         g = gnm(n, 2 * n, rng)
@@ -632,7 +633,7 @@ def test_bag_scan_meets_poljak_identity_on_hard_targets(pattern):
         d = tree_decomposition(target, target.n - 1).decomposition
         clique = k_clique(target, 0, d)
         assert_clique(target, clique)
-        alpha = len(max_clique_bruteforce(complement(g), limit=24))
+        alpha = len(max_clique_bruteforce(complement(g)))
         assert len(clique) == alpha + g.m
 
 

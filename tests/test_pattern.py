@@ -7,7 +7,7 @@ from helpers import canonical_labelings_reference, find_tripartition_reference
 
 from hgraphs import fpt, pattern
 from hgraphs.core import Multigraph
-from hgraphs.errors import ExactLimitExceeded, InvalidPartition, SearchLimitExceeded
+from hgraphs.errors import InvalidPartition, SearchLimitExceeded
 from hgraphs.fpt import (
     decomposition_from_order,
     exact_decomposition,
@@ -99,7 +99,7 @@ def test_treewidth_collapses_parallel_edges():
 
 
 def test_treewidth_limit(monkeypatch):
-    with pytest.raises(ExactLimitExceeded):
+    with pytest.raises(SearchLimitExceeded, match="^n=13 exceeds exact treewidth limit 12$"):
         PatternProfile.compute(path_pattern(13))
     monkeypatch.setattr(fpt, "EXACT_LIMIT", 13)
     assert PatternProfile.compute(path_pattern(13)).tw == 1
