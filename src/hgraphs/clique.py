@@ -127,10 +127,11 @@ def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
     the vertex of candidates | used with the most neighbours among the
     candidates, the smallest on ties; the branches are the candidates outside
     the pivot's neighbourhood, taken lowest bit first, so the emission order
-    is deterministic.  A branch with no candidates left gets no frame: it
-    emits its clique unless a used vertex extends it.  Frames live on an
-    explicit stack, so a clique of any size cannot exhaust the recursion
-    limit.
+    is deterministic.  A branch left one candidate or none gets no frame
+    (that frame would branch on the candidate alone, or on nothing): it
+    emits its clique, with the candidate, unless a used vertex extends it.
+    Frames live on an explicit stack, so a clique of any size cannot
+    exhaust the recursion limit.
     """
     if cap < 0:
         raise ValueError("cap must be at least 0")
@@ -163,10 +164,14 @@ def maximal_cliques_capped(g: SimpleGraph, cap: int) -> CliqueEnumeration:
         low = branches & -branches
         top[1], top[2], top[3] = cands ^ low, used | low, branches ^ low
         nbr = masks[low.bit_length() - 1]
-        if cands & nbr:
-            stack.append(frame(clique | low, cands & nbr, used & nbr))
-        elif not used & nbr:
-            found.append(clique | low)
+        sub = cands & nbr
+        if sub & (sub - 1):
+            stack.append(frame(clique | low, sub, used & nbr))
+            continue
+        if sub:  # the lone candidate joins the clique
+            nbr &= masks[sub.bit_length() - 1]
+        if not used & nbr:
+            found.append(clique | low | sub)
             if len(found) > cap:
                 return CliqueEnumeration(False, tuple(found), cap)
     return CliqueEnumeration(True, tuple(found), cap)

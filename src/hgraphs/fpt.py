@@ -748,8 +748,10 @@ def list_k_coloring(
 
     The lists are narrowed first (narrow_lists); an emptied list answers
     None.  A vertex left one color takes it, and no neighbour's list holds
-    that color, so it leaves the bags, which may fall apart into pieces that
-    share no vertex; make_nice chains the pieces instead of joining them.
+    that color, so it leaves the bags.  So does a vertex whose neighbours
+    all did: every color on its list fits, and it takes the smallest.  The
+    bags may fall apart into pieces that share no vertex; make_nice chains
+    the pieces instead of joining them.
     A dynamic program then runs over that nice form: a state is a proper,
     list-respecting coloring of a bag that some coloring of the vertices
     below extends; introduce extends by list colors unused on bag
@@ -772,7 +774,10 @@ def list_k_coloring(
     the narrowed lists extends within them, every forget keeps the same
     first state, a piece's top passes only the empty state, as the DP over
     the joined pieces would, and a forced vertex adds one fixed color to
-    each state.
+    each state.  A vertex whose neighbours are all forced constrains no
+    vertex left in the bags, nor they it, so every table would list its
+    colors in ascending order under each state, and the walk would read
+    the smallest: the color it takes.
     The DP stops at the first empty table, as every ancestor's would be
     empty too, and raises SearchLimitExceeded once its introduce steps have
     built more than STATE_BUDGET states.  Pre-coloring extension is the
@@ -783,12 +788,13 @@ def list_k_coloring(
     lists = narrow_lists(g, lists)
     if lists is None:
         return None
+    adj = g.adjacency
     forced = {v for v in range(g.n) if len(lists[v]) == 1}
+    forced |= {v for v in range(g.n) if adj[v] <= forced}
     coloring = {v: min(lists[v]) for v in forced}
     bags = tuple([frozenset(bag) - forced for bag in d.bags])
     nice = make_nice(TreeDecomposition(bags, d.tree_edges))
     nodes = nice.nodes
-    adj = g.adjacency
     built = 0
 
     def run(idx: int, kind: str):

@@ -820,6 +820,14 @@ def test_forced_coloring_checks_its_witness():
         forced_coloring(g, {0: frozenset({1}), 1: frozenset({1}), 2: frozenset({2})})
 
 
+def _has_lone_free_vertex(g, narrowed) -> bool:
+    """Whether narrowing left some vertex free and none of its neighbours."""
+    if narrowed is None:
+        return False
+    free = {v for v in range(g.n) if len(narrowed[v]) > 1}
+    return any(g.adjacency[v].isdisjoint(free) for v in free)
+
+
 def _narrowing_triples(rng):
     """(graph, lists, k, decomposition) with lists of one or two colors."""
     for _ in range(800):
@@ -841,7 +849,7 @@ def test_list_coloring_with_cascades_matches_reference():
     # many pins and forced lists: narrowing and the forced vertices leaving
     # the bags give the stored-predecessor DP's witness and None
     outcomes = {True: 0, False: 0}
-    cascades = 0
+    cascades = lone = 0
     for g, lists, k, d in _narrowing_triples(random.Random(41)):
         got = list_k_coloring(g, lists, k, d)
         assert got == list_k_coloring_reference(g, lists, k, d)
@@ -850,9 +858,11 @@ def test_list_coloring_with_cascades_matches_reference():
         forced = sum(len(c) == 1 for c in lists.values())
         if narrowed is None or sum(len(c) == 1 for c in narrowed.values()) > forced:
             cascades += 1
+        lone += _has_lone_free_vertex(g, narrowed)
     assert sum(outcomes.values()) >= 2000
     assert min(outcomes.values()) >= 500, outcomes
     assert cascades >= 1000, cascades
+    assert lone >= 800, lone
 
 
 def _shattering_triples(rng):
@@ -890,7 +900,7 @@ def test_list_coloring_on_shattered_bags_matches_reference():
     # the stored-predecessor DP runs on the joined nice form of the whole
     # decomposition; list_k_coloring chains the pieces its pins leave
     outcomes = {True: 0, False: 0}
-    shattered = 0
+    shattered = lone = 0
     for g, lists, k, d in _shattering_triples(random.Random(45)):
         got = list_k_coloring(g, lists, k, d)
         assert got == list_k_coloring_reference(g, lists, k, d)
@@ -899,9 +909,29 @@ def test_list_coloring_on_shattered_bags_matches_reference():
         if narrowed is not None:
             bags = [bag - {v for v in bag if len(narrowed[v]) == 1} for bag in d.bags]
             shattered += any(bags[i] and bags[j] and not bags[i] & bags[j] for i, j in d.tree_edges)
+        lone += _has_lone_free_vertex(g, narrowed)
     assert sum(outcomes.values()) == 1800
     assert min(outcomes.values()) >= 200, outcomes
     assert shattered >= 500, shattered
+    assert lone >= 800, lone
+
+
+def test_free_vertex_with_pinned_neighbours_leaves_the_bags(monkeypatch):
+    # a star whose leaves are pinned: narrowing leaves the centre {2, 4},
+    # and with no free neighbour it takes 2 without entering a bag
+    g = SimpleGraph.from_edges(5, [(0, v) for v in range(1, 5)])
+    lists = {0: frozenset({1, 2, 3, 4}), 1: frozenset({1}), 2: frozenset({3}),
+             3: frozenset({1}), 4: frozenset({3})}
+    seen = []
+
+    def spy(d):
+        seen.append(d.bags)
+        return make_nice(d)
+
+    monkeypatch.setattr(fpt, "make_nice", spy)
+    d = decomposition_from_order(g, minfill_order(g))
+    assert list_k_coloring(g, lists, 4, d) == {0: 2, 1: 1, 2: 3, 3: 1, 4: 3}
+    assert len(seen) == 1 and all(0 not in bag for bag in seen[0])
 
 
 def test_list_coloring_on_a_long_chain_of_pieces():
@@ -952,12 +982,14 @@ def test_k_clique_stops_at_the_branch_budget(monkeypatch):
 
 def test_forgotten_vertices_take_only_their_first_completion(monkeypatch):
     # the root's forget run leaves out every vertex of the one bag, so the
-    # empty state needs one completion: 12 states, not all 4096 colorings
+    # empty state needs one completion: 12 states, not all 6**6 colorings of
+    # six disjoint edges (every vertex has a free neighbour, so all stay)
     monkeypatch.setattr(fpt, "STATE_BUDGET", 100)
     n = 12
+    g = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
     d = TreeDecomposition((frozenset(range(n)),), ())
-    got = list_k_coloring(empty_graph(n), full_lists(n, 2), 2, d)
-    assert got == dict.fromkeys(range(n), 1)
+    got = list_k_coloring(g, full_lists(n, 3), 3, d)
+    assert got == {v: 1 + v % 2 for v in range(n)}
 
 
 def test_list_coloring_on_a_bag_wider_than_the_recursion_limit():
